@@ -6,7 +6,8 @@ tests the two order-based optimality conditions, ``mvt`` searches a
 mean-value witness, ``viz`` converts stored sets to segment CSV/SVG.
 
 Exit codes: 0 success or all checks passed, 1 verification failure,
-2 input error, 3 witness not found.
+2 input error (including non-finite points, overflow and too-deep
+expressions), 3 witness not found.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from .corpus import (
     random_rule_pair,
     random_taylor_instance,
 )
-from .deriv import ACTIVE_RTOL
-from .dirset import DirectedSet, GridMismatchError, SphereGrid, norm
+from .dirset import ACTIVE_RTOL, DirectedSet, GridMismatchError, SphereGrid, norm
 from .engine import KinkError, default_grid, directed_subdiff
 from .expr import ArityError, DomainError, evaluate
 from .parser import ParseError, parse
@@ -368,6 +368,9 @@ def main(argv=None) -> int:
     except (ParseError, DomainError, ArityError, KinkError, GridMismatchError,
             ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: expression nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -14,6 +14,7 @@ import random
 
 from .dirset import DirectedInterval, DirectedSet, SphereGrid
 from .expr import (
+    Affine,
     Const,
     DomainError,
     Expr,
@@ -21,6 +22,7 @@ from .expr import (
     Max,
     Min,
     Product,
+    SmoothCompose,
     SmoothUnary,
     Var,
     const,
@@ -146,23 +148,27 @@ def random_rule_pair(
 
 
 def _exp_arguments_bounded(e: Expr, x, bound: float) -> bool:
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, SmoothUnary):
-            if node.kind == "exp":
-                try:
-                    if abs(evaluate(node.child, x)) > bound:
-                        return False
-                except DomainError:
+    """False when some exp node's argument exceeds ``bound`` in magnitude.
+
+    Each argument is evaluated at the point its node sees: substitutions
+    and compositions hand their children the transformed point.
+    """
+    stack = [(e, tuple(x))]
+    try:
+        while stack:
+            node, xs = stack.pop()
+            if isinstance(node, SmoothUnary) and node.kind == "exp":
+                if abs(evaluate(node.child, xs)) > bound:
                     return False
-            stack.append(node.child)
-        elif isinstance(node, (LinComb,)):
-            stack += [node.left, node.right]
-        elif isinstance(node, Product):
-            stack += [node.left, node.right]
-        elif isinstance(node, (Max, Min)):
-            stack += list(node.children)
+            if isinstance(node, Affine):
+                xs = node._inner_point(xs)
+            elif isinstance(node, SmoothCompose):
+                stack.append((node.outer, tuple(evaluate(h, xs) for h in node.inner)))
+                stack += [(h, xs) for h in node.inner]
+                continue
+            stack += [(c, xs) for c in node.children]
+    except DomainError:
+        return False
     return True
 
 

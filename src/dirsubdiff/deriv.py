@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .basis import Basis
-from .dirset import ActiveSetInfo
+from .dirset import ACTIVE_RTOL, ActiveSetInfo, active_members
 from .expr import (
     Affine,
     Const,
@@ -39,64 +39,12 @@ from .expr import (
     SmoothCompose,
     SmoothUnary,
     Var,
+    as_point,
     evaluate,
+    primitive,
 )
 
-#: relative scale of the kink active-set tolerance: eps = ACTIVE_RTOL * (1 + |extreme|)
-ACTIVE_RTOL = 1e-9
-
 _ZERO = Const(0.0)
-
-
-def _unary_value(kind: str, exponent: int, v: float) -> float:
-    """Value of a smooth primitive at inner value ``v``."""
-    if kind == "sqr":
-        return v * v
-    if kind == "sin":
-        return math.sin(v)
-    if kind == "cos":
-        return math.cos(v)
-    if kind == "exp":
-        try:
-            return math.exp(v)
-        except OverflowError:
-            raise DomainError(f"exp overflow at argument {v!r}") from None
-    if kind == "log":
-        if v <= 0.0:
-            raise DomainError(f"log undefined at {v!r}")
-        return math.log(v)
-    if kind == "sqrt":
-        if v < 0.0:
-            raise DomainError(f"sqrt undefined at {v!r}")
-        return math.sqrt(v)
-    return float(v ** exponent)
-
-
-def _unary_dvalue(kind: str, exponent: int, v: float) -> float:
-    """Derivative value of a smooth primitive at inner value ``v``."""
-    if kind == "sqr":
-        return 2.0 * v
-    if kind == "sin":
-        return math.cos(v)
-    if kind == "cos":
-        return -math.sin(v)
-    if kind == "exp":
-        try:
-            return math.exp(v)
-        except OverflowError:
-            raise DomainError(f"exp overflow at argument {v!r}") from None
-    if kind == "log":
-        if v <= 0.0:
-            raise DomainError(f"log undefined at {v!r}")
-        return 1.0 / v
-    if kind == "sqrt":
-        if v < 0.0:
-            raise DomainError(f"sqrt undefined at {v!r}")
-        if v == 0.0:
-            raise DomainError("sqrt has an unbounded one-sided derivative at 0")
-        return 0.5 / math.sqrt(v)
-    # pow
-    return float(exponent) * float(v ** (exponent - 1))
 
 
 def dirderiv_transform(
@@ -109,9 +57,11 @@ def dirderiv_transform(
 
     ``info``, when given, collects whether any max/min active set had a tie
     (a kink sits exactly at ``x``) or a borderline member that a tenfold
-    larger tolerance would classify differently.
+    larger tolerance would classify differently.  Raises
+    :class:`DomainError` on a non-finite base point or when a node value
+    overflows there.
     """
-    xs = tuple(float(v) for v in x)
+    xs = as_point(x)
     if len(xs) < e.arity:
         raise ValueError(
             f"expression reads {e.arity} coordinates, base point has {len(xs)}"
@@ -147,26 +97,18 @@ def _value_and_deriv(e, xs, rtol, info, memo):
         out = (nv / dv, LinComb(1.0 / dv, nd, -nv / (dv * dv), dd))
     elif isinstance(e, SmoothUnary):
         cv, cd = _value_and_deriv(e.child, xs, rtol, info, memo)
-        coeff = _unary_dvalue(e.kind, e.exponent, cv)
-        out = (_unary_value(e.kind, e.exponent, cv), LinComb(coeff, cd, 0.0, _ZERO))
+        value, slope, _ = primitive(e.kind, cv)
+        out = (value(cv, e.exponent), LinComb(slope(cv, e.exponent), cd, 0.0, _ZERO))
     elif isinstance(e, (Max, Min)):
         pairs = [_value_and_deriv(c, xs, rtol, info, memo) for c in e.children]
         vals = [p[0] for p in pairs]
         is_max = isinstance(e, Max)
-        m = max(vals) if is_max else min(vals)
-        eps = rtol * (1.0 + abs(m))
-        gaps = [(m - v) if is_max else (v - m) for v in vals]
-        active = [p[1] for p, gap in zip(pairs, gaps) if gap <= eps]
-        if info is not None:
-            if len(active) > 1:
-                info.ties = True
-            if any(eps < gap <= 10.0 * eps for gap in gaps):
-                info.borderline = True
+        active = active_members(vals, rtol, is_max, info)
         if len(active) == 1:
-            dexpr = active[0]
+            dexpr = pairs[active[0]][1]
         else:
-            dexpr = Max(tuple(active)) if is_max else Min(tuple(active))
-        out = (m, dexpr)
+            dexpr = type(e)(tuple(pairs[i][1] for i in active))
+        out = (max(vals) if is_max else min(vals), dexpr)
     elif isinstance(e, Affine):
         ys = e._inner_point(xs)
         cv, cd = _value_and_deriv(e.child, ys, rtol, info, memo)
@@ -193,6 +135,8 @@ def _value_and_deriv(e, xs, rtol, info, memo):
     else:  # pragma: no cover
         raise TypeError(f"unknown node type {type(e).__name__}")
 
+    if not math.isfinite(out[0]):
+        raise DomainError(f"value overflows to {out[0]!r} at the base point")
     memo[key] = out
     return out
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from .basis import orthobasis
 
-#: relative scale of the active-set tolerance used by sup/inf
+#: relative scale of the active-set tolerance: eps = ACTIVE_RTOL * (1 + |extreme|)
 ACTIVE_RTOL = 1e-9
 
 #: absolute tie tolerance when grouping supporting-face vertices
@@ -50,6 +50,27 @@ class ActiveSetInfo:
 
     ties: bool = False
     borderline: bool = False
+
+
+def active_members(values, rtol: float, maximize: bool, info: ActiveSetInfo | None) -> list:
+    """Indices of the members of ``values`` that are active at the extreme.
+
+    The extreme ``m`` is the maximum (``maximize``) or the minimum; a member
+    is active when its gap to ``m`` is at most ``eps = rtol * (1 + |m|)``.
+    This one rule serves the derivative transform, :func:`sup`/:func:`inf`
+    and the max/min rule verifiers, so both sides of the max/min rules agree
+    on which members count.  ``info`` collects the tie and borderline flags.
+    """
+    m = max(values) if maximize else min(values)
+    eps = rtol * (1.0 + abs(m))
+    gaps = [m - v for v in values] if maximize else [v - m for v in values]
+    active = [i for i, gap in enumerate(gaps) if gap <= eps]
+    if info is not None:
+        if len(active) > 1:
+            info.ties = True
+        if any(eps < gap <= 10.0 * eps for gap in gaps):
+            info.borderline = True
+    return active
 
 
 # ---------------------------------------------------------------------------
@@ -465,14 +486,30 @@ def distance(a: DirectedSet, b: DirectedSet) -> float:
 # lattice structure and order
 
 
-def _prepare_family(sets):
+def _extreme(sets, rtol, info, maximize):
     family = list(sets)
     if not family:
         raise ValueError("sup/inf of an empty family")
     first = family[0]
     for s in family[1:]:
         _check_compatible(first, s)
-    return family
+    pick = max if maximize else min
+    if first.dim == 1:
+        return DirectedSet.leaf(
+            pick(s.interval.a_neg for s in family),
+            pick(s.interval.a_pos for s in family),
+        )
+    supports = []
+    lowers = []
+    for k in range(len(first.grid.directions)):
+        vals = [s.supports[k] for s in family]
+        active = active_members(vals, rtol, maximize, info)
+        supports.append(pick(vals))
+        if len(active) == 1:
+            lowers.append(family[active[0]].lowers[k])
+        else:
+            lowers.append(_extreme([family[i].lowers[k] for i in active], rtol, info, maximize))
+    return DirectedSet.node(first.grid, supports, lowers)
 
 
 def sup(sets, active_rtol: float = ACTIVE_RTOL, info: ActiveSetInfo | None = None) -> DirectedSet:
@@ -480,60 +517,14 @@ def sup(sets, active_rtol: float = ACTIVE_RTOL, info: ActiveSetInfo | None = Non
 
     1-D: componentwise maximum of the stored pairs.  Higher dimensions take
     the pointwise maximal support and recurse on the lower components of the
-    members whose support is maximal within ``active_rtol * max(1, |m|)``.
+    members that :func:`active_members` finds active there.
     """
-    family = _prepare_family(sets)
-    if family[0].dim == 1:
-        return DirectedSet.leaf(
-            max(s.interval.a_neg for s in family),
-            max(s.interval.a_pos for s in family),
-        )
-    grid = family[0].grid
-    supports = []
-    lowers = []
-    for k in range(len(grid.directions)):
-        vals = [s.supports[k] for s in family]
-        m = max(vals)
-        eps = active_rtol * max(1.0, abs(m))
-        active = [s.lowers[k] for s, v in zip(family, vals) if m - v <= eps]
-        if info is not None and any(eps < m - v <= 10.0 * eps for v in vals):
-            info.borderline = True
-        supports.append(m)
-        if len(active) == 1:
-            lowers.append(active[0])
-        else:
-            if info is not None:
-                info.ties = True
-            lowers.append(sup(active, active_rtol, info))
-    return DirectedSet.node(grid, supports, lowers)
+    return _extreme(sets, active_rtol, info, True)
 
 
 def inf(sets, active_rtol: float = ACTIVE_RTOL, info: ActiveSetInfo | None = None) -> DirectedSet:
     """Infimum of a family of directed sets; mirror image of :func:`sup`."""
-    family = _prepare_family(sets)
-    if family[0].dim == 1:
-        return DirectedSet.leaf(
-            min(s.interval.a_neg for s in family),
-            min(s.interval.a_pos for s in family),
-        )
-    grid = family[0].grid
-    supports = []
-    lowers = []
-    for k in range(len(grid.directions)):
-        vals = [s.supports[k] for s in family]
-        m = min(vals)
-        eps = active_rtol * max(1.0, abs(m))
-        active = [s.lowers[k] for s, v in zip(family, vals) if v - m <= eps]
-        if info is not None and any(eps < v - m <= 10.0 * eps for v in vals):
-            info.borderline = True
-        supports.append(m)
-        if len(active) == 1:
-            lowers.append(active[0])
-        else:
-            if info is not None:
-                info.ties = True
-            lowers.append(inf(active, active_rtol, info))
-    return DirectedSet.node(grid, supports, lowers)
+    return _extreme(sets, active_rtol, info, False)
 
 
 def leq(a: DirectedSet, b: DirectedSet, eps: float = 1e-9) -> bool:

@@ -15,20 +15,13 @@ calculus rules exact.
 from __future__ import annotations
 
 from .basis import orthobasis
-from .dirset import ActiveSetInfo, DirectedSet, SphereGrid, embed_point
-from .deriv import ACTIVE_RTOL, dirderiv_transform, restrict
-from .expr import Expr
+from .dirset import ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, embed_point
+from .deriv import dirderiv_transform, restrict
+from .expr import Expr, as_point
 
 
 class KinkError(ValueError):
     """Gradient embedding was asked for at a point with an active kink."""
-
-
-def as_point(x) -> tuple:
-    """Normalize scalars and float sequences to a point tuple."""
-    if isinstance(x, (int, float)):
-        return (float(x),)
-    return tuple(float(v) for v in x)
 
 
 def default_grid(dim: int) -> SphereGrid | None:

@@ -30,8 +30,8 @@ class ExprError(Exception):
 class DomainError(ExprError):
     """Evaluation or differentiation left the domain of a primitive.
 
-    Raised for log/sqrt domain violations, division by zero and floating
-    overflow inside exp.
+    Raised for log/sqrt domain violations, division by zero, non-finite
+    points and floating overflow.
     """
 
 
@@ -39,8 +39,49 @@ class ArityError(ExprError):
     """The evaluation point has fewer coordinates than the expression uses."""
 
 
+def _exp(v, k):
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise DomainError(f"exp overflow at argument {v!r}") from None
+
+
+def _pow(v, k):
+    try:
+        return float(v ** k)
+    except OverflowError:
+        raise DomainError(f"pow overflow at argument {v!r}") from None
+
+
+def _sqrt_slope(v, k):
+    if v == 0.0:
+        raise DomainError("sqrt has an unbounded one-sided derivative at 0")
+    return 0.5 / math.sqrt(v)
+
+
+#: smooth primitives: kind -> (value, derivative, domain).  ``value`` and
+#: ``derivative`` take the inner value ``v`` and the pow exponent ``k``;
+#: ``domain`` is None or a test ``v`` must pass before either is applied.
+_PRIMITIVES = {
+    "sin": (lambda v, k: math.sin(v), lambda v, k: math.cos(v), None),
+    "cos": (lambda v, k: math.cos(v), lambda v, k: -math.sin(v), None),
+    "exp": (_exp, _exp, None),
+    "log": (lambda v, k: math.log(v), lambda v, k: 1.0 / v, lambda v: v > 0.0),
+    "sqr": (lambda v, k: v * v, lambda v, k: 2.0 * v, None),
+    "sqrt": (lambda v, k: math.sqrt(v), _sqrt_slope, lambda v: v >= 0.0),
+    "pow": (_pow, lambda v, k: float(k) * _pow(v, k - 1), None),
+}
+
 #: smooth primitive names accepted by :class:`SmoothUnary`
-SMOOTH_KINDS = ("sin", "cos", "exp", "log", "sqr", "sqrt", "pow")
+SMOOTH_KINDS = tuple(_PRIMITIVES)
+
+
+def primitive(kind: str, v: float) -> tuple:
+    """The table row ``(value, derivative, domain)`` of ``kind``, once ``v`` is in its domain."""
+    row = _PRIMITIVES[kind]
+    if row[2] is not None and not row[2](v):
+        raise DomainError(f"{kind} undefined at {v!r}")
+    return row
 
 
 def _coerce(value) -> "Expr":
@@ -57,7 +98,8 @@ class Expr:
     Subclasses are frozen dataclasses; identity, not structure, is used for
     equality so shared subtrees behave as plain DAG nodes.  ``arity`` is the
     number of leading input coordinates the node can read (1 + the largest
-    variable index used).
+    variable index used).  ``children`` is the tuple of direct subexpressions,
+    empty for variables and constants.
     """
 
     __slots__ = ()
@@ -107,6 +149,8 @@ class Var(Expr):
             raise ValueError(f"variable index must be a nonnegative int, got {self.index!r}")
         object.__setattr__(self, "arity", self.index + 1)
 
+    children = ()
+
     def _eval(self, xs):
         return xs[self.index]
 
@@ -122,6 +166,8 @@ class Const(Expr):
             raise ValueError(f"constant must be finite, got {v!r}")
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "arity", 0)
+
+    children = ()
 
     def _eval(self, xs):
         return self.value
@@ -151,30 +197,13 @@ class SmoothUnary(Expr):
                 raise ValueError("pow exponent must be an integer >= 2")
         object.__setattr__(self, "arity", self.child.arity)
 
+    @property
+    def children(self):
+        return (self.child,)
+
     def _eval(self, xs):
         v = self.child._eval(xs)
-        k = self.kind
-        if k == "sqr":
-            return v * v
-        if k == "sin":
-            return math.sin(v)
-        if k == "cos":
-            return math.cos(v)
-        if k == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                raise DomainError(f"exp overflow at argument {v!r}") from None
-        if k == "log":
-            if v <= 0.0:
-                raise DomainError(f"log of nonpositive value {v!r}")
-            return math.log(v)
-        if k == "sqrt":
-            if v < 0.0:
-                raise DomainError(f"sqrt of negative value {v!r}")
-            return math.sqrt(v)
-        # pow
-        return float(v ** self.exponent)
+        return primitive(self.kind, v)[0](v, self.exponent)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -216,6 +245,10 @@ class Affine(Expr):
         object.__setattr__(self, "offset", off)
         object.__setattr__(self, "arity", ncols)
 
+    @property
+    def children(self):
+        return (self.child,)
+
     def _inner_point(self, xs):
         out = []
         for ci, row in zip(self.offset, self.matrix):
@@ -247,6 +280,10 @@ class LinComb(Expr):
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "arity", max(self.left.arity, self.right.arity))
 
+    @property
+    def children(self):
+        return (self.left, self.right)
+
     def _eval(self, xs):
         return self.alpha * self.left._eval(xs) + self.beta * self.right._eval(xs)
 
@@ -260,6 +297,10 @@ class Product(Expr):
     def __post_init__(self):
         object.__setattr__(self, "arity", max(self.left.arity, self.right.arity))
 
+    @property
+    def children(self):
+        return (self.left, self.right)
+
     def _eval(self, xs):
         return self.left._eval(xs) * self.right._eval(xs)
 
@@ -272,6 +313,10 @@ class Quotient(Expr):
 
     def __post_init__(self):
         object.__setattr__(self, "arity", max(self.num.arity, self.den.arity))
+
+    @property
+    def children(self):
+        return (self.num, self.den)
 
     def _eval(self, xs):
         d = self.den._eval(xs)
@@ -355,6 +400,10 @@ class SmoothCompose(Expr):
             )
         object.__setattr__(self, "inner", inner)
         object.__setattr__(self, "arity", max(h.arity for h in inner))
+
+    @property
+    def children(self):
+        return (self.outer, *self.inner)
 
     def _eval(self, xs):
         ys = tuple(h._eval(xs) for h in self.inner)
@@ -440,27 +489,20 @@ def has_kinks(e: Expr) -> bool:
         node = stack.pop()
         if isinstance(node, (Max, Min)):
             return True
-        if isinstance(node, (Var, Const)):
-            continue
-        if isinstance(node, SmoothUnary):
-            stack.append(node.child)
-        elif isinstance(node, Affine):
-            stack.append(node.child)
-        elif isinstance(node, LinComb):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Product):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, Quotient):
-            stack.append(node.num)
-            stack.append(node.den)
-        elif isinstance(node, SmoothCompose):
-            stack.append(node.outer)
-            stack.extend(node.inner)
-        else:  # pragma: no cover - new node kinds must opt in explicitly
-            raise TypeError(f"unknown node type {type(node).__name__}")
+        stack.extend(node.children)
     return False
+
+
+def as_point(x) -> tuple:
+    """Normalize a scalar or a float sequence to a tuple of finite floats.
+
+    Raises :class:`DomainError` on a NaN or infinite coordinate.
+    """
+    xs = (float(x),) if isinstance(x, (int, float)) else tuple(map(float, x))
+    for v in xs:
+        if not math.isfinite(v):
+            raise DomainError(f"point coordinates must be finite, got {xs!r}")
+    return xs
 
 
 def evaluate(e: Expr, point) -> float:
@@ -468,14 +510,17 @@ def evaluate(e: Expr, point) -> float:
 
     The point may have more coordinates than the expression uses (extra ones
     are ignored), but never fewer.  Raises :class:`DomainError` when a
-    primitive is evaluated outside its domain.
+    primitive is evaluated outside its domain or the value is not finite.
     """
-    xs = tuple(float(v) for v in point)
+    xs = as_point(point)
     if len(xs) < e.arity:
         raise ArityError(
             f"expression reads {e.arity} coordinates, point has {len(xs)}"
         )
-    return float(e._eval(xs))
+    v = float(e._eval(xs))
+    if not math.isfinite(v):
+        raise DomainError(f"value overflows to {v!r} at {xs!r}")
+    return v
 
 
 def expr_to_json(e: Expr) -> dict:

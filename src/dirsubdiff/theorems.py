@@ -17,12 +17,14 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .deriv import ACTIVE_RTOL, dirderiv_transform
+from .deriv import dirderiv_transform
 from .dirset import (
+    ACTIVE_RTOL,
     ActiveSetInfo,
     DirectedInterval,
     DirectedSet,
     SphereGrid,
+    active_members,
     directed_zero,
     distance,
     inf,
@@ -32,7 +34,7 @@ from .dirset import (
     scale,
     sup,
 )
-from .engine import as_point, directed_subdiff, smooth_gradient
+from .engine import directed_subdiff, smooth_gradient
 from .expr import (
     Affine,
     DomainError,
@@ -42,9 +44,9 @@ from .expr import (
     Min,
     Product,
     Quotient,
+    as_point,
     compose,
     evaluate,
-    has_kinks,
 )
 
 logger = logging.getLogger(__name__)
@@ -212,17 +214,24 @@ def verify_quotient_rule(
     return _guarded_report("quotient", compute, xs, active_rtol=active_rtol, guard=guard)
 
 
-def _extreme_actives(values, rtol, pick_max, info):
-    m = max(values) if pick_max else min(values)
-    eps = rtol * (1.0 + abs(m))
-    gaps = [(m - v) if pick_max else (v - m) for v in values]
-    idx = [i for i, gap in enumerate(gaps) if gap <= eps]
-    if info is not None:
-        if len(idx) > 1:
-            info.ties = True
-        if any(eps < gap <= 10.0 * eps for gap in gaps):
-            info.borderline = True
-    return idx
+def _verify_extreme_rule(fs, x, grid, active_rtol, guard, maximize):
+    fs = tuple(fs)
+    xs = as_point(x)
+    values = [evaluate(f, xs) for f in fs]
+    node, combine = (Max, sup) if maximize else (Min, inf)
+
+    def compute(rtol, info):
+        idx = active_members(values, rtol, maximize, info)
+        subs = [directed_subdiff(fs[i], xs, grid, rtol, info) for i in idx]
+        lhs = directed_subdiff(node(fs), xs, grid, rtol, info)
+        rhs = subs[0] if len(subs) == 1 else combine(subs, rtol, info)
+        return lhs, rhs
+
+    meta = {"values": tuple(values)}
+    return _guarded_report(
+        "max" if maximize else "min", compute, xs, metadata=meta,
+        active_rtol=active_rtol, guard=guard,
+    )
 
 
 def verify_max_rule(
@@ -233,19 +242,7 @@ def verify_max_rule(
     guard: bool = True,
 ) -> VerificationReport:
     """``D(max fs) = sup of D(f_i)`` over the members active at ``x``."""
-    fs = tuple(fs)
-    xs = as_point(x)
-    values = [evaluate(f, xs) for f in fs]
-
-    def compute(rtol, info):
-        idx = _extreme_actives(values, rtol, True, info)
-        subs = [directed_subdiff(fs[i], xs, grid, rtol, info) for i in idx]
-        lhs = directed_subdiff(Max(fs), xs, grid, rtol, info)
-        rhs = subs[0] if len(subs) == 1 else sup(subs, rtol, info)
-        return lhs, rhs
-
-    meta = {"values": tuple(values)}
-    return _guarded_report("max", compute, xs, metadata=meta, active_rtol=active_rtol, guard=guard)
+    return _verify_extreme_rule(fs, x, grid, active_rtol, guard, True)
 
 
 def verify_min_rule(
@@ -256,19 +253,7 @@ def verify_min_rule(
     guard: bool = True,
 ) -> VerificationReport:
     """``D(min fs) = inf of D(f_i)`` over the members active at ``x``."""
-    fs = tuple(fs)
-    xs = as_point(x)
-    values = [evaluate(f, xs) for f in fs]
-
-    def compute(rtol, info):
-        idx = _extreme_actives(values, rtol, False, info)
-        subs = [directed_subdiff(fs[i], xs, grid, rtol, info) for i in idx]
-        lhs = directed_subdiff(Min(fs), xs, grid, rtol, info)
-        rhs = subs[0] if len(subs) == 1 else inf(subs, rtol, info)
-        return lhs, rhs
-
-    meta = {"values": tuple(values)}
-    return _guarded_report("min", compute, xs, metadata=meta, active_rtol=active_rtol, guard=guard)
+    return _verify_extreme_rule(fs, x, grid, active_rtol, guard, False)
 
 
 def verify_dirderiv_fixpoint(
@@ -333,16 +318,6 @@ def check_max_condition(
 # compositions along curves and segments
 
 
-def _smooth_components(phi):
-    phi = tuple(phi)
-    if not phi:
-        raise ValueError("need at least one inner component")
-    for i, p in enumerate(phi):
-        if has_kinks(p):
-            raise ValueError(f"inner component {i} contains max/min and is not smooth")
-    return phi
-
-
 def chain_rule_1d(
     g: Expr,
     phi,
@@ -374,7 +349,8 @@ def verify_chain_rule_1d(
     guard: bool = True,
 ) -> VerificationReport:
     """Chain-rule formula against the engine on the composite expression."""
-    phi = _smooth_components(phi)
+    composite = compose(g, phi)
+    phi = composite.inner
     t0 = float(t0)
     values = tuple(evaluate(p, (t0,)) for p in phi)
     rates = tuple(smooth_gradient(p, (t0,))[0] for p in phi)
@@ -385,7 +361,7 @@ def verify_chain_rule_1d(
         formula = DirectedSet.leaf(
             evaluate(transform, neg_rates), evaluate(transform, rates)
         )
-        direct = directed_subdiff(compose(g, phi), (t0,), None, rtol, info)
+        direct = directed_subdiff(composite, (t0,), None, rtol, info)
         return direct, formula
 
     meta = {"inner_values": values, "inner_rates": rates}
@@ -428,7 +404,8 @@ def verify_taylor_invariance(
     ``g(phi(x0) + J(x0) (. - x0))``; first-order data at the point is all
     that can matter.
     """
-    phi = _smooth_components(phi)
+    composite = compose(g, phi)
+    phi = composite.inner
     xs = as_point(x0)
     n = len(xs)
     values = [evaluate(p, xs) for p in phi]
@@ -439,7 +416,7 @@ def verify_taylor_invariance(
     linearized = Affine(g, tuple(tuple(jrow) for jrow in jac), offsets)
 
     def compute(rtol, info):
-        lhs = directed_subdiff(compose(g, phi), xs, grid, rtol, info)
+        lhs = directed_subdiff(composite, xs, grid, rtol, info)
         rhs = directed_subdiff(linearized, xs, grid, rtol, info)
         return lhs, rhs
 

@@ -92,6 +92,29 @@ def test_subdiff_domain_error(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("function, point", [("max(x1,x2)", "nan,0"), ("x1+x2", "inf,0")])
+def test_subdiff_nonfinite_point(capsys, function, point):
+    rc, out, err = run(capsys, "subdiff", "-f", function, "-x", point)
+    assert rc == 2
+    assert out == ""
+    assert "must be finite" in err
+
+
+def test_subdiff_overflow(capsys):
+    rc, out, err = run(capsys, "subdiff", "-f", "exp(x1)*exp(x1)", "-x", "400")
+    assert rc == 2
+    assert "overflow" in err
+
+
+@pytest.mark.parametrize(
+    "function", ["+".join(["x1"] * 3000), "(" * 3000 + "x1" + ")" * 3000], ids=["sum", "parens"]
+)
+def test_subdiff_too_deep(capsys, function):
+    rc, out, err = run(capsys, "subdiff", "-f", function, "-x", "1")
+    assert rc == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_resolution_floor(capsys):
     rc, _, err = run(capsys, "subdiff", "-f", "abs(x1)", "-x", "0,0", "-M", "4")
     assert rc == 2

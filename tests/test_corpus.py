@@ -15,6 +15,8 @@ from dirsubdiff.corpus import (
     random_unit,
 )
 from dirsubdiff.expr import Max, evaluate, has_kinks
+from dirsubdiff.corpus import _exp_arguments_bounded
+from dirsubdiff.expr import Affine, Quotient, compose, const, exp, var
 
 
 def test_get_rng():
@@ -130,3 +132,14 @@ def test_random_polygon_and_sets():
     assert s.dim == 2 and len(s.supports) == 8
     leaf = random_directed_set(rng, 1)
     assert leaf.dim == 1
+
+
+def test_exp_bound_sees_through_every_node_kind():
+    x1 = var(0)
+    assert _exp_arguments_bounded(exp(x1), (1.0,), 3.0)
+    assert not _exp_arguments_bounded(Quotient(exp(5.0 * x1), const(1.0)), (1.0,), 3.0)
+    # substitutions evaluate the exp argument at the point their child sees
+    assert not _exp_arguments_bounded(Affine(exp(x1), ((5.0,),), (0.0,)), (1.0,), 3.0)
+    assert _exp_arguments_bounded(Affine(exp(x1), ((5.0,),), (-4.5,)), (1.0,), 3.0)
+    assert not _exp_arguments_bounded(compose(exp(x1), [5.0 * x1]), (1.0,), 3.0)
+    assert not _exp_arguments_bounded(compose(x1, [exp(5.0 * x1)]), (1.0,), 3.0)

@@ -22,6 +22,9 @@ from dirsubdiff.dirset import (
     scale,
     sup,
 )
+from dirsubdiff.engine import directed_subdiff
+from dirsubdiff.expr import vmax, vmin
+from dirsubdiff.parser import parse
 
 SQUARE = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
 
@@ -204,6 +207,20 @@ def test_active_set_flags():
     sup([base, embed_point((1.0 + 8e-9, 0.3), g)], info=info)
     assert info.borderline
     assert not info.ties
+
+
+@pytest.mark.parametrize(
+    "combine, members",
+    [(sup, ("x1", "0.9999999985*x1 + 0.5*x2")), (inf, ("-x1", "-0.9999999985*x1 - 0.5*x2"))],
+)
+def test_sup_inf_share_the_transform_active_set(combine, members):
+    # support gaps of 1.5e-9 * |l1| lie between rtol * max(1, |m|) and
+    # rtol * (1 + |m|); sup/inf must keep the same members as the transform
+    g = SphereGrid.circle(360)
+    fs = [parse(t) for t in members]
+    node = vmax if combine is sup else vmin
+    got = combine([directed_subdiff(f, (0.0, 0.0), g) for f in fs])
+    assert distance(got, directed_subdiff(node(*fs), (0.0, 0.0), g)) == 0.0
 
 
 def test_leq_examples():

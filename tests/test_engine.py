@@ -21,12 +21,36 @@ from dirsubdiff.engine import (
     smooth_gradient,
 )
 from dirsubdiff.parser import parse
+from dirsubdiff.expr import DomainError, evaluate
 
 
 def test_as_point():
     assert as_point(2) == (2.0,)
     assert as_point(2.5) == (2.5,)
     assert as_point([1, 2]) == (1.0, 2.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_points_are_domain_errors(bad):
+    f = parse("max(x1, x2)")
+    with pytest.raises(DomainError):
+        as_point((bad, 0.0))
+    with pytest.raises(DomainError):
+        evaluate(f, (bad, 0.0))
+    with pytest.raises(DomainError):
+        dirderiv_transform(f, (bad, 0.0))
+    with pytest.raises(DomainError):
+        directed_subdiff(f, (bad, 0.0), SphereGrid.circle(8))
+
+
+def test_overflow_is_a_domain_error():
+    f = parse("exp(x1) * exp(x1)")
+    with pytest.raises(DomainError):
+        evaluate(f, (400.0,))
+    with pytest.raises(DomainError):
+        directed_subdiff(f, (400.0,))
+    with pytest.raises(DomainError):
+        directed_subdiff(parse("pow(x1, 2)"), (1e200,))
 
 
 def test_default_grid():

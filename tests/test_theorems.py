@@ -137,6 +137,24 @@ def test_min_rule_single_active():
     assert r.rhs.interval == DirectedInterval(-1.0, 1.0)
 
 
+# Near-tied members whose support gaps fall between rtol * max(1, |m|) and
+# rtol * (1 + |m|): both sides of the rules must classify them the same way.
+NEAR_TIED_MAX = ("x1", "0.9999999985*x1 + 0.5*x2")
+NEAR_TIED_MIN = ("-x1", "-0.9999999985*x1 - 0.5*x2")
+
+
+def test_max_rule_near_tied_members():
+    r = verify_max_rule([parse(t) for t in NEAR_TIED_MAX], (0.0, 0.0), SphereGrid.circle(360))
+    assert r.passed and r.distance == 0.0
+    assert "active_guard_flip" not in r.metadata
+
+
+def test_min_rule_near_tied_members():
+    r = verify_min_rule([parse(t) for t in NEAR_TIED_MIN], (0.0, 0.0), SphereGrid.circle(360))
+    assert r.passed and r.distance == 0.0
+    assert "active_guard_flip" not in r.metadata
+
+
 # ---------------------------------------------------------------------------
 # derivative fixpoint
 
