@@ -59,7 +59,7 @@ def dirderiv_transform(
     (a kink sits exactly at ``x``) or a borderline member that a tenfold
     larger tolerance would classify differently.  Raises
     :class:`DomainError` on a non-finite base point or when a node value
-    overflows there.
+    overflows there, or when a derivative coefficient does.
     """
     xs = as_point(x)
     if len(xs) < e.arity:
@@ -94,11 +94,14 @@ def _value_and_deriv(e, xs, rtol, info, memo):
         dv, dd = _value_and_deriv(e.den, xs, rtol, info, memo)
         if dv == 0.0:
             raise DomainError("division by zero at the base point")
-        out = (nv / dv, LinComb(1.0 / dv, nd, -nv / (dv * dv), dd))
+        square = dv * dv
+        if square == 0.0:
+            raise DomainError(f"quotient derivative overflows: {dv!r} squared underflows to 0")
+        out = (nv / dv, LinComb(_coefficient(1.0 / dv), nd, _coefficient(-nv / square), dd))
     elif isinstance(e, SmoothUnary):
         cv, cd = _value_and_deriv(e.child, xs, rtol, info, memo)
         value, slope, _ = primitive(e.kind, cv)
-        out = (value(cv, e.exponent), LinComb(slope(cv, e.exponent), cd, 0.0, _ZERO))
+        out = (value(cv, e.exponent), LinComb(_coefficient(slope(cv, e.exponent)), cd, 0.0, _ZERO))
     elif isinstance(e, (Max, Min)):
         pairs = [_value_and_deriv(c, xs, rtol, info, memo) for c in e.children]
         vals = [p[0] for p in pairs]
@@ -127,7 +130,7 @@ def _value_and_deriv(e, xs, rtol, info, memo):
             for j in range(n):
                 unit = tuple(1.0 if i == j else 0.0 for i in range(n))
                 row.append(hd._eval(unit))
-            jac_rows.append(tuple(row))
+            jac_rows.append(tuple(_coefficient(w) for w in row))
         ys = tuple(inner_vals)
         ov, od = _value_and_deriv(e.outer, ys, rtol, info, memo)
         zeros = (0.0,) * len(e.inner)
@@ -139,6 +142,13 @@ def _value_and_deriv(e, xs, rtol, info, memo):
         raise DomainError(f"value overflows to {out[0]!r} at the base point")
     memo[key] = out
     return out
+
+
+def _coefficient(c: float) -> float:
+    """A derivative coefficient of the transform, which must be finite."""
+    if not math.isfinite(c):
+        raise DomainError(f"derivative coefficient overflows to {c!r} at the base point")
+    return c
 
 
 def dirderiv(e: Expr, x, l, active_rtol: float = ACTIVE_RTOL) -> float:

@@ -1,11 +1,26 @@
 """The directed subdifferential engine.
 
 For a 1-D function the directed subdifferential at ``x`` is the stored pair
-``(f'(x; -1), f'(x; +1))``.  In dimension n >= 2 the engine transforms the
-function into its exact directional derivative ``g = f'(x; .)``, reads the
-support values ``g(l)`` off the grid, and recurses: the lower component for
-``l`` is the directed subdifferential of ``g`` restricted to the tangent
-slice through ``l``, taken at the origin one dimension down.
+``(f'(x; -1), f'(x; +1))``.  In dimension n >= 2 the engine builds the exact
+directional derivative ``g = f'(x; .)`` once, with :func:`dirderiv_transform`,
+and reads every level of the set off ``g`` by forward sweeps:
+
+* the support at a grid direction ``l`` is ``g(l)``;
+* near ``l``, ``g`` equals ``g`` with every max/min narrowed to the members
+  active at ``l``, so the lower support at a sub-direction ``r`` is that
+  narrowed ``g`` at ``B_l r``, where ``B_l`` is the fixed basis of the tangent
+  hyperplane of ``l`` (:func:`orthobasis`);
+* narrowing again at ``B_l r``, the next level reads ``g`` at ``B_l B_r s``,
+  and so on; the 1-D leaf pair is the last narrowed ``g`` at ``s = -1, +1``.
+
+These are the lexicographic directional derivatives of ``f`` at ``x`` along
+the frames ``[l, B_l r, B_l B_r s]`` (Nesterov, Math. Program. 104, 2005).
+Each sweep narrows with :func:`active_members`, the rule and tolerance of
+the transform, and adds and picks in the order of ``Expr._eval``, so the set
+is bitwise the one of the defining recursion: restrict ``g`` to the slice
+through ``l``, transform it again and recurse one dimension down
+(:func:`dirsubdiff.oracle.recursive_subdiff`).  No expression is built per
+direction.
 
 For differentiable functions this reproduces the embedded gradient; at kinks
 the lower components record the (possibly inverted) face data that make the
@@ -14,10 +29,12 @@ calculus rules exact.
 
 from __future__ import annotations
 
+import math
+
 from .basis import orthobasis
-from .dirset import ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, embed_point
-from .deriv import dirderiv_transform, restrict
-from .expr import Expr, as_point
+from .dirset import ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_members, embed_point
+from .deriv import dirderiv_transform
+from .expr import Affine, Const, DomainError, Expr, LinComb, Max, Min, Var, as_point
 
 
 class KinkError(ValueError):
@@ -46,8 +63,8 @@ def directed_subdiff(
     """Directed subdifferential of ``e`` at ``x`` over ``grid``.
 
     ``grid`` must match the point dimension for n >= 2 and must be omitted
-    for n = 1.  ``info`` collects active-set tie/borderline flags from every
-    transform in the recursion.
+    for n = 1.  ``info`` collects active-set tie/borderline flags from the
+    transform and from every narrowing of the sweep.
     """
     xs = as_point(x)
     n = len(xs)
@@ -59,14 +76,230 @@ def directed_subdiff(
     if grid is None or grid.dim != n:
         raise ValueError(f"point of dimension {n} needs a grid of dimension {n}")
     g = dirderiv_transform(e, xs, active_rtol, info)
-    origin = (0.0,) * (n - 1)
-    supports = []
-    lowers = []
-    for l in grid.directions:
-        supports.append(float(g._eval(l)))
-        h = restrict(g, l, orthobasis(l))
-        lowers.append(directed_subdiff(h, origin, grid.subgrid, active_rtol, info))
-    return DirectedSet.node(grid, supports, lowers)
+    return _Sweep(g, active_rtol, info).level(grid, (), None)
+
+
+# ---------------------------------------------------------------------------
+# the lexicographic sweep
+
+# slot records: (_VAR, context, index), (_CONST, value),
+# (_LIN, alpha, left, beta, right), (_MAX | _MIN, children), (_ALIAS, child)
+_VAR, _CONST, _LIN, _ALIAS, _MAX, _MIN = range(6)
+
+
+def _inner(rows, y) -> tuple:
+    """``rows @ y`` accumulated from 0.0 in the order of ``Affine._inner_point``."""
+    if len(y) == 2 and len(rows[0]) == 2:  # the 3-D frames, unrolled
+        y0, y1 = y
+        return tuple(0.0 + w0 * y0 + w1 * y1 for w0, w1 in rows)
+    out = []
+    for row in rows:
+        acc = 0.0
+        for w, yv in zip(row, y):
+            acc += w * yv
+        out.append(acc)
+    return tuple(out)
+
+
+def _lift(y, frames) -> tuple:
+    """Map ``y`` up through the bases in ``frames`` (outermost first)."""
+    for rows in reversed(frames):
+        y = _inner(rows, y)
+    return y
+
+
+def _overflow(v):
+    return DomainError(f"value overflows to {v!r} at the base point")
+
+
+class _Sweep:
+    """Reads the levels of a directed subdifferential off one transform ``g``.
+
+    ``g`` is flattened into slots, one per node and affine context: a node
+    under an ``Affine`` sees its own point, so the same node reached through
+    two different substitutions gets two slots.  Context 0 sees the sweep
+    point; ``contexts[c] = (parent, matrix)`` maps the parent's point to
+    context ``c``'s.  Node values of one sweep live in ``val`` by slot.
+
+    A level's narrowing state ``act`` maps each reachable max/min slot to
+    the child slots still active (``None`` at the top: all children).
+    """
+
+    def __init__(self, g: Expr, rtol: float, info: ActiveSetInfo | None):
+        self.rtol = rtol
+        self.info = info
+        self.slots, self.root, self.contexts = self._flatten(g)
+        size = len(self.slots)
+        self.val = [0.0] * size
+        self.lo = [0.0] * size
+        self.hi = [0.0] * size
+        self.directions: dict = {}
+
+    @staticmethod
+    def _flatten(g):
+        slots = []
+        index: dict = {}
+        contexts = [None]
+        context_ids: dict = {}
+        stack = [(g, 0, False)]
+        while stack:
+            node, ctx, ready = stack.pop()
+            if (id(node), ctx) in index:
+                continue
+            if isinstance(node, Affine):
+                key = (ctx, id(node))
+                if key not in context_ids:
+                    context_ids[key] = len(contexts)
+                    contexts.append((ctx, node.matrix))
+                kids = ((node.child, context_ids[key]),)
+            else:
+                kids = tuple((c, ctx) for c in node.children)
+            if not ready:
+                stack.append((node, ctx, True))
+                stack.extend((c, cc, False) for c, cc in reversed(kids))
+                continue
+            ks = [index[(id(c), cc)] for c, cc in kids]
+            if isinstance(node, Var):
+                rec = (_VAR, ctx, node.index)
+            elif isinstance(node, Const):
+                rec = (_CONST, node.value)
+            elif isinstance(node, LinComb):
+                rec = (_LIN, node.alpha, ks[0], node.beta, ks[1])
+            elif isinstance(node, (Max, Min)):
+                rec = (_MAX if isinstance(node, Max) else _MIN, tuple(ks))
+            elif isinstance(node, Affine):
+                rec = (_ALIAS, ks[0])
+            else:  # pragma: no cover - the transform emits no other kinds
+                raise TypeError(f"unexpected {type(node).__name__} node in a transform")
+            index[(id(node), ctx)] = len(slots)
+            slots.append(rec)
+        return slots, index[(id(g), 0)], contexts
+
+    def _program(self, act):
+        """Instructions evaluating the root under ``act``, in ``_eval`` order.
+
+        Returns ``(program, root slot, singles)``.  A max/min left with one
+        active child, and an affine node, emit nothing: their slot resolves to
+        the child's, as the transform returns the child's derivative there.
+        ``singles`` keeps those one-child max/min slots for the next level.
+        """
+        slots = self.slots
+        resolved: dict = {}
+        singles: dict = {}
+        program = []
+        stack = [(self.root, False)]
+        while stack:
+            s, ready = stack.pop()
+            if s in resolved:
+                continue
+            rec = slots[s]
+            op = rec[0]
+            if op == _LIN:
+                kids = (rec[2], rec[4])
+            elif op == _ALIAS:
+                kids = (rec[1],)
+            elif op >= _MAX:
+                kids = rec[1] if act is None else act[s]
+            else:
+                kids = ()
+            if not ready:
+                stack.append((s, True))
+                stack.extend((c, False) for c in reversed(kids))
+                continue
+            if op == _ALIAS:
+                resolved[s] = resolved[kids[0]]
+                continue
+            resolved[s] = s
+            if op == _LIN:
+                program.append((_LIN, s, rec[1], resolved[kids[0]], rec[3], resolved[kids[1]]))
+            elif op >= _MAX:
+                members = tuple(resolved[c] for c in kids)
+                if len(members) == 1:
+                    resolved[s] = members[0]
+                    singles[s] = members
+                else:
+                    program.append((op, s, members))
+            else:
+                program.append((op, s) + rec[1:])
+        return program, resolved[self.root], singles
+
+    def _points(self, p) -> list:
+        """The point every affine context sees when the root sees ``p``."""
+        pts = [p]
+        for parent, rows in self.contexts[1:]:
+            pts.append(_inner(rows, pts[parent]))
+        return pts
+
+    def _directions(self, grid: SphereGrid) -> list:
+        """Per direction ``d`` of ``grid``: ``(d, B_d rows, B_d (-1), B_d (+1))``.
+
+        One :func:`orthobasis` call per direction and grid; the last two
+        entries are the leaf directions when ``grid`` is a circle.
+        """
+        out = self.directions.get(grid.id)
+        if out is None:
+            out = []
+            for d in grid.directions:
+                rows = orthobasis(d).matrix_rows
+                if grid.dim == 2:
+                    out.append((d, rows, _inner(rows, (-1.0,)), _inner(rows, (1.0,))))
+                else:
+                    out.append((d, rows, None, None))
+            self.directions[grid.id] = out
+        return out
+
+    def level(self, grid: SphereGrid, frames: tuple, act) -> DirectedSet:
+        """The directed set over ``grid`` below the directions whose bases are ``frames``."""
+        program, root, singles = self._program(act)
+        supports = []
+        lowers = []
+        for d, rows, down, up in self._directions(grid):
+            p = _lift(d, frames)
+            if grid.dim == 2:
+                self._evaluate(program, p, _lift(down, frames), _lift(up, frames))
+                supports.append(self.val[root])
+                lowers.append(DirectedSet.leaf(self.lo[root], self.hi[root]))
+            else:  # no leaf at this level: ``p`` stands in for the leaf points
+                narrowed = self._evaluate(program, p, p, p)
+                supports.append(self.val[root])
+                lowers.append(self.level(grid.subgrid, frames + (rows,), {**singles, **narrowed}))
+        return DirectedSet.node(grid, supports, lowers)
+
+    def _evaluate(self, program, p, down, up) -> dict:
+        """One forward sweep: node values at ``p`` into ``val``, checked finite;
+        the narrowed node values at ``down`` and ``up`` into ``lo`` and ``hi``.
+        Returns the max/min members active at ``p``."""
+        val, lo, hi, rtol, info = self.val, self.lo, self.hi, self.rtol, self.info
+        pts, pdown, pup = self._points(p), self._points(down), self._points(up)
+        act = {}
+        for ins in program:
+            op = ins[0]
+            s = ins[1]
+            if op == _LIN:
+                _, _, a, l, b, r = ins
+                v = a * val[l] + b * val[r]
+                lo[s] = a * lo[l] + b * lo[r]
+                hi[s] = a * hi[l] + b * hi[r]
+            elif op == _VAR:
+                ctx, k = ins[2], ins[3]
+                v = pts[ctx][k]
+                lo[s] = pdown[ctx][k]
+                hi[s] = pup[ctx][k]
+            elif op == _CONST:
+                v = lo[s] = hi[s] = ins[2]
+            else:
+                members = ins[2]
+                vals = [val[c] for c in members]
+                pick = max if op == _MAX else min
+                v = pick(vals)
+                active = tuple(members[i] for i in active_members(vals, rtol, op == _MAX, info))
+                act[s] = active
+                lo[s] = pick([lo[c] for c in active])
+                hi[s] = pick([hi[c] for c in active])
+            if not math.isfinite(v):
+                raise _overflow(v)
+            val[s] = v
+        return act
 
 
 def smooth_gradient(e: Expr, x, active_rtol: float = ACTIVE_RTOL) -> tuple:

@@ -1,11 +1,14 @@
 """Independent oracles used to cross-check the exact machinery.
 
-Nothing here shares arithmetic with the expression transform or the
-directed-set operations: directional derivatives come from one-sided finite
-differences, interval lattice operations from brute-force endpoint logic in
-the visualized (endpoint) representation, and polygon supports from an
-explicit convex hull.  Agreement between these and the exact code paths is
-what the verification suite relies on.
+Apart from :func:`recursive_subdiff`, nothing here shares arithmetic with the
+expression transform or the directed-set operations: directional
+derivatives come from one-sided finite differences, interval lattice
+operations from brute-force endpoint logic in the visualized (endpoint)
+representation, and polygon supports from an explicit convex hull.
+:func:`recursive_subdiff` shares the derivative transform with the engine
+but not its sweep: it is the defining recursion the sweep must reproduce
+bit for bit.  Agreement between these and the exact code paths is what the
+verification suite relies on.
 """
 
 from __future__ import annotations
@@ -13,8 +16,48 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import Expr, evaluate
-from .dirset import DirectedInterval
+from .basis import orthobasis
+from .deriv import dirderiv_transform, restrict
+from .dirset import ACTIVE_RTOL, ActiveSetInfo, DirectedInterval, DirectedSet, SphereGrid
+from .engine import directed_subdiff
+from .expr import Expr, as_point, evaluate
+
+
+# ---------------------------------------------------------------------------
+# the defining recursion of the directed subdifferential
+
+
+def recursive_subdiff(
+    e: Expr,
+    x,
+    grid: SphereGrid | None = None,
+    active_rtol: float = ACTIVE_RTOL,
+    info: ActiveSetInfo | None = None,
+) -> DirectedSet:
+    """Directed subdifferential by the recursion over tangent slices.
+
+    Transforms ``e`` into ``g = f'(x; .)``, reads the support ``g(l)`` per
+    grid direction and recurses on ``g`` restricted to the slice through
+    ``l``, at the origin one dimension down: a fresh transform and a fresh
+    :func:`restrict` per direction.  Same arguments and result as
+    :func:`dirsubdiff.engine.directed_subdiff`, which reads the same levels
+    off one transform; this slow form is its test reference.
+    """
+    xs = as_point(x)
+    n = len(xs)
+    if n == 1:  # one transform read at -1 and +1: no sweep to check
+        return directed_subdiff(e, xs, grid, active_rtol, info)
+    if grid is None or grid.dim != n:
+        raise ValueError(f"point of dimension {n} needs a grid of dimension {n}")
+    g = dirderiv_transform(e, xs, active_rtol, info)
+    origin = (0.0,) * (n - 1)
+    supports = []
+    lowers = []
+    for l in grid.directions:
+        supports.append(float(g._eval(l)))
+        h = restrict(g, l, orthobasis(l))
+        lowers.append(recursive_subdiff(h, origin, grid.subgrid, active_rtol, info))
+    return DirectedSet.node(grid, supports, lowers)
 
 
 # ---------------------------------------------------------------------------

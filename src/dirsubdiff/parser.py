@@ -12,6 +12,10 @@ Variables are ``x1 .. xn`` (1-based).  Calls: ``max`` and ``min`` with two or
 more arguments, the unary ``abs``, ``sin``, ``cos``, ``exp``, ``log``,
 ``sqr``, ``sqrt``, and ``pow(e, k)`` with a literal integer exponent ``k >= 2``.
 ``abs(e)`` desugars to ``max(e, -e)`` during parsing.
+
+Parentheses, calls and unary signs may nest at most :data:`MAX_NESTING`
+deep; deeper input is a :class:`ParseError`, raised before the recursion of
+the parser or of the derivative transform could run out of stack.
 """
 
 from __future__ import annotations
@@ -46,6 +50,9 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _VARIABLE = re.compile(r"x(\d+)\Z")
 
 _UNARY_CALLS = ("abs", "sin", "cos", "exp", "log", "sqr", "sqrt")
+
+#: deepest nesting of parentheses, calls and unary signs the parser accepts
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
@@ -82,6 +89,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -90,6 +98,15 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def nest(self, at: int, parse_inner, *args) -> Expr:
+        """Run ``parse_inner`` one nesting level deeper than the caller."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"expression nested more than {MAX_NESTING} levels deep", at)
+        self.depth += 1
+        node = parse_inner(*args)
+        self.depth -= 1
+        return node
 
     def expect_op(self, op: str):
         kind, text, at = self.peek()
@@ -128,13 +145,13 @@ class _Parser:
                 return node
 
     def unary(self) -> Expr:
-        kind, text, _ = self.peek()
+        kind, text, at = self.peek()
         if kind == "op" and text == "-":
             self.take()
-            return neg(self.unary())
+            return neg(self.nest(at, self.unary))
         if kind == "op" and text == "+":
             self.take()
-            return self.unary()
+            return self.nest(at, self.unary)
         return self.atom()
 
     def atom(self) -> Expr:
@@ -151,9 +168,9 @@ class _Parser:
             next_kind, next_text, _ = self.peek()
             if not (next_kind == "op" and next_text == "("):
                 raise ParseError(f"unknown identifier {text!r}", at)
-            return self.call(text, at)
+            return self.nest(at, self.call, text, at)
         if kind == "op" and text == "(":
-            node = self.expr()
+            node = self.nest(at, self.expr)
             self.expect_op(")")
             return node
         shown = text if text else "end of input"

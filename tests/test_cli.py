@@ -318,3 +318,9 @@ def test_viz_missing_file(tmp_path, capsys):
     rc, _, err = run(capsys, "viz", "--in", str(tmp_path / "absent.json"),
                      "--csv", str(tmp_path / "x.csv"))
     assert rc == 2
+
+
+def test_subdiff_quotient_coefficient_underflow(capsys):
+    rc, out, err = run(capsys, "subdiff", "-f", "1/x1", "-x", "1e-200")
+    assert rc == 2
+    assert err.startswith("error:") and "underflows" in err

@@ -203,3 +203,13 @@ def test_three_dim_smooth_point():
     e = parse("x1 + 2*x2 + 3*x3")
     s = directed_subdiff(e, (0.5, 0.5, 0.5), g)
     assert distance(s, embed_point((1.0, 2.0, 3.0), g)) <= 1e-10
+
+
+@pytest.mark.parametrize("f, x", [("1/x1", 1e-200), ("log(x1)", 1e-320), ("x1/(x1*x1)", 1e-160)])
+def test_overflowing_derivative_coefficients_are_domain_errors(f, x):
+    with pytest.raises(DomainError):
+        dirderiv_transform(parse(f), (x,))
+    with pytest.raises(DomainError):
+        directed_subdiff(parse(f), (x,))
+    with pytest.raises(DomainError):
+        directed_subdiff(parse(f), (x, 0.0), SphereGrid.circle(8))

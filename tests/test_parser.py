@@ -11,7 +11,7 @@ from dirsubdiff.expr import (
     Var,
     evaluate,
 )
-from dirsubdiff.parser import ParseError, parse
+from dirsubdiff.parser import MAX_NESTING, ParseError, parse
 
 
 def test_abs_difference_shape():
@@ -106,3 +106,19 @@ def test_nested_expression():
 
 def test_whitespace_insensitive():
     assert evaluate(parse("  abs( x1 )+ 1.0 "), (-1.0,)) == 2.0
+
+
+@pytest.mark.parametrize("text, position", [
+    ("(" * 3000 + "x1" + ")" * 3000, MAX_NESTING),
+    ("-" * 3000 + "x1", MAX_NESTING),
+    ("sin(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1), 4 * MAX_NESTING),
+])
+def test_nesting_past_the_cap_is_a_parse_error(text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+
+
+def test_nesting_up_to_the_cap_parses():
+    assert evaluate(parse("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING), (2.0,)) == 2.0
+    assert evaluate(parse("-" * MAX_NESTING + "x1"), (2.0,)) == 2.0
