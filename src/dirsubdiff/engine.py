@@ -89,9 +89,6 @@ _VAR, _CONST, _LIN, _ALIAS, _MAX, _MIN = range(6)
 
 def _inner(rows, y) -> tuple:
     """``rows @ y`` accumulated from 0.0 in the order of ``Affine._inner_point``."""
-    if len(y) == 2 and len(rows[0]) == 2:  # the 3-D frames, unrolled
-        y0, y1 = y
-        return tuple(0.0 + w0 * y0 + w1 * y1 for w0, w1 in rows)
     out = []
     for row in rows:
         acc = 0.0
@@ -259,18 +256,21 @@ class _Sweep:
                 self._evaluate(program, p, _lift(down, frames), _lift(up, frames))
                 supports.append(self.val[root])
                 lowers.append(DirectedSet.leaf(self.lo[root], self.hi[root]))
-            else:  # no leaf at this level: ``p`` stands in for the leaf points
-                narrowed = self._evaluate(program, p, p, p)
+            else:
+                narrowed = self._evaluate(program, p)
                 supports.append(self.val[root])
                 lowers.append(self.level(grid.subgrid, frames + (rows,), {**singles, **narrowed}))
         return DirectedSet.node(grid, supports, lowers)
 
-    def _evaluate(self, program, p, down, up) -> dict:
+    def _evaluate(self, program, p, down=None, up=None) -> dict:
         """One forward sweep: node values at ``p`` into ``val``, checked finite;
-        the narrowed node values at ``down`` and ``up`` into ``lo`` and ``hi``.
-        Returns the max/min members active at ``p``."""
+        with leaf points ``down`` and ``up``, the narrowed node values there
+        into ``lo`` and ``hi``.  Returns the max/min members active at ``p``."""
         val, lo, hi, rtol, info = self.val, self.lo, self.hi, self.rtol, self.info
-        pts, pdown, pup = self._points(p), self._points(down), self._points(up)
+        leaf = down is not None
+        pts = self._points(p)
+        if leaf:
+            pdown, pup = self._points(down), self._points(up)
         act = {}
         for ins in program:
             op = ins[0]
@@ -278,13 +278,15 @@ class _Sweep:
             if op == _LIN:
                 _, _, a, l, b, r = ins
                 v = a * val[l] + b * val[r]
-                lo[s] = a * lo[l] + b * lo[r]
-                hi[s] = a * hi[l] + b * hi[r]
+                if leaf:
+                    lo[s] = a * lo[l] + b * lo[r]
+                    hi[s] = a * hi[l] + b * hi[r]
             elif op == _VAR:
                 ctx, k = ins[2], ins[3]
                 v = pts[ctx][k]
-                lo[s] = pdown[ctx][k]
-                hi[s] = pup[ctx][k]
+                if leaf:
+                    lo[s] = pdown[ctx][k]
+                    hi[s] = pup[ctx][k]
             elif op == _CONST:
                 v = lo[s] = hi[s] = ins[2]
             else:
@@ -294,8 +296,9 @@ class _Sweep:
                 v = pick(vals)
                 active = tuple(members[i] for i in active_members(vals, rtol, op == _MAX, info))
                 act[s] = active
-                lo[s] = pick([lo[c] for c in active])
-                hi[s] = pick([hi[c] for c in active])
+                if leaf:
+                    lo[s] = pick([lo[c] for c in active])
+                    hi[s] = pick([hi[c] for c in active])
             if not math.isfinite(v):
                 raise _overflow(v)
             val[s] = v

@@ -14,8 +14,9 @@ more arguments, the unary ``abs``, ``sin``, ``cos``, ``exp``, ``log``,
 ``abs(e)`` desugars to ``max(e, -e)`` during parsing.
 
 Parentheses, calls and unary signs may nest at most :data:`MAX_NESTING`
-deep; deeper input is a :class:`ParseError`, raised before the recursion of
-the parser or of the derivative transform could run out of stack.
+deep; deeper input is a :class:`ParseError`, raised before the parser's own
+recursion could run out of stack.  Long binary chains such as ``x1+x1+...``
+are read iteratively and are not capped.
 """
 
 from __future__ import annotations
@@ -51,7 +52,12 @@ _VARIABLE = re.compile(r"x(\d+)\Z")
 
 _UNARY_CALLS = ("abs", "sin", "cos", "exp", "log", "sqr", "sqrt")
 
-#: deepest nesting of parentheses, calls and unary signs the parser accepts
+#: deepest nesting of parentheses, calls and unary signs the parser accepts.
+#: Under the default recursion limit of 1000, called from a shallow stack,
+#: the parser itself runs out of stack at 165 nested calls (six frames per
+#: call) and 198 parentheses, and the CLI at 493 unary signs; below those
+#: depths evaluation, the derivative transform and the CLI succeed.  A cap
+#: of 100 leaves about 400 frames for the caller.
 MAX_NESTING = 100
 
 

@@ -126,6 +126,7 @@ def test_one_transform_per_subdifferential(monkeypatch):
     monkeypatch.setattr(engine, "dirderiv_transform", counting("transform", engine.dirderiv_transform))
     monkeypatch.setattr(engine, "orthobasis", counting("orthobasis", engine.orthobasis))
     monkeypatch.setattr("dirsubdiff.deriv.restrict", no_restrict)
+    monkeypatch.setattr(engine, "restrict", no_restrict, raising=False)
     monkeypatch.setattr(Affine, "__post_init__", counting("affine", Affine.__post_init__))
     directed_subdiff(parse("max(x1, x2, x3, -x1 - x2 - x3) + abs(x1)"), (0.0, 0.0, 0.0), SPHERE)
     assert counts == {"transform": 1, "orthobasis": len(SPHERE) + len(SPHERE.subgrid), "affine": 0}
