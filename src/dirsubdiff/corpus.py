@@ -336,19 +336,34 @@ def random_interval(rng, scale: float = 5.0) -> DirectedInterval:
 
 
 def random_directed_set(rng, dim: int, grid: SphereGrid | None = None, scale: float = 5.0) -> DirectedSet:
-    """Raw random directed set; fields are independent, inversions included."""
+    """Raw random directed set; fields are independent, inversions included.
+
+    Values are drawn in walk order: a set's supports, then each lower set in
+    turn (a leaf pair draws ``a_neg`` before ``a_pos``).
+    """
     rng = get_rng(rng)
     if dim == 1:
         iv = random_interval(rng, scale)
         return DirectedSet.leaf(iv.a_neg, iv.a_pos)
     if grid is None or grid.dim != dim:
         raise ValueError("dim >= 2 needs a grid of matching dim")
-    supports = [round(rng.uniform(-scale, scale), 6) for _ in grid.directions]
-    if dim == 2:
-        lowers = [random_directed_set(rng, 1, None, scale) for _ in grid.directions]
-    else:
-        lowers = [random_directed_set(rng, dim - 1, grid.subgrid, scale) for _ in grid.directions]
-    return DirectedSet.node(grid, supports, lowers)
+    levels = [[] for _ in range(dim - 1)]
+    a_neg, a_pos = [], []
+
+    def draw():
+        return round(rng.uniform(-scale, scale), 6)
+
+    def fill(g, depth):
+        levels[depth].extend(draw() for _ in g.directions)
+        for _ in g.directions:
+            if g.subgrid is None:
+                a_neg.append(draw())
+                a_pos.append(draw())
+            else:
+                fill(g.subgrid, depth + 1)
+
+    fill(grid, 0)
+    return DirectedSet(grid, levels, a_neg, a_pos)
 
 
 def random_polygon(rng, max_vertices: int = 7, scale: float = 3.0):

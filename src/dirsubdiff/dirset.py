@@ -12,6 +12,23 @@ operations (linear combinations, supremum, infimum, partial order, norm) act
 componentwise and recursively on this data, so they are exact up to floating
 point rounding; no geometric reconstruction is ever involved.
 
+Flat layout.  On a grid chain ``G_n, G_(n-1), ..., G_2`` (each grid's
+``subgrid`` is the next) with ``m_n, ..., m_2`` directions, the recursion has
+a fixed shape, so a set stores one flat float tuple per level:
+
+* ``levels[0]`` holds the ``m_n`` supports (:attr:`DirectedSet.supports`);
+* ``levels[j]`` holds the supports of the level-``j`` lower sets,
+  ``m_n * ... * m_(n-j)`` values in walk order: the set below entry ``i`` of
+  ``levels[j - 1]`` owns entries ``i * m_(n-j)`` to ``(i + 1) * m_(n-j) - 1``;
+* ``a_neg`` and ``a_pos`` hold the leaf pairs, one per entry of the last
+  level (a single entry in dimension 1).
+
+At the default 3-D grid that is 512 supports, 512 x 64 lower supports and
+32,768 leaf pairs.  A set is validated once, on these arrays; linear
+combinations, norms and distances are one pass over them, and sup/inf/leq
+walk them level by level.  :attr:`DirectedSet.lowers` rebuilds the tuple of
+lower sets on first use.
+
 Two grids interoperate only when their content ids are equal; mixing
 resolutions raises :class:`GridMismatchError` instead of resampling silently.
 """
@@ -21,8 +38,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .basis import orthobasis
 
@@ -124,6 +143,15 @@ class SphereGrid:
     def __len__(self) -> int:
         return len(self.directions)
 
+    @cached_property
+    def tangent_rows(self) -> tuple:
+        """Per direction, the rows of its fixed tangent basis.
+
+        Entry ``k`` is ``orthobasis(directions[k]).matrix_rows``: ``dim`` rows
+        of ``dim - 1`` entries each.  Computed once, on first use.
+        """
+        return tuple(orthobasis(d).matrix_rows for d in self.directions)
+
     @classmethod
     def _from_parts(cls, dim, resolution, directions, subgrid) -> "SphereGrid":
         resolution = tuple(int(r) for r in resolution)
@@ -164,21 +192,56 @@ class SphereGrid:
         return cls._from_parts(3, (np_, na), dirs, cls.circle(circle_resolution))
 
     def to_json_dict(self) -> dict:
-        return {
+        """The grid as a dict; a sub-grid nests under ``"subgrid"``."""
+        d = {
             "id": self.id,
             "dim": self.dim,
             "resolution": list(self.resolution),
             "directions": [list(d) for d in self.directions],
         }
+        if self.subgrid is not None:
+            d["subgrid"] = self.subgrid.to_json_dict()
+        return d
 
     @classmethod
-    def from_json_dict(cls, d: dict, subgrid: "SphereGrid | None" = None) -> "SphereGrid":
+    def from_json_dict(cls, d: dict) -> "SphereGrid":
+        """Rebuild a grid (and its nested sub-grids), re-hashing each one.
+
+        Raises :class:`GridMismatchError` when a stored id does not match the
+        recomputed content hash.
+        """
+        subgrid = cls.from_json_dict(d["subgrid"]) if "subgrid" in d else None
         rebuilt = cls._from_parts(d["dim"], d["resolution"], d["directions"], subgrid)
         if rebuilt.id != d["id"]:
             raise GridMismatchError(
                 f"grid content hash mismatch: stored {d['id']!r}, recomputed {rebuilt.id!r}"
             )
         return rebuilt
+
+
+def _sizes(grid: SphereGrid | None) -> list:
+    """Direction counts along the grid chain, outermost first."""
+    sizes = []
+    while grid is not None:
+        sizes.append(len(grid.directions))
+        grid = grid.subgrid
+    return sizes
+
+
+def _lengths(grid: SphereGrid | None) -> list:
+    """Lengths of ``levels[0], levels[1], ...`` on ``grid``; the leaf arrays
+    have the length of the last one (1 without a grid)."""
+    out = []
+    n = 1
+    for m in _sizes(grid):
+        n *= m
+        out.append(n)
+    return out
+
+
+def _finite(values) -> bool:
+    # a sum of finite floats is finite unless it overflows; then look closer
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 # ---------------------------------------------------------------------------
@@ -224,70 +287,141 @@ def embed_interval(lo: float, hi: float) -> DirectedInterval:
     return DirectedInterval(-lo, hi)
 
 
-@dataclass(frozen=True)
 class DirectedSet:
-    """Recursive directed set value.
+    """Directed set value in the flat layout of the module docstring.
 
-    Dimension 1 stores a :class:`DirectedInterval`; dimension n >= 2 stores,
-    per grid direction, a support value and a lower directed set of dimension
-    n - 1.  Instances are immutable; arithmetic goes through
+    ``DirectedSet(grid, levels, a_neg, a_pos)`` checks the array lengths
+    against ``grid`` (``None`` for a 1-D set, which has no levels and one
+    leaf pair) and that every value is finite.  :meth:`leaf`,
+    :meth:`from_interval` and :meth:`node` build sets from the recursive
+    view.  Instances are immutable; arithmetic goes through
     :func:`linear_combination` (also exposed as ``+``, ``-`` and scalar
     ``*``).
     """
 
-    dim: int
-    interval: DirectedInterval | None = None
-    grid: SphereGrid | None = None
-    supports: tuple | None = None
-    lowers: tuple | None = None
+    __slots__ = ("dim", "grid", "levels", "a_neg", "a_pos", "_lowers")
 
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.dim == 1:
-            if not isinstance(self.interval, DirectedInterval):
-                raise ValueError("1-D directed set needs a directed interval")
-            if self.grid is not None or self.supports is not None or self.lowers is not None:
-                raise ValueError("1-D directed set carries only an interval")
-            return
-        if self.interval is not None:
-            raise ValueError("only 1-D directed sets carry an interval")
-        if not isinstance(self.grid, SphereGrid) or self.grid.dim != self.dim:
-            raise ValueError("grid dimension must match the set dimension")
-        if self.supports is None or self.lowers is None:
-            raise ValueError("directed set of dimension >= 2 needs supports and lowers")
-        m = len(self.grid.directions)
-        if len(self.supports) != m or len(self.lowers) != m:
-            raise ValueError("supports/lowers length must match the grid")
-        for s in self.supports:
-            if not math.isfinite(s):
-                raise ValueError("support values must be finite")
-        for low in self.lowers:
-            if not isinstance(low, DirectedSet) or low.dim != self.dim - 1:
-                raise ValueError("lower components must be directed sets of dimension n - 1")
-            if self.dim - 1 >= 2 and low.grid.id != self.grid.subgrid.id:
-                raise GridMismatchError("lower component grid differs from the declared sub-grid")
+    def __init__(self, grid: SphereGrid | None, levels, a_neg, a_pos):
+        if grid is not None and not isinstance(grid, SphereGrid):
+            raise ValueError("a directed set's grid must be a SphereGrid or None")
+        lengths = _lengths(grid)
+        if len(levels) != len(lengths):
+            raise ValueError(f"expected {len(lengths)} support levels, got {len(levels)}")
+        levels = tuple(tuple(map(float, lv)) for lv in levels)
+        a_neg, a_pos = tuple(map(float, a_neg)), tuple(map(float, a_pos))
+        for lv, n in zip(levels, lengths):
+            if len(lv) != n:
+                raise ValueError(f"support level of length {len(lv)} does not match the grid ({n})")
+        n = lengths[-1] if lengths else 1
+        if len(a_neg) != n or len(a_pos) != n:
+            raise ValueError(f"leaf arrays must hold {n} pairs, got {len(a_neg)} and {len(a_pos)}")
+        if not all(map(_finite, levels)):
+            raise ValueError("support values must be finite")
+        if not (_finite(a_neg) and _finite(a_pos)):
+            raise ValueError("directed interval entries must be finite")
+        self._init(grid, levels, a_neg, a_pos)
+
+    def _init(self, grid, levels, a_neg, a_pos):
+        set_ = object.__setattr__
+        set_(self, "dim", grid.dim if grid is not None else 1)
+        set_(self, "grid", grid)
+        set_(self, "levels", levels)
+        set_(self, "a_neg", a_neg)
+        set_(self, "a_pos", a_pos)
+        set_(self, "_lowers", None)
+
+    @classmethod
+    def _trusted(cls, grid, levels, a_neg, a_pos) -> "DirectedSet":
+        """A set from tuples already known to be valid for ``grid``."""
+        s = object.__new__(cls)
+        s._init(grid, levels, a_neg, a_pos)
+        return s
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DirectedSet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("DirectedSet is immutable")
 
     @classmethod
     def leaf(cls, a_neg: float, a_pos: float) -> "DirectedSet":
-        return cls(1, interval=DirectedInterval(a_neg, a_pos))
+        return cls(None, (), (a_neg,), (a_pos,))
 
     @classmethod
     def from_interval(cls, interval: DirectedInterval) -> "DirectedSet":
-        return cls(1, interval=interval)
+        return cls.leaf(interval.a_neg, interval.a_pos)
 
     @classmethod
     def node(cls, grid: SphereGrid, supports, lowers) -> "DirectedSet":
-        return cls(
-            grid.dim,
-            grid=grid,
-            supports=tuple(float(s) for s in supports),
-            lowers=tuple(lowers),
+        """The set with ``supports`` and lower sets ``lowers`` over ``grid``."""
+        lowers = tuple(lowers)
+        if len(lowers) != len(grid.directions):
+            raise ValueError("supports/lowers length must match the grid")
+        for low in lowers:
+            if not isinstance(low, DirectedSet) or low.dim != grid.dim - 1:
+                raise ValueError("lower components must be directed sets of dimension n - 1")
+            if low.grid is not None and low.grid.id != grid.subgrid.id:
+                raise GridMismatchError("lower component grid differs from the declared sub-grid")
+        levels = (tuple(supports),) + tuple(
+            [v for low in lowers for v in low.levels[j]] for j in range(grid.dim - 2)
         )
+        a_neg = [v for low in lowers for v in low.a_neg]
+        a_pos = [v for low in lowers for v in low.a_pos]
+        return cls(grid, levels, a_neg, a_pos)
+
+    # the recursive view ----------------------------------------------------
 
     @property
     def is_leaf(self) -> bool:
         return self.dim == 1
+
+    @property
+    def supports(self) -> tuple | None:
+        """Top-level support values, one per grid direction (``None`` in 1-D)."""
+        return self.levels[0] if self.levels else None
+
+    @property
+    def interval(self) -> DirectedInterval | None:
+        """The pair of a 1-D set (``None`` in higher dimensions)."""
+        return DirectedInterval(self.a_neg[0], self.a_pos[0]) if self.dim == 1 else None
+
+    @property
+    def lowers(self) -> tuple | None:
+        """Lower sets of dimension n - 1, one per grid direction (``None`` in 1-D).
+
+        Built from slices of the flat arrays on first use and kept.
+        """
+        if self.dim == 1:
+            return None
+        if self._lowers is None:
+            m = len(self.levels[0])
+            arrays = self.levels[1:] + (self.a_neg, self.a_pos)
+            widths = [len(a) // m for a in arrays]
+            sub = self.grid.subgrid
+            lowers = []
+            for k in range(m):
+                parts = [a[k * w:(k + 1) * w] for a, w in zip(arrays, widths)]
+                lowers.append(DirectedSet._trusted(sub, tuple(parts[:-2]), parts[-2], parts[-1]))
+            object.__setattr__(self, "_lowers", tuple(lowers))
+        return self._lowers
+
+    def _arrays(self) -> tuple:
+        return self.levels + (self.a_neg, self.a_pos)
+
+    # value semantics --------------------------------------------------------
+
+    def __eq__(self, other):
+        if not isinstance(other, DirectedSet):
+            return NotImplemented
+        return (self.dim, self.grid, self._arrays()) == (other.dim, other.grid, other._arrays())
+
+    def __hash__(self):
+        return hash((self.dim, self.grid, self._arrays()))
+
+    def __repr__(self):
+        if self.dim == 1:
+            return f"DirectedSet.leaf({self.a_neg[0]!r}, {self.a_pos[0]!r})"
+        return f"<DirectedSet dim={self.dim} grid={self.grid.id} norm={norm(self)!r}>"
 
     # arithmetic sugar -----------------------------------------------------
 
@@ -314,29 +448,82 @@ class DirectedSet:
     # serialization --------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """JSON-ready dict.
+
+        1-D: ``{"dim": 1, "a_neg", "a_pos"}``.  2-D: the grid and one entry
+        per direction, ``{"support", "lower": <1-D dict>}``.  Dimension
+        n >= 3 (``"format": 2``): the grid once, with its sub-grids nested
+        under ``"subgrid"``, and per direction ``{"support", "lower"}`` where
+        ``lower`` is one flat float list: the lower set's support levels in
+        order, then its ``a_neg``, then its ``a_pos`` entries.
+        """
         if self.dim == 1:
-            return {"dim": 1, "a_neg": self.interval.a_neg, "a_pos": self.interval.a_pos}
-        return {
-            "dim": self.dim,
-            "grid": self.grid.to_json_dict(),
-            "entries": [
-                {"support": s, "lower": low.to_json_dict()}
-                for s, low in zip(self.supports, self.lowers)
-            ],
-        }
+            return {"dim": 1, "a_neg": self.a_neg[0], "a_pos": self.a_pos[0]}
+        if self.dim == 2:
+            return {
+                "dim": 2,
+                "grid": self.grid.to_json_dict(),
+                "entries": [
+                    {"support": s, "lower": {"dim": 1, "a_neg": an, "a_pos": ap}}
+                    for s, an, ap in zip(self.levels[0], self.a_neg, self.a_pos)
+                ],
+            }
+        m = len(self.levels[0])
+        arrays = self._arrays()[1:]
+        widths = [len(a) // m for a in arrays]
+        entries = []
+        for k, s in enumerate(self.levels[0]):
+            lower = []
+            for a, w in zip(arrays, widths):
+                lower += a[k * w:(k + 1) * w]
+            entries.append({"support": s, "lower": lower})
+        return {"format": 2, "dim": self.dim, "grid": self.grid.to_json_dict(), "entries": entries}
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DirectedSet":
-        if d["dim"] == 1:
+        """Inverse of :meth:`to_json_dict`.
+
+        Raises :class:`GridMismatchError` when a stored grid id does not match
+        its content, and ``ValueError`` on a wrong format tag (a dimension
+        n >= 3 document must carry ``"format": 2``), a wrong array length or
+        a non-finite value.
+        """
+        dim = d["dim"]
+        fmt, want = d.get("format", 1), (2 if dim >= 3 else 1)
+        if fmt != want:
+            raise ValueError(f"a {dim}-D directed set document must be format {want}, got {fmt!r}")
+        if dim == 1:
             return cls.leaf(d["a_neg"], d["a_pos"])
-        lowers = tuple(cls.from_json_dict(entry["lower"]) for entry in d["entries"])
-        supports = tuple(entry["support"] for entry in d["entries"])
-        subgrid = lowers[0].grid if d["dim"] - 1 >= 2 else None
-        grid = SphereGrid.from_json_dict(d["grid"], subgrid=subgrid)
-        return cls.node(grid, supports, lowers)
+        grid = SphereGrid.from_json_dict(d["grid"])
+        if grid.dim != dim:
+            raise ValueError(f"document of dimension {dim} carries a {grid.dim}-D grid")
+        entries = d["entries"]
+        if len(entries) != len(grid):
+            raise ValueError(f"{len(entries)} entries for a grid of {len(grid)} directions")
+        supports = [e["support"] for e in entries]
+        if dim == 2:
+            lowers = [e["lower"] for e in entries]
+            if any(low["dim"] != 1 for low in lowers):
+                raise ValueError("lower components of a 2-D set must be 1-D")
+            return cls(grid, (supports,), [low["a_neg"] for low in lowers],
+                       [low["a_pos"] for low in lowers])
+        m = len(grid)
+        widths = [n // m for n in _lengths(grid)[1:]]
+        widths += widths[-1:] * 2  # a_neg and a_pos: one entry per last-level entry
+        total = sum(widths)
+        arrays = [[] for _ in widths]
+        for k, e in enumerate(entries):
+            lower = e["lower"]
+            if not isinstance(lower, list) or len(lower) != total:
+                raise ValueError(f"entry {k}: lower must be a list of {total} floats")
+            start = 0
+            for a, w in zip(arrays, widths):
+                a += lower[start:start + w]
+                start += w
+        return cls(grid, [supports] + arrays[:-2], arrays[-2], arrays[-1])
 
     @classmethod
     def from_json(cls, text: str) -> "DirectedSet":
@@ -362,14 +549,22 @@ def embed_point(point, grid: SphereGrid | None = None) -> DirectedSet:
         return DirectedSet.from_interval(embed_interval(p[0], p[0]))
     if grid is None or grid.dim != n:
         raise ValueError(f"embedding a {n}-D point needs a grid of dimension {n}")
-    supports = []
-    lowers = []
-    for l in grid.directions:
-        supports.append(sum(lv * pv for lv, pv in zip(l, p)))
-        cols = orthobasis(l).columns
-        proj = tuple(sum(cv * pv for cv, pv in zip(col, p)) for col in cols)
-        lowers.append(embed_point(proj, grid.subgrid))
-    return DirectedSet.node(grid, supports, lowers)
+    points = [p]  # the point as seen by each set of the current level
+    levels = []
+    g = grid
+    while g is not None:
+        supports, projections = [], []
+        cols = range(g.dim - 1)
+        for q in points:
+            for l, rows in zip(g.directions, g.tangent_rows):
+                supports.append(sum(lv * qv for lv, qv in zip(l, q)))
+                projections.append(
+                    tuple(sum(row[j] * qv for row, qv in zip(rows, q)) for j in cols)
+                )
+        levels.append(supports)
+        points = projections
+        g = g.subgrid
+    return DirectedSet(grid, levels, [-q[0] for q in points], [q[0] for q in points])
 
 
 def embed_polygon(vertices, grid: SphereGrid) -> DirectedSet:
@@ -391,20 +586,20 @@ def embed_polygon(vertices, grid: SphereGrid) -> DirectedSet:
             raise ValueError("polygon vertices must be finite")
     if grid.dim != 2:
         raise ValueError("polygon embedding needs a 2-D grid")
-    supports = []
-    lowers = []
-    for l in grid.directions:
+    supports, a_neg, a_pos = [], [], []
+    for l, rows in zip(grid.directions, grid.tangent_rows):
         vals = [l[0] * v[0] + l[1] * v[1] for v in verts]
         m = max(vals)
-        r = orthobasis(l).columns[0]
+        r = (rows[0][0], rows[1][0])
         projs = [
             r[0] * v[0] + r[1] * v[1]
             for v, val in zip(verts, vals)
             if m - val <= FACE_TIE_TOL
         ]
         supports.append(m)
-        lowers.append(DirectedSet.from_interval(embed_interval(min(projs), max(projs))))
-    return DirectedSet.node(grid, supports, lowers)
+        a_neg.append(-min(projs))
+        a_pos.append(max(projs))
+    return DirectedSet(grid, (supports,), a_neg, a_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -431,18 +626,11 @@ def linear_combination(alpha: float, a: DirectedSet, beta: float, b: DirectedSet
     if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ValueError("coefficients must be finite")
     _check_compatible(a, b)
-    if a.dim == 1:
-        return DirectedSet.leaf(
-            alpha * a.interval.a_neg + beta * b.interval.a_neg,
-            alpha * a.interval.a_pos + beta * b.interval.a_pos,
-        )
-    supports = tuple(
-        alpha * sa + beta * sb for sa, sb in zip(a.supports, b.supports)
-    )
-    lowers = tuple(
-        linear_combination(alpha, la, beta, lb) for la, lb in zip(a.lowers, b.lowers)
-    )
-    return DirectedSet.node(a.grid, supports, lowers)
+    arrays = [
+        [alpha * x + beta * y for x, y in zip(xs, ys)]
+        for xs, ys in zip(a._arrays(), b._arrays())
+    ]
+    return DirectedSet(a.grid, arrays[:-2], arrays[-2], arrays[-1])
 
 
 def scale(alpha: float, a: DirectedSet) -> DirectedSet:
@@ -457,29 +645,23 @@ def directed_zero(dim: int, grid: SphereGrid | None = None) -> DirectedSet:
         return DirectedSet.leaf(0.0, 0.0)
     if grid is None or grid.dim != dim:
         raise ValueError(f"directed zero of dimension {dim} needs a grid of dimension {dim}")
-    lower = directed_zero(dim - 1, grid.subgrid)
-    m = len(grid.directions)
-    return DirectedSet.node(grid, (0.0,) * m, (lower,) * m)
+    lengths = _lengths(grid)
+    leaves = (0.0,) * lengths[-1]
+    return DirectedSet._trusted(grid, tuple((0.0,) * n for n in lengths), leaves, leaves)
 
 
 def norm(a: DirectedSet) -> float:
     """Recursive sup norm: the largest support value or leaf entry in magnitude."""
-    if a.dim == 1:
-        return max(abs(a.interval.a_neg), abs(a.interval.a_pos))
-    best = 0.0
-    for s, low in zip(a.supports, a.lowers):
-        v = abs(s)
-        if v > best:
-            best = v
-        v = norm(low)
-        if v > best:
-            best = v
-    return best
+    return max(max(map(abs, xs)) for xs in a._arrays())
 
 
 def distance(a: DirectedSet, b: DirectedSet) -> float:
-    """Metric induced by the norm, ``norm(a - b)``."""
-    return norm(linear_combination(1.0, a, -1.0, b))
+    """Metric induced by the norm, ``norm(a - b)``, in one pass."""
+    _check_compatible(a, b)
+    d = max(max(map(abs, map(operator.sub, xs, ys))) for xs, ys in zip(a._arrays(), b._arrays()))
+    if not math.isfinite(d):
+        raise ValueError("support values must be finite")
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +669,14 @@ def distance(a: DirectedSet, b: DirectedSet) -> float:
 
 
 def _extreme(sets, rtol, info, maximize):
+    """sup (``maximize``) or inf of a family, level by level.
+
+    At every entry of a level reached so far, the members still active
+    there are compared with :func:`active_members`.  An entry with one
+    active member copies that member's whole block below it; one with
+    several passes them on to the entries below it, and the leaf pairs take
+    the componentwise extreme over the members still active.
+    """
     family = list(sets)
     if not family:
         raise ValueError("sup/inf of an empty family")
@@ -494,22 +684,31 @@ def _extreme(sets, rtol, info, maximize):
     for s in family[1:]:
         _check_compatible(first, s)
     pick = max if maximize else min
-    if first.dim == 1:
-        return DirectedSet.leaf(
-            pick(s.interval.a_neg for s in family),
-            pick(s.interval.a_pos for s in family),
-        )
-    supports = []
-    lowers = []
-    for k in range(len(first.grid.directions)):
-        vals = [s.supports[k] for s in family]
-        active = active_members(vals, rtol, maximize, info)
-        supports.append(pick(vals))
-        if len(active) == 1:
-            lowers.append(family[active[0]].lowers[k])
-        else:
-            lowers.append(_extreme([family[i].lowers[k] for i in active], rtol, info, maximize))
-    return DirectedSet.node(first.grid, supports, lowers)
+    members = [s._arrays() for s in family]
+    out = [list(xs) for xs in members[0]]  # blocks with member 0 active stay as they are
+    depth = len(first.levels)
+    pending = [(0, tuple(range(len(family))))]  # (entry, active members) to resolve
+    for j, m in enumerate(_sizes(first.grid)):
+        below = [len(xs) // len(out[j]) for xs in out[j + 1:]]
+        row = out[j]
+        carried = []
+        for parent, active in pending:
+            for idx in range(parent * m, (parent + 1) * m):
+                vals = [members[i][j][idx] for i in active]
+                keep = active_members(vals, rtol, maximize, info)
+                row[idx] = pick(vals)
+                if len(keep) > 1:
+                    carried.append((idx, tuple(active[k] for k in keep)))
+                elif active[keep[0]] != 0:
+                    source = members[active[keep[0]]]
+                    for jj, w in enumerate(below, j + 1):
+                        out[jj][idx * w:(idx + 1) * w] = source[jj][idx * w:(idx + 1) * w]
+        pending = carried
+    for idx, active in pending:
+        out[depth][idx] = pick(members[i][depth][idx] for i in active)
+        out[depth + 1][idx] = pick(members[i][depth + 1][idx] for i in active)
+    return DirectedSet._trusted(first.grid, tuple(map(tuple, out[:depth])),
+                                tuple(out[depth]), tuple(out[depth + 1]))
 
 
 def sup(sets, active_rtol: float = ACTIVE_RTOL, info: ActiveSetInfo | None = None) -> DirectedSet:
@@ -537,14 +736,18 @@ def leq(a: DirectedSet, b: DirectedSet, eps: float = 1e-9) -> bool:
     if eps < 0.0:
         raise ValueError("eps must be >= 0")
     _check_compatible(a, b)
-    if a.dim == 1:
-        return (
-            a.interval.a_neg <= b.interval.a_neg + eps
-            and a.interval.a_pos <= b.interval.a_pos + eps
-        )
-    for av, bv, la, lb in zip(a.supports, b.supports, a.lowers, b.lowers):
-        if av > bv + eps:
-            return False
-        if abs(av - bv) <= eps and not leq(la, lb, eps):
-            return False
-    return True
+    tied = [0]  # entries of the current level whose supports agree within eps
+    for j, m in enumerate(_sizes(a.grid)):
+        av, bv = a.levels[j], b.levels[j]
+        below = []
+        for parent in tied:
+            for idx in range(parent * m, (parent + 1) * m):
+                if av[idx] > bv[idx] + eps:
+                    return False
+                if abs(av[idx] - bv[idx]) <= eps:
+                    below.append(idx)
+        tied = below
+    return all(
+        a.a_neg[idx] <= b.a_neg[idx] + eps and a.a_pos[idx] <= b.a_pos[idx] + eps
+        for idx in tied
+    )

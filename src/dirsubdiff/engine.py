@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 
-from .basis import orthobasis
 from .dirset import ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_members, embed_point
 from .deriv import dirderiv_transform
 from .expr import Affine, Const, DomainError, Expr, LinComb, Max, Min, Var, as_point
@@ -72,11 +71,13 @@ def directed_subdiff(
         if grid is not None:
             raise ValueError("1-D subdifferentials take no grid")
         g = dirderiv_transform(e, xs, active_rtol, info)
-        return DirectedSet.leaf(g._eval((-1.0,)), g._eval((1.0,)))
+        return DirectedSet.leaf(_finite_leaf(g._eval((-1.0,))), _finite_leaf(g._eval((1.0,))))
     if grid is None or grid.dim != n:
         raise ValueError(f"point of dimension {n} needs a grid of dimension {n}")
     g = dirderiv_transform(e, xs, active_rtol, info)
-    return _Sweep(g, active_rtol, info).level(grid, (), None)
+    sweep = _Sweep(g, active_rtol, info, n)
+    sweep.level(grid, (), None)
+    return DirectedSet(grid, sweep.levels, sweep.a_neg, sweep.a_pos)
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +110,13 @@ def _overflow(v):
     return DomainError(f"value overflows to {v!r} at the base point")
 
 
+def _finite_leaf(v: float) -> float:
+    """``v``, or :class:`DomainError` when a leaf value overflowed."""
+    if not math.isfinite(v):
+        raise _overflow(v)
+    return v
+
+
 class _Sweep:
     """Reads the levels of a directed subdifferential off one transform ``g``.
 
@@ -119,10 +127,12 @@ class _Sweep:
     context ``c``'s.  Node values of one sweep live in ``val`` by slot.
 
     A level's narrowing state ``act`` maps each reachable max/min slot to
-    the child slots still active (``None`` at the top: all children).
+    the child slots still active (``None`` at the top: all children).  The
+    set's flat arrays (see :mod:`dirsubdiff.dirset`) accumulate in
+    ``levels``, ``a_neg`` and ``a_pos`` in walk order.
     """
 
-    def __init__(self, g: Expr, rtol: float, info: ActiveSetInfo | None):
+    def __init__(self, g: Expr, rtol: float, info: ActiveSetInfo | None, dim: int):
         self.rtol = rtol
         self.info = info
         self.slots, self.root, self.contexts = self._flatten(g)
@@ -131,6 +141,9 @@ class _Sweep:
         self.lo = [0.0] * size
         self.hi = [0.0] * size
         self.directions: dict = {}
+        self.levels = [[] for _ in range(dim - 1)]
+        self.a_neg: list = []
+        self.a_pos: list = []
 
     @staticmethod
     def _flatten(g):
@@ -230,14 +243,13 @@ class _Sweep:
     def _directions(self, grid: SphereGrid) -> list:
         """Per direction ``d`` of ``grid``: ``(d, B_d rows, B_d (-1), B_d (+1))``.
 
-        One :func:`orthobasis` call per direction and grid; the last two
-        entries are the leaf directions when ``grid`` is a circle.
+        The basis rows come from ``grid.tangent_rows``; the last two entries
+        are the leaf directions when ``grid`` is a circle.
         """
         out = self.directions.get(grid.id)
         if out is None:
             out = []
-            for d in grid.directions:
-                rows = orthobasis(d).matrix_rows
+            for d, rows in zip(grid.directions, grid.tangent_rows):
                 if grid.dim == 2:
                     out.append((d, rows, _inner(rows, (-1.0,)), _inner(rows, (1.0,))))
                 else:
@@ -245,22 +257,23 @@ class _Sweep:
             self.directions[grid.id] = out
         return out
 
-    def level(self, grid: SphereGrid, frames: tuple, act) -> DirectedSet:
-        """The directed set over ``grid`` below the directions whose bases are ``frames``."""
+    def level(self, grid: SphereGrid, frames: tuple, act, depth: int = 0) -> None:
+        """Append the supports over ``grid`` below the directions whose bases
+        are ``frames`` to ``levels[depth]``, then (depth first) everything
+        below them; on a circle, the leaf pairs go to ``a_neg`` and ``a_pos``."""
         program, root, singles = self._program(act)
-        supports = []
-        lowers = []
+        supports = self.levels[depth]
         for d, rows, down, up in self._directions(grid):
             p = _lift(d, frames)
             if grid.dim == 2:
                 self._evaluate(program, p, _lift(down, frames), _lift(up, frames))
                 supports.append(self.val[root])
-                lowers.append(DirectedSet.leaf(self.lo[root], self.hi[root]))
+                self.a_neg.append(_finite_leaf(self.lo[root]))
+                self.a_pos.append(_finite_leaf(self.hi[root]))
             else:
                 narrowed = self._evaluate(program, p)
                 supports.append(self.val[root])
-                lowers.append(self.level(grid.subgrid, frames + (rows,), {**singles, **narrowed}))
-        return DirectedSet.node(grid, supports, lowers)
+                self.level(grid.subgrid, frames + (rows,), {**singles, **narrowed}, depth + 1)
 
     def _evaluate(self, program, p, down=None, up=None) -> dict:
         """One forward sweep: node values at ``p`` into ``val``, checked finite;

@@ -136,6 +136,30 @@ class Expr:
     def __call__(self, *point: float) -> float:
         return evaluate(self, point)
 
+    def _eval(self, xs) -> float:
+        """Value at the float tuple ``xs``, unchecked; see :func:`_memoized`."""
+        return self._value(xs, {})
+
+
+def _memoized(value):
+    """Wrap a compound node's ``_value(xs, memo)`` so that it runs once per point.
+
+    ``memo`` maps each node already evaluated at the point ``xs`` to its
+    value (nodes hash by identity), so shared subtrees (``abs(e)`` is
+    ``max(e, -e)``) are evaluated once per point instead of once per path.
+    A node under an affine substitution or a composition sees a new point
+    and starts a new memo.  Leaves are cheaper to evaluate than to look up
+    and are not wrapped.
+    """
+
+    def _value(self, xs, memo):
+        v = memo.get(self)
+        if v is None:
+            v = memo[self] = value(self, xs, memo)
+        return v
+
+    return _value
+
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Var(Expr):
@@ -151,7 +175,7 @@ class Var(Expr):
 
     children = ()
 
-    def _eval(self, xs):
+    def _value(self, xs, memo):
         return xs[self.index]
 
 
@@ -169,7 +193,7 @@ class Const(Expr):
 
     children = ()
 
-    def _eval(self, xs):
+    def _value(self, xs, memo):
         return self.value
 
 
@@ -201,8 +225,9 @@ class SmoothUnary(Expr):
     def children(self):
         return (self.child,)
 
-    def _eval(self, xs):
-        v = self.child._eval(xs)
+    @_memoized
+    def _value(self, xs, memo):
+        v = self.child._value(xs, memo)
         return primitive(self.kind, v)[0](v, self.exponent)
 
 
@@ -258,8 +283,9 @@ class Affine(Expr):
             out.append(acc)
         return tuple(out)
 
-    def _eval(self, xs):
-        return self.child._eval(self._inner_point(xs))
+    @_memoized
+    def _value(self, xs, memo):
+        return self.child._value(self._inner_point(xs), {})
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -284,8 +310,9 @@ class LinComb(Expr):
     def children(self):
         return (self.left, self.right)
 
-    def _eval(self, xs):
-        return self.alpha * self.left._eval(xs) + self.beta * self.right._eval(xs)
+    @_memoized
+    def _value(self, xs, memo):
+        return self.alpha * self.left._value(xs, memo) + self.beta * self.right._value(xs, memo)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -301,8 +328,9 @@ class Product(Expr):
     def children(self):
         return (self.left, self.right)
 
-    def _eval(self, xs):
-        return self.left._eval(xs) * self.right._eval(xs)
+    @_memoized
+    def _value(self, xs, memo):
+        return self.left._value(xs, memo) * self.right._value(xs, memo)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -318,11 +346,12 @@ class Quotient(Expr):
     def children(self):
         return (self.num, self.den)
 
-    def _eval(self, xs):
-        d = self.den._eval(xs)
+    @_memoized
+    def _value(self, xs, memo):
+        d = self.den._value(xs, memo)
         if d == 0.0:
             raise DomainError("division by zero")
-        return self.num._eval(xs) / d
+        return self.num._value(xs, memo) / d
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -339,10 +368,11 @@ class Max(Expr):
         object.__setattr__(self, "children", kids)
         object.__setattr__(self, "arity", max(c.arity for c in kids))
 
-    def _eval(self, xs):
-        best = self.children[0]._eval(xs)
+    @_memoized
+    def _value(self, xs, memo):
+        best = self.children[0]._value(xs, memo)
         for c in self.children[1:]:
-            v = c._eval(xs)
+            v = c._value(xs, memo)
             if v > best:
                 best = v
         return best
@@ -362,10 +392,11 @@ class Min(Expr):
         object.__setattr__(self, "children", kids)
         object.__setattr__(self, "arity", max(c.arity for c in kids))
 
-    def _eval(self, xs):
-        best = self.children[0]._eval(xs)
+    @_memoized
+    def _value(self, xs, memo):
+        best = self.children[0]._value(xs, memo)
         for c in self.children[1:]:
-            v = c._eval(xs)
+            v = c._value(xs, memo)
             if v < best:
                 best = v
         return best
@@ -405,9 +436,10 @@ class SmoothCompose(Expr):
     def children(self):
         return (self.outer, *self.inner)
 
-    def _eval(self, xs):
-        ys = tuple(h._eval(xs) for h in self.inner)
-        return self.outer._eval(ys)
+    @_memoized
+    def _value(self, xs, memo):
+        ys = tuple(h._value(xs, memo) for h in self.inner)
+        return self.outer._value(ys, {})
 
 
 # ---------------------------------------------------------------------------

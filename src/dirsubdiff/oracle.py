@@ -1,14 +1,18 @@
 """Independent oracles used to cross-check the exact machinery.
 
-Apart from :func:`recursive_subdiff`, nothing here shares arithmetic with the
-expression transform or the directed-set operations: directional
+Apart from the recursive references below, nothing here shares arithmetic
+with the expression transform or the directed-set operations: directional
 derivatives come from one-sided finite differences, interval lattice
 operations from brute-force endpoint logic in the visualized (endpoint)
 representation, and polygon supports from an explicit convex hull.
 :func:`recursive_subdiff` shares the derivative transform with the engine
 but not its sweep: it is the defining recursion the sweep must reproduce
-bit for bit.  Agreement between these and the exact code paths is what the
-verification suite relies on.
+bit for bit.  Likewise :func:`recursive_linear_combination`,
+:func:`recursive_sup`, :func:`recursive_inf`, :func:`recursive_leq` and
+:func:`recursive_norm` are the directed-set operations written as the
+recursion over ``supports``, ``lowers`` and ``interval`` that the flat
+operations of :mod:`dirsubdiff.dirset` must reproduce.  Agreement between
+these and the exact code paths is what the verification suite relies on.
 """
 
 from __future__ import annotations
@@ -18,7 +22,14 @@ from dataclasses import dataclass
 
 from .basis import orthobasis
 from .deriv import dirderiv_transform, restrict
-from .dirset import ACTIVE_RTOL, ActiveSetInfo, DirectedInterval, DirectedSet, SphereGrid
+from .dirset import (
+    ACTIVE_RTOL,
+    ActiveSetInfo,
+    DirectedInterval,
+    DirectedSet,
+    SphereGrid,
+    active_members,
+)
 from .engine import directed_subdiff
 from .expr import Expr, as_point, evaluate
 
@@ -58,6 +69,84 @@ def recursive_subdiff(
         h = restrict(g, l, orthobasis(l))
         lowers.append(recursive_subdiff(h, origin, grid.subgrid, active_rtol, info))
     return DirectedSet.node(grid, supports, lowers)
+
+
+# ---------------------------------------------------------------------------
+# the directed-set operations as recursions over the lower sets
+
+
+def recursive_linear_combination(alpha: float, a: DirectedSet, beta: float, b: DirectedSet) -> DirectedSet:
+    """``alpha * a + beta * b``, support by support and lower set by lower set."""
+    if a.dim == 1:
+        return DirectedSet.leaf(
+            alpha * a.interval.a_neg + beta * b.interval.a_neg,
+            alpha * a.interval.a_pos + beta * b.interval.a_pos,
+        )
+    supports = [alpha * sa + beta * sb for sa, sb in zip(a.supports, b.supports)]
+    lowers = [recursive_linear_combination(alpha, la, beta, lb) for la, lb in zip(a.lowers, b.lowers)]
+    return DirectedSet.node(a.grid, supports, lowers)
+
+
+def _recursive_extreme(family, rtol, info, maximize):
+    pick = max if maximize else min
+    first = family[0]
+    if first.dim == 1:
+        return DirectedSet.leaf(
+            pick(s.interval.a_neg for s in family),
+            pick(s.interval.a_pos for s in family),
+        )
+    supports = []
+    lowers = []
+    for k in range(len(first.grid.directions)):
+        vals = [s.supports[k] for s in family]
+        active = active_members(vals, rtol, maximize, info)
+        supports.append(pick(vals))
+        if len(active) == 1:
+            lowers.append(family[active[0]].lowers[k])
+        else:
+            lowers.append(_recursive_extreme([family[i].lowers[k] for i in active], rtol, info, maximize))
+    return DirectedSet.node(first.grid, supports, lowers)
+
+
+def recursive_sup(sets, active_rtol: float = ACTIVE_RTOL, info: ActiveSetInfo | None = None) -> DirectedSet:
+    """Supremum: the maximal support per direction, recursing on the lower
+    sets of the members :func:`active_members` keeps there."""
+    return _recursive_extreme(list(sets), active_rtol, info, True)
+
+
+def recursive_inf(sets, active_rtol: float = ACTIVE_RTOL, info: ActiveSetInfo | None = None) -> DirectedSet:
+    """Infimum; mirror image of :func:`recursive_sup`."""
+    return _recursive_extreme(list(sets), active_rtol, info, False)
+
+
+def recursive_leq(a: DirectedSet, b: DirectedSet, eps: float = 1e-9) -> bool:
+    """``a <= b`` with slack ``eps``, recursing where supports agree within ``eps``."""
+    if a.dim == 1:
+        return (
+            a.interval.a_neg <= b.interval.a_neg + eps
+            and a.interval.a_pos <= b.interval.a_pos + eps
+        )
+    for av, bv, la, lb in zip(a.supports, b.supports, a.lowers, b.lowers):
+        if av > bv + eps:
+            return False
+        if abs(av - bv) <= eps and not recursive_leq(la, lb, eps):
+            return False
+    return True
+
+
+def recursive_norm(a: DirectedSet) -> float:
+    """Sup norm: the largest support or leaf entry in magnitude, lower set by lower set."""
+    if a.dim == 1:
+        return max(abs(a.interval.a_neg), abs(a.interval.a_pos))
+    best = 0.0
+    for s, low in zip(a.supports, a.lowers):
+        v = abs(s)
+        if v > best:
+            best = v
+        v = recursive_norm(low)
+        if v > best:
+            best = v
+    return best
 
 
 # ---------------------------------------------------------------------------

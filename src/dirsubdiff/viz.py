@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 from typing import IO, NamedTuple
 
-from .basis import orthobasis
 from .dirset import DirectedSet
 
 
@@ -37,10 +36,11 @@ def viz_segments(a: DirectedSet) -> "SegmentList[Segment]":
     if a.dim != 2:
         raise ValueError("segment visualization is defined for 2-D directed sets")
     segments = []
-    for l, s, low in zip(a.grid.directions, a.supports, a.lowers):
-        r = orthobasis(l).columns[0]
-        s0 = -low.interval.a_neg
-        s1 = low.interval.a_pos
+    for l, rows, s, c_neg, c_pos in zip(a.grid.directions, a.grid.tangent_rows,
+                                        a.supports, a.a_neg, a.a_pos):
+        r = (rows[0][0], rows[1][0])
+        s0 = -c_neg
+        s1 = c_pos
         p = (s * l[0] + s0 * r[0], s * l[1] + s0 * r[1])
         q = (s * l[0] + s1 * r[0], s * l[1] + s1 * r[1])
         segments.append(Segment(p, q, s0 > s1))

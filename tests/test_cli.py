@@ -324,3 +324,10 @@ def test_subdiff_quotient_coefficient_underflow(capsys):
     rc, out, err = run(capsys, "subdiff", "-f", "1/x1", "-x", "1e-200")
     assert rc == 2
     assert err.startswith("error:") and "underflows" in err
+
+
+@pytest.mark.parametrize("f, point", [("1e300*(1e10*x1)", "0"), ("1e300*(1e10*x2)", "0,0")])
+def test_subdiff_leaf_overflow(capsys, f, point):
+    rc, out, err = run(capsys, "subdiff", "-f", f, "--point=" + point, "-M", "8")
+    assert rc == 2
+    assert err.startswith("error:") and "overflows to" in err

@@ -213,3 +213,13 @@ def test_overflowing_derivative_coefficients_are_domain_errors(f, x):
         directed_subdiff(parse(f), (x,))
     with pytest.raises(DomainError):
         directed_subdiff(parse(f), (x, 0.0), SphereGrid.circle(8))
+
+
+@pytest.mark.parametrize("f, x, grid", [
+    ("1e300*(1e10*x1)", (0.0,), None),
+    ("1e300*(1e10*x2)", (0.0, 0.0), SphereGrid.circle(8)),
+    ("1e300*(1e10*x3)", (0.0, 0.0, 0.0), SphereGrid.sphere(2, 4, 8)),
+])
+def test_overflowing_leaf_values_are_domain_errors(f, x, grid):
+    with pytest.raises(DomainError, match="overflows to"):
+        directed_subdiff(parse(f), x, grid)

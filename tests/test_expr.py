@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -162,3 +163,15 @@ def test_const_coercion_in_helpers():
     e = vmax(var(0), 0.0)
     assert isinstance(e.children[1], Const)
     assert evaluate(const(2) + 3, ()) == 5.0
+
+
+def test_shared_subtrees_evaluate_once_per_point():
+    # abs(e) is max(e, -e) sharing e: 100 levels would take 2^100 paths
+    e = parse("abs(" * 100 + "x1" + ")" * 100)
+    t0 = time.perf_counter()
+    assert evaluate(e, (0.3,)) == 0.3
+    assert time.perf_counter() - t0 < 0.1
+    # one node under two different substitutions still sees both points
+    h = vabs(var(0) - 1.0)
+    two = Affine(h, ((2.0,),), (0.0,)) + Affine(h, ((-1.0,),), (0.0,))
+    assert evaluate(two, (3.0,)) == 5.0 + 4.0

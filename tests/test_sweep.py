@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+import dirsubdiff.dirset as dirset
 import dirsubdiff.engine as engine
 from dirsubdiff.corpus import get_rng, random_max_affine, random_rule_pair
 from dirsubdiff.dirset import ActiveSetInfo, SphereGrid
@@ -124,12 +125,17 @@ def test_one_transform_per_subdifferential(monkeypatch):
         raise AssertionError("the sweep restricts nothing")
 
     monkeypatch.setattr(engine, "dirderiv_transform", counting("transform", engine.dirderiv_transform))
-    monkeypatch.setattr(engine, "orthobasis", counting("orthobasis", engine.orthobasis))
+    monkeypatch.setattr(dirset, "orthobasis", counting("orthobasis", dirset.orthobasis))
     monkeypatch.setattr("dirsubdiff.deriv.restrict", no_restrict)
     monkeypatch.setattr(engine, "restrict", no_restrict, raising=False)
     monkeypatch.setattr(Affine, "__post_init__", counting("affine", Affine.__post_init__))
-    directed_subdiff(parse("max(x1, x2, x3, -x1 - x2 - x3) + abs(x1)"), (0.0, 0.0, 0.0), SPHERE)
-    assert counts == {"transform": 1, "orthobasis": len(SPHERE) + len(SPHERE.subgrid), "affine": 0}
+    grid = SphereGrid.sphere(4, 8, 16)  # a fresh grid: no bases computed yet
+    e = parse("max(x1, x2, x3, -x1 - x2 - x3) + abs(x1)")
+    directed_subdiff(e, (0.0, 0.0, 0.0), grid)
+    assert counts == {"transform": 1, "orthobasis": len(grid) + len(grid.subgrid), "affine": 0}
+    # the grid keeps its bases: a second call computes none
+    directed_subdiff(e, (0.5, 0.0, 0.0), grid)
+    assert counts == {"transform": 2, "orthobasis": len(grid) + len(grid.subgrid), "affine": 0}
 
 
 def test_borderline_members_below_the_top_level():
@@ -148,3 +154,12 @@ def test_borderline_members_below_the_top_level():
         directed_subdiff(e, x, grid, info=info)
         assert info.borderline
         assert_agree(e, x, grid)
+
+
+def test_overflowing_leaves_agree_with_the_recursion():
+    # the supports stay finite at the first direction; its leaf pair overflows
+    e = parse("1e300*(1e10*x2)")
+    with pytest.raises(DomainError):
+        recursive_subdiff(e, (0.0, 0.0), SphereGrid.circle(8))
+    assert_agree(e, (0.0, 0.0), SphereGrid.circle(8))
+    assert_agree(parse("1e300*(1e10*x3)"), (0.0, 0.0, 0.0), SPHERE)
