@@ -229,19 +229,34 @@ def _sizes(grid: SphereGrid | None) -> list:
 
 
 def _lengths(grid: SphereGrid | None) -> list:
-    """Lengths of ``levels[0], levels[1], ...`` on ``grid``; the leaf arrays
-    have the length of the last one (1 without a grid)."""
+    """Lengths of the arrays ``levels + (a_neg, a_pos)`` of a set on ``grid``."""
     out = []
     n = 1
     for m in _sizes(grid):
         n *= m
         out.append(n)
-    return out
+    return out + [n, n]
+
+
+def _widths(lengths, j: int = 0) -> list:
+    """The layout rule: one entry of array ``j`` owns ``lengths[i] // lengths[j]``
+    consecutive entries of every deeper array ``i``, the arrays of the set
+    below it (entry ``k`` owns ``a[k * w:(k + 1) * w]``)."""
+    return [n // lengths[j] for n in lengths[j + 1:]]
+
+
+def _blocks(s: "DirectedSet") -> list:
+    """Per top-level direction, the arrays of its lower set, by :func:`_widths`."""
+    arrays = s._arrays()
+    widths = _widths([len(a) for a in arrays])
+    return [
+        [a[k * w:(k + 1) * w] for a, w in zip(arrays[1:], widths)]
+        for k in range(len(arrays[0]))
+    ]
 
 
 def _finite(values) -> bool:
-    # a sum of finite floats is finite unless it overflows; then look closer
-    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+    return all(map(math.isfinite, values))
 
 
 # ---------------------------------------------------------------------------
@@ -305,23 +320,20 @@ class DirectedSet:
         if grid is not None and not isinstance(grid, SphereGrid):
             raise ValueError("a directed set's grid must be a SphereGrid or None")
         lengths = _lengths(grid)
-        if len(levels) != len(lengths):
-            raise ValueError(f"expected {len(lengths)} support levels, got {len(levels)}")
+        if len(levels) != len(lengths) - 2:
+            raise ValueError(f"expected {len(lengths) - 2} support levels, got {len(levels)}")
         levels = tuple(tuple(map(float, lv)) for lv in levels)
         a_neg, a_pos = tuple(map(float, a_neg)), tuple(map(float, a_pos))
         for lv, n in zip(levels, lengths):
             if len(lv) != n:
                 raise ValueError(f"support level of length {len(lv)} does not match the grid ({n})")
-        n = lengths[-1] if lengths else 1
+        n = lengths[-1]
         if len(a_neg) != n or len(a_pos) != n:
             raise ValueError(f"leaf arrays must hold {n} pairs, got {len(a_neg)} and {len(a_pos)}")
         if not all(map(_finite, levels)):
             raise ValueError("support values must be finite")
         if not (_finite(a_neg) and _finite(a_pos)):
             raise ValueError("directed interval entries must be finite")
-        self._init(grid, levels, a_neg, a_pos)
-
-    def _init(self, grid, levels, a_neg, a_pos):
         set_ = object.__setattr__
         set_(self, "dim", grid.dim if grid is not None else 1)
         set_(self, "grid", grid)
@@ -329,13 +341,6 @@ class DirectedSet:
         set_(self, "a_neg", a_neg)
         set_(self, "a_pos", a_pos)
         set_(self, "_lowers", None)
-
-    @classmethod
-    def _trusted(cls, grid, levels, a_neg, a_pos) -> "DirectedSet":
-        """A set from tuples already known to be valid for ``grid``."""
-        s = object.__new__(cls)
-        s._init(grid, levels, a_neg, a_pos)
-        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("DirectedSet is immutable")
@@ -394,15 +399,9 @@ class DirectedSet:
         if self.dim == 1:
             return None
         if self._lowers is None:
-            m = len(self.levels[0])
-            arrays = self.levels[1:] + (self.a_neg, self.a_pos)
-            widths = [len(a) // m for a in arrays]
             sub = self.grid.subgrid
-            lowers = []
-            for k in range(m):
-                parts = [a[k * w:(k + 1) * w] for a, w in zip(arrays, widths)]
-                lowers.append(DirectedSet._trusted(sub, tuple(parts[:-2]), parts[-2], parts[-1]))
-            object.__setattr__(self, "_lowers", tuple(lowers))
+            lowers = tuple(DirectedSet(sub, b[:-2], b[-2], b[-1]) for b in _blocks(self))
+            object.__setattr__(self, "_lowers", lowers)
         return self._lowers
 
     def _arrays(self) -> tuple:
@@ -468,15 +467,10 @@ class DirectedSet:
                     for s, an, ap in zip(self.levels[0], self.a_neg, self.a_pos)
                 ],
             }
-        m = len(self.levels[0])
-        arrays = self._arrays()[1:]
-        widths = [len(a) // m for a in arrays]
-        entries = []
-        for k, s in enumerate(self.levels[0]):
-            lower = []
-            for a, w in zip(arrays, widths):
-                lower += a[k * w:(k + 1) * w]
-            entries.append({"support": s, "lower": lower})
+        entries = [
+            {"support": s, "lower": [v for a in block for v in a]}
+            for s, block in zip(self.levels[0], _blocks(self))
+        ]
         return {"format": 2, "dim": self.dim, "grid": self.grid.to_json_dict(), "entries": entries}
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -510,9 +504,7 @@ class DirectedSet:
                 raise ValueError("lower components of a 2-D set must be 1-D")
             return cls(grid, (supports,), [low["a_neg"] for low in lowers],
                        [low["a_pos"] for low in lowers])
-        m = len(grid)
-        widths = [n // m for n in _lengths(grid)[1:]]
-        widths += widths[-1:] * 2  # a_neg and a_pos: one entry per last-level entry
+        widths = _widths(_lengths(grid))
         total = sum(widths)
         arrays = [[] for _ in widths]
         for k, e in enumerate(entries):
@@ -645,9 +637,8 @@ def directed_zero(dim: int, grid: SphereGrid | None = None) -> DirectedSet:
         return DirectedSet.leaf(0.0, 0.0)
     if grid is None or grid.dim != dim:
         raise ValueError(f"directed zero of dimension {dim} needs a grid of dimension {dim}")
-    lengths = _lengths(grid)
-    leaves = (0.0,) * lengths[-1]
-    return DirectedSet._trusted(grid, tuple((0.0,) * n for n in lengths), leaves, leaves)
+    zeros = [(0.0,) * n for n in _lengths(grid)]
+    return DirectedSet(grid, zeros[:-2], zeros[-2], zeros[-1])
 
 
 def norm(a: DirectedSet) -> float:
@@ -687,9 +678,10 @@ def _extreme(sets, rtol, info, maximize):
     members = [s._arrays() for s in family]
     out = [list(xs) for xs in members[0]]  # blocks with member 0 active stay as they are
     depth = len(first.levels)
+    lengths = _lengths(first.grid)
     pending = [(0, tuple(range(len(family))))]  # (entry, active members) to resolve
     for j, m in enumerate(_sizes(first.grid)):
-        below = [len(xs) // len(out[j]) for xs in out[j + 1:]]
+        below = _widths(lengths, j)
         row = out[j]
         carried = []
         for parent, active in pending:
@@ -707,8 +699,7 @@ def _extreme(sets, rtol, info, maximize):
     for idx, active in pending:
         out[depth][idx] = pick(members[i][depth][idx] for i in active)
         out[depth + 1][idx] = pick(members[i][depth + 1][idx] for i in active)
-    return DirectedSet._trusted(first.grid, tuple(map(tuple, out[:depth])),
-                                tuple(out[depth]), tuple(out[depth + 1]))
+    return DirectedSet(first.grid, out[:depth], out[depth], out[depth + 1])
 
 
 def sup(sets, active_rtol: float = ACTIVE_RTOL, info: ActiveSetInfo | None = None) -> DirectedSet:

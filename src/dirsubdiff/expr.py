@@ -137,28 +137,18 @@ class Expr:
         return evaluate(self, point)
 
     def _eval(self, xs) -> float:
-        """Value at the float tuple ``xs``, unchecked; see :func:`_memoized`."""
+        """Value at the float tuple ``xs``, unchecked.
+
+        Each node's ``_value(xs, memo)`` evaluates it at ``xs``.  ``memo``
+        maps the compound nodes already evaluated at ``xs`` to their values
+        (nodes hash by identity), so a shared subtree (``abs(e)`` is
+        ``max(e, -e)``) is evaluated once per point instead of once per path.
+        A node under an affine substitution or a composition sees a new point
+        and starts a new memo.  Leaves are cheaper to evaluate than to look
+        up and skip the memo.  The memo check is written into each compound
+        ``_value`` so that evaluation takes one stack frame per node.
+        """
         return self._value(xs, {})
-
-
-def _memoized(value):
-    """Wrap a compound node's ``_value(xs, memo)`` so that it runs once per point.
-
-    ``memo`` maps each node already evaluated at the point ``xs`` to its
-    value (nodes hash by identity), so shared subtrees (``abs(e)`` is
-    ``max(e, -e)``) are evaluated once per point instead of once per path.
-    A node under an affine substitution or a composition sees a new point
-    and starts a new memo.  Leaves are cheaper to evaluate than to look up
-    and are not wrapped.
-    """
-
-    def _value(self, xs, memo):
-        v = memo.get(self)
-        if v is None:
-            v = memo[self] = value(self, xs, memo)
-        return v
-
-    return _value
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -225,10 +215,12 @@ class SmoothUnary(Expr):
     def children(self):
         return (self.child,)
 
-    @_memoized
     def _value(self, xs, memo):
-        v = self.child._value(xs, memo)
-        return primitive(self.kind, v)[0](v, self.exponent)
+        out = memo.get(self)
+        if out is None:
+            v = self.child._value(xs, memo)
+            out = memo[self] = primitive(self.kind, v)[0](v, self.exponent)
+        return out
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -283,9 +275,11 @@ class Affine(Expr):
             out.append(acc)
         return tuple(out)
 
-    @_memoized
     def _value(self, xs, memo):
-        return self.child._value(self._inner_point(xs), {})
+        v = memo.get(self)
+        if v is None:
+            v = memo[self] = self.child._value(self._inner_point(xs), {})
+        return v
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -310,9 +304,13 @@ class LinComb(Expr):
     def children(self):
         return (self.left, self.right)
 
-    @_memoized
     def _value(self, xs, memo):
-        return self.alpha * self.left._value(xs, memo) + self.beta * self.right._value(xs, memo)
+        v = memo.get(self)
+        if v is None:
+            v = memo[self] = (
+                self.alpha * self.left._value(xs, memo) + self.beta * self.right._value(xs, memo)
+            )
+        return v
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -328,9 +326,11 @@ class Product(Expr):
     def children(self):
         return (self.left, self.right)
 
-    @_memoized
     def _value(self, xs, memo):
-        return self.left._value(xs, memo) * self.right._value(xs, memo)
+        v = memo.get(self)
+        if v is None:
+            v = memo[self] = self.left._value(xs, memo) * self.right._value(xs, memo)
+        return v
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -346,12 +346,14 @@ class Quotient(Expr):
     def children(self):
         return (self.num, self.den)
 
-    @_memoized
     def _value(self, xs, memo):
-        d = self.den._value(xs, memo)
-        if d == 0.0:
-            raise DomainError("division by zero")
-        return self.num._value(xs, memo) / d
+        v = memo.get(self)
+        if v is None:
+            d = self.den._value(xs, memo)
+            if d == 0.0:
+                raise DomainError("division by zero")
+            v = memo[self] = self.num._value(xs, memo) / d
+        return v
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -368,13 +370,15 @@ class Max(Expr):
         object.__setattr__(self, "children", kids)
         object.__setattr__(self, "arity", max(c.arity for c in kids))
 
-    @_memoized
     def _value(self, xs, memo):
-        best = self.children[0]._value(xs, memo)
-        for c in self.children[1:]:
-            v = c._value(xs, memo)
-            if v > best:
-                best = v
+        best = memo.get(self)
+        if best is None:
+            best = self.children[0]._value(xs, memo)
+            for c in self.children[1:]:
+                v = c._value(xs, memo)
+                if v > best:
+                    best = v
+            memo[self] = best
         return best
 
 
@@ -392,13 +396,15 @@ class Min(Expr):
         object.__setattr__(self, "children", kids)
         object.__setattr__(self, "arity", max(c.arity for c in kids))
 
-    @_memoized
     def _value(self, xs, memo):
-        best = self.children[0]._value(xs, memo)
-        for c in self.children[1:]:
-            v = c._value(xs, memo)
-            if v < best:
-                best = v
+        best = memo.get(self)
+        if best is None:
+            best = self.children[0]._value(xs, memo)
+            for c in self.children[1:]:
+                v = c._value(xs, memo)
+                if v < best:
+                    best = v
+            memo[self] = best
         return best
 
 
@@ -436,10 +442,12 @@ class SmoothCompose(Expr):
     def children(self):
         return (self.outer, *self.inner)
 
-    @_memoized
     def _value(self, xs, memo):
-        ys = tuple(h._value(xs, memo) for h in self.inner)
-        return self.outer._value(ys, {})
+        v = memo.get(self)
+        if v is None:
+            ys = tuple(h._value(xs, memo) for h in self.inner)
+            v = memo[self] = self.outer._value(ys, {})
+        return v
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,9 @@ _UNARY_CALLS = ("abs", "sin", "cos", "exp", "log", "sqr", "sqrt")
 #: the parser itself runs out of stack at 165 nested calls (six frames per
 #: call) and 198 parentheses, and the CLI at 493 unary signs; below those
 #: depths evaluation, the derivative transform and the CLI succeed.  A cap
-#: of 100 leaves about 400 frames for the caller.
+#: of 100 leaves about 400 frames for the caller.  ``+``/``*`` chains are
+#: read iteratively and not capped: evaluation and the transform take one
+#: frame per node, so a left-deep sum runs out of stack at about 990 terms.
 MAX_NESTING = 100
 
 

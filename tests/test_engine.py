@@ -223,3 +223,13 @@ def test_overflowing_derivative_coefficients_are_domain_errors(f, x):
 def test_overflowing_leaf_values_are_domain_errors(f, x, grid):
     with pytest.raises(DomainError, match="overflows to"):
         directed_subdiff(parse(f), x, grid)
+
+
+def test_long_sums_evaluate_one_frame_per_node():
+    # a parsed `+` chain is not nesting-capped; evaluation of the expression
+    # and of its transform must stay within one stack frame per node
+    e = parse("+".join(["x1"] * 600))
+    assert evaluate(e, (0.5,)) == 300.0
+    s = directed_subdiff(e, (0.5,))
+    assert (s.interval.a_neg, s.interval.a_pos) == (-600.0, 600.0)
+    assert smooth_gradient(e, (0.5,)) == (600.0,)
