@@ -78,16 +78,26 @@ def active_members(values, rtol: float, maximize: bool, info: ActiveSetInfo | No
     is active when its gap to ``m`` is at most ``eps = rtol * (1 + |m|)``.
     This one rule serves the derivative transform, :func:`sup`/:func:`inf`
     and the max/min rule verifiers, so both sides of the max/min rules agree
-    on which members count.  ``info`` collects the tie and borderline flags.
+    on which members count.  ``info`` collects the tie and borderline flags;
+    a member is borderline when its gap lies in ``(eps, 10 eps]``.  Each gap
+    is classified once (:func:`dirsubdiff.oracle.two_pass_active_members`
+    lists them first).
     """
     m = max(values) if maximize else min(values)
     eps = rtol * (1.0 + abs(m))
-    gaps = [m - v for v in values] if maximize else [v - m for v in values]
-    active = [i for i, gap in enumerate(gaps) if gap <= eps]
+    band = 10.0 * eps
+    active = []
+    borderline = False
+    for i, v in enumerate(values):
+        gap = m - v if maximize else v - m
+        if gap <= eps:
+            active.append(i)
+        elif gap <= band:
+            borderline = True
     if info is not None:
         if len(active) > 1:
             info.ties = True
-        if any(eps < gap <= 10.0 * eps for gap in gaps):
+        if borderline:
             info.borderline = True
     return active
 

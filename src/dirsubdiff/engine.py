@@ -15,12 +15,18 @@ and reads every level of the set off ``g`` by forward sweeps:
 
 These are the lexicographic directional derivatives of ``f`` at ``x`` along
 the frames ``[l, B_l r, B_l B_r s]`` (Nesterov, Math. Program. 104, 2005).
-Each sweep narrows with :func:`active_members`, the rule and tolerance of
-the transform, and adds and picks in the order of ``Expr._eval``, so the set
-is bitwise the one of the defining recursion: restrict ``g`` to the slice
-through ``l``, transform it again and recurse one dimension down
+The sweep is column-wise: ``g`` is flattened once into a program of linear
+combinations and max/min picks, and a level runs the program of its
+narrowing once over all directions of its grid below one parent direction,
+every node holding a list of values over those directions.  The leaf level
+runs over the leaf points ``B_l B_r (-1)`` and ``B_l B_r (+1)`` in the same
+pass.  Each max/min narrows with :func:`active_members`, the rule and
+tolerance of the transform, once per direction, and the sweep adds, lifts
+and picks in the order of ``Expr._eval``, so the set is bitwise the one of
+the defining recursion: restrict ``g`` to the slice through ``l``,
+transform it again and recurse one dimension down
 (:func:`dirsubdiff.oracle.recursive_subdiff`).  No expression is built per
-direction.
+direction, and the program of a narrowing is built once per call.
 
 For differentiable functions this reproduces the embedded gradient; at kinks
 the lower components record the (possibly inverted) face data that make the
@@ -30,6 +36,7 @@ calculus rules exact.
 from __future__ import annotations
 
 import math
+from itertools import islice
 
 from .dirset import ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_members, embed_point
 from .deriv import dirderiv_transform
@@ -84,26 +91,37 @@ def directed_subdiff(
 # the lexicographic sweep
 
 # slot records: (_VAR, context, index), (_CONST, value),
-# (_LIN, alpha, left, beta, right), (_MAX | _MIN, children), (_ALIAS, child)
-_VAR, _CONST, _LIN, _ALIAS, _MAX, _MIN = range(6)
+# (_LIN, alpha, left, beta, right), (_MAX | _MIN, children), (_ALIAS, child);
+# programs add (_SHIFT, slot, a, x, k) for ``a * x + k`` with a constant ``k``
+_VAR, _CONST, _LIN, _SHIFT, _ALIAS, _MAX, _MIN = range(7)
 
 
-def _inner(rows, y) -> tuple:
-    """``rows @ y`` accumulated from 0.0 in the order of ``Affine._inner_point``."""
+def _apply(rows, cols) -> list:
+    """``rows @ y`` for every point ``y`` of ``cols`` (one list per
+    coordinate), accumulated from 0.0 in the order of ``Affine._inner_point``."""
     out = []
     for row in rows:
-        acc = 0.0
-        for w, yv in zip(row, y):
-            acc += w * yv
+        acc = [0.0 + row[0] * y for y in cols[0]]
+        for w, col in zip(row[1:], cols[1:]):
+            acc = [a + w * y for a, y in zip(acc, col)]
         out.append(acc)
-    return tuple(out)
+    return out
 
 
-def _lift(y, frames) -> tuple:
-    """Map ``y`` up through the bases in ``frames`` (outermost first)."""
-    for rows in reversed(frames):
-        y = _inner(rows, y)
-    return y
+def _column(v, n: int):
+    """Slot value ``v`` over ``n`` directions: constants are one float."""
+    return [v] * n if type(v) is float else v
+
+
+def _first_bad(col, stop: int) -> int:
+    """Index of the first non-finite entry of ``col`` before ``stop``, else
+    ``stop``.  A non-finite entry makes the sum non-finite; a finite sum
+    clears the column without a scan."""
+    if not math.isfinite(sum(col)):
+        for j in range(stop):
+            if not math.isfinite(col[j]):
+                return j
+    return stop
 
 
 def _overflow(v):
@@ -124,23 +142,28 @@ class _Sweep:
     under an ``Affine`` sees its own point, so the same node reached through
     two different substitutions gets two slots.  Context 0 sees the sweep
     point; ``contexts[c] = (parent, matrix)`` maps the parent's point to
-    context ``c``'s.  Node values of one sweep live in ``val`` by slot.
+    context ``c``'s.
 
     A level's narrowing state ``act`` maps each reachable max/min slot to
-    the child slots still active (``None`` at the top: all children).  The
-    set's flat arrays (see :mod:`dirsubdiff.dirset`) accumulate in
-    ``levels``, ``a_neg`` and ``a_pos`` in walk order.
+    the child slots still active (``None`` at the top: all children).  A
+    level runs the program of its narrowing once over the points of its
+    grid below one parent direction, lifted through the parents' bases:
+    every slot holds a column, the slot's value per point (a constant slot
+    holds one float).  On a circle the points are the directions followed
+    by their ``-1`` and ``+1`` leaf points.  The level then recurses, depth
+    first, into each direction with the members active there.  The set's
+    flat arrays (see :mod:`dirsubdiff.dirset`) accumulate in ``levels``,
+    ``a_neg`` and ``a_pos`` in walk order: direction by direction, each
+    followed by everything below it.  After a :class:`DomainError`, ``info``
+    may also hold flags of narrowings at directions past the failing one.
     """
 
     def __init__(self, g: Expr, rtol: float, info: ActiveSetInfo | None, dim: int):
         self.rtol = rtol
         self.info = info
         self.slots, self.root, self.contexts = self._flatten(g)
-        size = len(self.slots)
-        self.val = [0.0] * size
-        self.lo = [0.0] * size
-        self.hi = [0.0] * size
-        self.directions: dict = {}
+        self.programs: dict = {}
+        self.columns: dict = {}
         self.levels = [[] for _ in range(dim - 1)]
         self.a_neg: list = []
         self.a_pos: list = []
@@ -188,14 +211,23 @@ class _Sweep:
     def _program(self, act):
         """Instructions evaluating the root under ``act``, in ``_eval`` order.
 
-        Returns ``(program, root slot, singles)``.  A max/min left with one
-        active child, and an affine node, emit nothing: their slot resolves to
-        the child's, as the transform returns the child's derivative there.
-        ``singles`` keeps those one-child max/min slots for the next level.
+        Returns ``(program, root slot, singles)``, built once per distinct
+        narrowing.  A max/min left with one active child, and an affine
+        node, emit nothing: their slot resolves to the child's, as the
+        transform returns the child's derivative there.  ``singles`` keeps
+        those one-child max/min slots for the next level.  A linear
+        combination of two constants is a constant; with one constant
+        operand it is a ``_SHIFT``, whose constant term is the same product
+        the sweep would form per direction.
         """
+        key = None if act is None else tuple(sorted(act.items()))
+        hit = self.programs.get(key)
+        if hit is not None:
+            return hit
         slots = self.slots
         resolved: dict = {}
         singles: dict = {}
+        consts: dict = {}
         program = []
         stack = [(self.root, False)]
         while stack:
@@ -221,7 +253,16 @@ class _Sweep:
                 continue
             resolved[s] = s
             if op == _LIN:
-                program.append((_LIN, s, rec[1], resolved[kids[0]], rec[3], resolved[kids[1]]))
+                a, l, b, r = rec[1], resolved[kids[0]], rec[3], resolved[kids[1]]
+                if l in consts and r in consts:
+                    consts[s] = a * consts[l] + b * consts[r]
+                    program.append((_CONST, s, consts[s]))
+                elif r in consts:
+                    program.append((_SHIFT, s, a, l, b * consts[r]))
+                elif l in consts:  # a * c + b * y == b * y + a * c bit for bit
+                    program.append((_SHIFT, s, b, r, a * consts[l]))
+                else:
+                    program.append((_LIN, s, a, l, b, r))
             elif op >= _MAX:
                 members = tuple(resolved[c] for c in kids)
                 if len(members) == 1:
@@ -230,92 +271,124 @@ class _Sweep:
                 else:
                     program.append((op, s, members))
             else:
+                if op == _CONST:
+                    consts[s] = rec[1]
                 program.append((op, s) + rec[1:])
-        return program, resolved[self.root], singles
-
-    def _points(self, p) -> list:
-        """The point every affine context sees when the root sees ``p``."""
-        pts = [p]
-        for parent, rows in self.contexts[1:]:
-            pts.append(_inner(rows, pts[parent]))
-        return pts
-
-    def _directions(self, grid: SphereGrid) -> list:
-        """Per direction ``d`` of ``grid``: ``(d, B_d rows, B_d (-1), B_d (+1))``.
-
-        The basis rows come from ``grid.tangent_rows``; the last two entries
-        are the leaf directions when ``grid`` is a circle.
-        """
-        out = self.directions.get(grid.id)
-        if out is None:
-            out = []
-            for d, rows in zip(grid.directions, grid.tangent_rows):
-                if grid.dim == 2:
-                    out.append((d, rows, _inner(rows, (-1.0,)), _inner(rows, (1.0,))))
-                else:
-                    out.append((d, rows, None, None))
-            self.directions[grid.id] = out
+        out = self.programs[key] = (program, resolved[self.root], singles)
         return out
+
+    def _grid_columns(self, grid: SphereGrid) -> list:
+        """The points a level over ``grid`` runs at, one list per coordinate:
+        the directions of ``grid`` and, on a circle, then the leaf points
+        ``B_d (-1)`` of every direction ``d``, then the leaf points ``B_d (+1)``."""
+        cols = self.columns.get(grid.id)
+        if cols is None:
+            cols = [list(c) for c in zip(*grid.directions)]
+            if grid.dim == 2:
+                for t in (-1.0, 1.0):
+                    for i, col in enumerate(cols):
+                        col += [0.0 + rows[i][0] * t for rows in grid.tangent_rows]
+            self.columns[grid.id] = cols
+        return cols
+
+    def _points(self, cols, frames) -> list:
+        """Per affine context, the columns of the points it sees when the
+        points ``cols`` are lifted through the bases ``frames`` (outermost
+        first) to the root's space."""
+        for rows in reversed(frames):
+            cols = _apply(rows, cols)
+        pts = [cols]
+        for parent, rows in self.contexts[1:]:
+            pts.append(_apply(rows, pts[parent]))
+        return pts
 
     def level(self, grid: SphereGrid, frames: tuple, act, depth: int = 0) -> None:
         """Append the supports over ``grid`` below the directions whose bases
         are ``frames`` to ``levels[depth]``, then (depth first) everything
-        below them; on a circle, the leaf pairs go to ``a_neg`` and ``a_pos``."""
-        program, root, singles = self._program(act)
-        supports = self.levels[depth]
-        for d, rows, down, up in self._directions(grid):
-            p = _lift(d, frames)
-            if grid.dim == 2:
-                self._evaluate(program, p, _lift(down, frames), _lift(up, frames))
-                supports.append(self.val[root])
-                self.a_neg.append(_finite_leaf(self.lo[root]))
-                self.a_pos.append(_finite_leaf(self.hi[root]))
-            else:
-                narrowed = self._evaluate(program, p)
-                supports.append(self.val[root])
-                self.level(grid.subgrid, frames + (rows,), {**singles, **narrowed}, depth + 1)
+        below them; on a circle, the leaf pairs go to ``a_neg`` and ``a_pos``.
 
-    def _evaluate(self, program, p, down=None, up=None) -> dict:
-        """One forward sweep: node values at ``p`` into ``val``, checked finite;
-        with leaf points ``down`` and ``up``, the narrowed node values there
-        into ``lo`` and ``hi``.  Returns the max/min members active at ``p``."""
-        val, lo, hi, rtol, info = self.val, self.lo, self.hi, self.rtol, self.info
-        leaf = down is not None
-        pts = self._points(p)
+        Raises the :class:`DomainError` of the first non-finite value in
+        walk order: per direction the node values in program order, then
+        the leaf pair or the levels below.
+        """
+        program, root, singles = self._program(act)
+        n = len(grid)
+        leaf = grid.dim == 2
+        pts = self._points(self._grid_columns(grid), frames)
+        val, acts, bad, bad_value = self._run(program, n, pts, leaf)
+        out = _column(val[root], 3 * n if leaf else n)
+        self.levels[depth].extend(out[:n])
         if leaf:
-            pdown, pup = self._points(down), self._points(up)
-        act = {}
+            neg, pos = out[n:2 * n], out[2 * n:]
+            j = min(_first_bad(neg, bad), _first_bad(pos, bad))
+            if j < bad:
+                raise _overflow(neg[j] if not math.isfinite(neg[j]) else pos[j])
+            self.a_neg.extend(neg)
+            self.a_pos.extend(pos)
+        else:
+            for j in range(bad):
+                narrowed = dict(singles)
+                for s, col in acts.items():
+                    narrowed[s] = col[j]
+                self.level(grid.subgrid, frames + (grid.tangent_rows[j],), narrowed, depth + 1)
+        if bad < n:
+            raise _overflow(bad_value)
+
+    def _run(self, program, n: int, pts, leaf: bool) -> tuple:
+        """Run ``program`` once over the points ``pts`` (per affine context)
+        of a level with ``n`` directions.
+
+        On a circle the points are the ``n`` directions and then their
+        ``2 n`` leaf points, where each max/min picks among the members
+        active at the direction.  Returns the node values by slot, the
+        active members per direction of every max/min slot, and the first
+        direction ``bad`` with a non-finite node value (``n`` if none) with
+        that value.  Each max/min calls :func:`active_members` once per
+        direction, on the value list a one-direction sweep would form.
+        """
+        rtol, info = self.rtol, self.info
+        width = 3 * n if leaf else n
+        val = [None] * len(self.slots)
+        acts: dict = {}
+        bad, bad_value = n, None
         for ins in program:
-            op = ins[0]
-            s = ins[1]
-            if op == _LIN:
+            op, s = ins[0], ins[1]
+            if op == _SHIFT:
+                _, _, a, x, k = ins
+                col = [a * v + k for v in val[x]]
+            elif op == _LIN:
                 _, _, a, l, b, r = ins
-                v = a * val[l] + b * val[r]
-                if leaf:
-                    lo[s] = a * lo[l] + b * lo[r]
-                    hi[s] = a * hi[l] + b * hi[r]
+                col = [a * u + b * v for u, v in zip(val[l], val[r])]
             elif op == _VAR:
-                ctx, k = ins[2], ins[3]
-                v = pts[ctx][k]
-                if leaf:
-                    lo[s] = pdown[ctx][k]
-                    hi[s] = pup[ctx][k]
+                col = pts[ins[2]][ins[3]]
             elif op == _CONST:
-                v = lo[s] = hi[s] = ins[2]
+                v = val[s] = ins[2]
+                if not math.isfinite(v) and bad > 0:
+                    bad, bad_value = 0, v
+                continue
             else:
-                members = ins[2]
-                vals = [val[c] for c in members]
-                pick = max if op == _MAX else min
-                v = pick(vals)
-                active = tuple(members[i] for i in active_members(vals, rtol, op == _MAX, info))
-                act[s] = active
+                # the first non-finite value of a direction is never a
+                # max/min's: its members come earlier in the program
+                members = [_column(val[c], width) for c in ins[2]]
+                maximize = op == _MAX
+                pick = max if maximize else min
+                col = []
+                picked = []
+                for vals in islice(zip(*members), n):
+                    col.append(pick(vals))
+                    picked.append(active_members(vals, rtol, maximize, info))
                 if leaf:
-                    lo[s] = pick([lo[c] for c in active])
-                    hi[s] = pick([hi[c] for c in active])
-            if not math.isfinite(v):
-                raise _overflow(v)
-            val[s] = v
-        return act
+                    for start in (n, 2 * n):
+                        col += [pick([members[i][start + j] for i in idx]) for j, idx in enumerate(picked)]
+                else:
+                    acts[s] = [tuple([ins[2][i] for i in idx]) for idx in picked]
+                val[s] = col
+                continue
+            j = _first_bad(col, bad)
+            if j < bad:
+                bad, bad_value = j, col[j]
+            val[s] = col
+        return val, acts, bad, bad_value
 
 
 def smooth_gradient(e: Expr, x, active_rtol: float = ACTIVE_RTOL) -> tuple:

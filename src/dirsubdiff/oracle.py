@@ -11,7 +11,9 @@ bit for bit.  Likewise :func:`recursive_linear_combination`,
 :func:`recursive_sup`, :func:`recursive_inf`, :func:`recursive_leq` and
 :func:`recursive_norm` are the directed-set operations written as the
 recursion over ``supports``, ``lowers`` and ``interval`` that the flat
-operations of :mod:`dirsubdiff.dirset` must reproduce.  Agreement between
+operations of :mod:`dirsubdiff.dirset` must reproduce, and
+:func:`two_pass_active_members` is the listed form of the one-pass
+active-set rule :func:`dirsubdiff.dirset.active_members`.  Agreement between
 these and the exact code paths is what the verification suite relies on.
 """
 
@@ -147,6 +149,27 @@ def recursive_norm(a: DirectedSet) -> float:
         if v > best:
             best = v
     return best
+
+
+# ---------------------------------------------------------------------------
+# the active-set rule with its gaps listed
+
+
+def two_pass_active_members(values, rtol: float, maximize: bool, info: ActiveSetInfo | None) -> list:
+    """:func:`dirsubdiff.dirset.active_members` written as the rule reads:
+    list every gap to the extreme, keep the gaps within ``eps``, and flag a
+    borderline member when any gap lies in ``(eps, 10 eps]``.  Same indices
+    and flags as the one-pass rule, which classifies each gap once."""
+    m = max(values) if maximize else min(values)
+    eps = rtol * (1.0 + abs(m))
+    gaps = [m - v for v in values] if maximize else [v - m for v in values]
+    active = [i for i, gap in enumerate(gaps) if gap <= eps]
+    if info is not None:
+        if len(active) > 1:
+            info.ties = True
+        if any(eps < gap <= 10.0 * eps for gap in gaps):
+            info.borderline = True
+    return active
 
 
 # ---------------------------------------------------------------------------

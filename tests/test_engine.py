@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dirsubdiff
 from dirsubdiff.basis import orthobasis
 from dirsubdiff.corpus import get_rng, random_smooth_poly
 from dirsubdiff.deriv import dirderiv, dirderiv_transform, restrict
@@ -233,3 +238,21 @@ def test_long_sums_evaluate_one_frame_per_node():
     s = directed_subdiff(e, (0.5,))
     assert (s.interval.a_neg, s.interval.a_pos) == (-600.0, 600.0)
     assert smooth_gradient(e, (0.5,)) == (600.0,)
+
+
+def test_engine_imports_no_numpy():
+    # the engine is pure Python: importing numpy alone would add about
+    # 14 MB to the peak memory of a process that computes a 3-D
+    # subdifferential in about 41 MB
+    code = (
+        "import sys\n"
+        "from dirsubdiff import SphereGrid, directed_subdiff, parse\n"
+        "s = directed_subdiff(parse('max(x1, x2, x3, -x1 - x2 - x3) + abs(x1)'), (0.0, 0.0, 0.0),\n"
+        "                     SphereGrid.sphere(4, 8, 16))\n"
+        "s.to_json()\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(dirsubdiff.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         timeout=120, check=True)
+    assert out.stdout.strip() == "[]", out.stdout

@@ -15,7 +15,9 @@ import dirsubdiff.engine as engine
 from dirsubdiff.corpus import get_rng, random_max_affine, random_rule_pair
 from dirsubdiff.dirset import ActiveSetInfo, SphereGrid
 from dirsubdiff.engine import directed_subdiff
-from dirsubdiff.expr import Affine, DomainError, LinComb, Max, Min, Product, Quotient, compose, evaluate
+from dirsubdiff.expr import (
+    Affine, Const, DomainError, LinComb, Max, Min, Product, Quotient, Var, compose, evaluate,
+)
 from dirsubdiff.oracle import recursive_subdiff
 from dirsubdiff.parser import parse
 
@@ -163,3 +165,59 @@ def test_overflowing_leaves_agree_with_the_recursion():
         recursive_subdiff(e, (0.0, 0.0), SphereGrid.circle(8))
     assert_agree(e, (0.0, 0.0), SphereGrid.circle(8))
     assert_agree(parse("1e300*(1e10*x3)"), (0.0, 0.0, 0.0), SPHERE)
+
+
+# Errors follow walk order: direction by direction, each direction's node
+# values in program order, then its leaf pair or the levels below it.
+
+
+@pytest.mark.parametrize("x, grid", [((0.0, 0.0), SphereGrid.circle(8)), ((0.0, 0.0, 0.0), SPHERE)])
+def test_first_overflow_in_walk_order(x, grid):
+    # the first term comes first in program order but overflows (to +inf)
+    # only from the second direction on: at the first direction x2 = 0, the
+    # max narrows to x1, and the second term overflows to -inf
+    e = parse("1e300*max(x1, 1e300*x2) + (-1e300)*(1e300*x1)")
+    assert grid.directions[0][1] == 0.0
+    with pytest.raises(DomainError, match="to -inf"):
+        directed_subdiff(e, x, grid)
+    assert_agree(e, x, grid)
+
+
+def test_overflow_below_an_early_direction_wins():
+    # at the first sphere direction (x2 = 0) the max narrows to x1 and both
+    # terms are finite; below it the second term overflows to +inf, which
+    # comes before the first term's -inf at the second sphere direction
+    e = parse("(-1e300)*max(1e300*x2, x1) - 1e300*(1e300*x2)")
+    g = engine.dirderiv_transform(e, (0.0, 0.0, 0.0))
+    assert math.isfinite(g._eval(SPHERE.directions[0]))
+    assert g._eval(SPHERE.directions[1]) == -math.inf
+    with pytest.raises(DomainError, match="to inf"):
+        directed_subdiff(e, (0.0, 0.0, 0.0), SPHERE)
+    assert_agree(e, (0.0, 0.0, 0.0), SPHERE)
+
+
+# Linear combinations with a constant operand: the transform of c * x2 is
+# c * u2 + x2 * 0.0 (constant right operand), of x2 * c it is
+# x2 * 0.0 + c * u2 (constant left operand), and of (-2) * (-3) it is
+# -2 * 0.0 + -3 * 0.0 = -0.0 (both constant).  The zero term is -0.0 for
+# x2 < 0 and +0.0 for x2 > 0, where it turns a -0.0 product into +0.0.
+
+_CONSTANT_OPERANDS = {
+    "right": Product(Const(-1.0), Var(1)),
+    "left": Product(Var(1), Const(-1.0)),
+    "both": Product(Const(-2.0), Const(-3.0)) + Product(Const(-1.0), Var(1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CONSTANT_OPERANDS))
+@pytest.mark.parametrize("x2", [-0.5, 0.5])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_constant_operands_keep_signed_zeros(case, x2, dim):
+    e = _CONSTANT_OPERANDS[case]
+    x, grid = ((0.0, x2), SphereGrid.circle(8)) if dim == 2 else ((0.0, x2, 0.0), SPHERE)
+    assert_agree(e, x, grid)
+    # the first direction has u2 = 0, where -1 * u2 is -0.0
+    s = directed_subdiff(e, x, grid)
+    assert math.copysign(1.0, s.levels[0][0]) == math.copysign(1.0, x2)
+    if x2 < 0.0:
+        assert "-0.0" in s.to_json()
