@@ -115,8 +115,9 @@ def _column(v, n: int):
 
 def _first_bad(col, stop: int) -> int:
     """Index of the first non-finite entry of ``col`` before ``stop``, else
-    ``stop``.  A non-finite entry makes the sum non-finite; a finite sum
-    clears the column without a scan."""
+    ``stop``.  A non-finite entry makes the sum non-finite, so a finite sum
+    clears the column without a scan: summing in C is about twice as fast
+    as scanning the first ``stop`` entries."""
     if not math.isfinite(sum(col)):
         for j in range(stop):
             if not math.isfinite(col[j]):
@@ -378,8 +379,12 @@ class _Sweep:
                     col.append(pick(vals))
                     picked.append(active_members(vals, rtol, maximize, info))
                 if leaf:
+                    # no member is active where the direction's values are
+                    # not finite; that direction is past ``bad``, so its
+                    # filler leaf value is never stored
                     for start in (n, 2 * n):
-                        col += [pick([members[i][start + j] for i in idx]) for j, idx in enumerate(picked)]
+                        col += [pick([members[i][start + j] for i in idx]) if idx else math.nan
+                                for j, idx in enumerate(picked)]
                 else:
                     acts[s] = [tuple([ins[2][i] for i in idx]) for idx in picked]
                 val[s] = col

@@ -183,6 +183,23 @@ def test_first_overflow_in_walk_order(x, grid):
     assert_agree(e, x, grid)
 
 
+def test_overflow_before_a_direction_where_every_member_overflows():
+    # the first circle direction overflows in the first member only; from
+    # the second on, both members are inf and no member is active there
+    e = parse("max(1e300*(1e300*x1), 1e300*(1e300*x2))")
+    assert_agree(e, (0.0, 0.0), SphereGrid.circle(8))
+    assert_agree(parse("min(-1e300*(1e300*x1), -1e300*(1e300*x2))"), (0.0, 0.0),
+                 SphereGrid.circle(8))
+    # the same on the circle below a sphere direction: at (0, 0, 1) the
+    # supports are finite, and its tangent circle lies in the x1-x2 plane
+    sphere = SphereGrid._from_parts(3, (2,), [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)],
+                                    SphereGrid.circle(8))
+    e3 = parse("max(1e300*(1e300*x1), 1e300*(1e300*x2)) + x3")
+    with pytest.raises(DomainError):
+        directed_subdiff(e3, (0.0, 0.0, 0.0), sphere)
+    assert_agree(e3, (0.0, 0.0, 0.0), sphere)
+
+
 def test_overflow_below_an_early_direction_wins():
     # at the first sphere direction (x2 = 0) the max narrows to x1 and both
     # terms are finite; below it the second term overflows to +inf, which
