@@ -6,8 +6,8 @@ tests the two order-based optimality conditions, ``mvt`` searches a
 mean-value witness, ``viz`` converts stored sets to segment CSV/SVG.
 
 Exit codes: 0 success or all checks passed, 1 verification failure,
-2 input error (including non-finite points, overflow and too-deep
-expressions), 3 witness not found.
+2 input error (including non-finite points, overflow and nesting past
+:data:`dirsubdiff.parser.MAX_NESTING`), 3 witness not found.
 """
 
 from __future__ import annotations
@@ -368,9 +368,6 @@ def main(argv=None) -> int:
     except (ParseError, DomainError, ArityError, KinkError, GridMismatchError,
             ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("error: expression nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -14,7 +14,6 @@ import random
 
 from .dirset import DirectedInterval, DirectedSet, SphereGrid
 from .expr import (
-    Affine,
     Const,
     DomainError,
     Expr,
@@ -22,9 +21,9 @@ from .expr import (
     Max,
     Min,
     Product,
-    SmoothCompose,
     SmoothUnary,
     Var,
+    checked_point,
     const,
     evaluate,
     powk,
@@ -148,28 +147,24 @@ def random_rule_pair(
 
 
 def _exp_arguments_bounded(e: Expr, x, bound: float) -> bool:
-    """False when some exp node's argument exceeds ``bound`` in magnitude.
+    """False when some exp node's argument is not finite or exceeds
+    ``bound`` in magnitude, or when ``e`` leaves a primitive's domain at ``x``.
 
-    Each argument is evaluated at the point its node sees: substitutions
-    and compositions hand their children the transformed point.
+    One evaluation keeps every pair's value, so each argument is read at
+    the point its node sees: substitutions and compositions hand their
+    children the transformed point.
     """
-    stack = [(e, tuple(x))]
+    memos: list = [{}]
     try:
-        while stack:
-            node, xs = stack.pop()
-            if isinstance(node, SmoothUnary) and node.kind == "exp":
-                if abs(evaluate(node.child, xs)) > bound:
-                    return False
-            if isinstance(node, Affine):
-                xs = node._inner_point(xs)
-            elif isinstance(node, SmoothCompose):
-                stack.append((node.outer, tuple(evaluate(h, xs) for h in node.inner)))
-                stack += [(h, xs) for h in node.inner]
-                continue
-            stack += [(c, xs) for c in node.children]
+        e._eval(checked_point(e, x), memos)
     except DomainError:
         return False
-    return True
+    return all(
+        abs(memo[node.child]) <= bound
+        for memo in memos
+        for node in memo
+        if type(node) is SmoothUnary and node.kind == "exp"
+    )
 
 
 def random_probe(

@@ -2,7 +2,7 @@
 
 :func:`dirderiv_transform` turns a function ``f`` and a base point ``x`` into
 a new expression ``g`` over a direction variable ``u`` with
-``g(u) = f'(x; u)`` exactly, by a single recursive pass:
+``g(u) = f'(x; u)`` exactly, in one pass over :func:`dirsubdiff.expr.walk`:
 
 * variables become the matching direction coordinate, constants vanish;
 * smooth primitives contribute their derivative value at the point as a
@@ -23,6 +23,7 @@ identities the verification layer checks.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 from .basis import Basis
 from .dirset import ACTIVE_RTOL, ActiveSetInfo, active_members
@@ -36,12 +37,13 @@ from .expr import (
     Min,
     Product,
     Quotient,
-    SmoothCompose,
     SmoothUnary,
     Var,
-    as_point,
+    checked_point,
+    context_point,
     evaluate,
     primitive,
+    walk,
 )
 
 _ZERO = Const(0.0)
@@ -58,90 +60,72 @@ def dirderiv_transform(
     ``info``, when given, collects whether any max/min active set had a tie
     (a kink sits exactly at ``x``) or a borderline member that a tenfold
     larger tolerance would classify differently.  Raises
-    :class:`DomainError` on a non-finite base point or when a node value
-    overflows there, or when a derivative coefficient does.
+    :class:`ArityError` on a point with fewer coordinates than ``e`` reads,
+    and :class:`DomainError` on a non-finite base point or when a node value
+    overflows there, or when a derivative coefficient does.  Node by node
+    in the order of :func:`walk`, each value and derivative is formed from
+    those of the children and the value is checked finite.
     """
-    xs = as_point(x)
-    if len(xs) < e.arity:
-        raise ValueError(
-            f"expression reads {e.arity} coordinates, base point has {len(xs)}"
-        )
-    memo: dict = {}
-    _, dexpr = _value_and_deriv(e, xs, active_rtol, info, memo)
-    return dexpr
-
-
-def _value_and_deriv(e, xs, rtol, info, memo):
-    key = (id(e), xs)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-
-    if isinstance(e, Var):
-        out = (xs[e.index], e)
-    elif isinstance(e, Const):
-        out = (e.value, _ZERO)
-    elif isinstance(e, LinComb):
-        lv, ld = _value_and_deriv(e.left, xs, rtol, info, memo)
-        rv, rd = _value_and_deriv(e.right, xs, rtol, info, memo)
-        out = (e.alpha * lv + e.beta * rv, LinComb(e.alpha, ld, e.beta, rd))
-    elif isinstance(e, Product):
-        lv, ld = _value_and_deriv(e.left, xs, rtol, info, memo)
-        rv, rd = _value_and_deriv(e.right, xs, rtol, info, memo)
-        out = (lv * rv, LinComb(lv, rd, rv, ld))
-    elif isinstance(e, Quotient):
-        nv, nd = _value_and_deriv(e.num, xs, rtol, info, memo)
-        dv, dd = _value_and_deriv(e.den, xs, rtol, info, memo)
-        if dv == 0.0:
-            raise DomainError("division by zero at the base point")
-        square = dv * dv
-        if square == 0.0:
-            raise DomainError(f"quotient derivative overflows: {dv!r} squared underflows to 0")
-        out = (nv / dv, LinComb(_coefficient(1.0 / dv), nd, _coefficient(-nv / square), dd))
-    elif isinstance(e, SmoothUnary):
-        cv, cd = _value_and_deriv(e.child, xs, rtol, info, memo)
-        value, slope, _ = primitive(e.kind, cv)
-        out = (value(cv, e.exponent), LinComb(_coefficient(slope(cv, e.exponent)), cd, 0.0, _ZERO))
-    elif isinstance(e, (Max, Min)):
-        pairs = [_value_and_deriv(c, xs, rtol, info, memo) for c in e.children]
-        vals = [p[0] for p in pairs]
-        is_max = isinstance(e, Max)
-        active = active_members(vals, rtol, is_max, info)
-        if len(active) == 1:
-            dexpr = pairs[active[0]][1]
+    xs = checked_point(e, x)
+    vals: list = [{}]
+    ders: dict = defaultdict(dict)
+    contexts: list = [None]
+    points = {0: xs}
+    for node, ctx, sub in walk(e, vals, contexts):
+        memo, dmemo = vals[ctx], ders[ctx]
+        t = type(node)
+        if t is Var:
+            v = (xs if ctx == 0 else context_point(ctx, points, contexts, vals))[node.index]
+            d = node
+        elif t is Const:
+            v, d = node.value, _ZERO
+        elif t is LinComb:
+            v = node.alpha * memo[node.left] + node.beta * memo[node.right]
+            d = LinComb(node.alpha, dmemo[node.left], node.beta, dmemo[node.right])
+        elif t is Product:
+            lv, rv = memo[node.left], memo[node.right]
+            v = lv * rv
+            d = LinComb(lv, dmemo[node.right], rv, dmemo[node.left])
+        elif t is Quotient:
+            nv, dv = memo[node.num], memo[node.den]
+            if dv == 0.0:
+                raise DomainError("division by zero at the base point")
+            square = dv * dv
+            if square == 0.0:
+                raise DomainError(f"quotient derivative overflows: {dv!r} squared underflows to 0")
+            v = nv / dv
+            d = LinComb(_coefficient(1.0 / dv), dmemo[node.num],
+                        _coefficient(-nv / square), dmemo[node.den])
+        elif t is SmoothUnary:
+            cv = memo[node.child]
+            value, slope, _ = primitive(node.kind, cv)
+            v = value(cv, node.exponent)
+            d = LinComb(_coefficient(slope(cv, node.exponent)), dmemo[node.child], 0.0, _ZERO)
+        elif t is Max or t is Min:
+            mv = [memo[c] for c in node.children]
+            is_max = t is Max
+            active = active_members(mv, active_rtol, is_max, info)
+            if len(active) == 1:
+                d = dmemo[node.children[active[0]]]
+            else:
+                d = t(tuple([dmemo[node.children[i]] for i in active]))
+            v = max(mv) if is_max else min(mv)
+        elif t is Affine:
+            v = vals[sub][node.child]
+            d = Affine(ders[sub][node.child], node.matrix, (0.0,) * len(node.offset))
         else:
-            dexpr = type(e)(tuple(pairs[i][1] for i in active))
-        out = (max(vals) if is_max else min(vals), dexpr)
-    elif isinstance(e, Affine):
-        ys = e._inner_point(xs)
-        cv, cd = _value_and_deriv(e.child, ys, rtol, info, memo)
-        zeros = (0.0,) * len(e.offset)
-        out = (cv, Affine(cd, e.matrix, zeros))
-    elif isinstance(e, SmoothCompose):
-        n = len(xs)
-        inner_vals = []
-        jac_rows = []
-        for h in e.inner:
-            hv, hd = _value_and_deriv(h, xs, rtol, info, memo)
-            inner_vals.append(hv)
-            # h is smooth, so its transform is linear in u; read the gradient
-            # off the unit directions.
-            row = []
-            for j in range(n):
-                unit = tuple(1.0 if i == j else 0.0 for i in range(n))
-                row.append(hd._eval(unit))
-            jac_rows.append(tuple(_coefficient(w) for w in row))
-        ys = tuple(inner_vals)
-        ov, od = _value_and_deriv(e.outer, ys, rtol, info, memo)
-        zeros = (0.0,) * len(e.inner)
-        out = (ov, Affine(od, tuple(jac_rows), zeros))
-    else:  # pragma: no cover
-        raise TypeError(f"unknown node type {type(e).__name__}")
-
-    if not math.isfinite(out[0]):
-        raise DomainError(f"value overflows to {out[0]!r} at the base point")
-    memo[key] = out
-    return out
+            # the inner components are smooth, so their transforms are
+            # linear in u: the Jacobian rows are their gradients
+            n = len(context_point(ctx, points, contexts, vals))
+            rows = tuple(tuple([_coefficient(w) for w in dmemo[h]._gradient(n)])
+                         for h in node.inner)
+            v = vals[sub][node.outer]
+            d = Affine(ders[sub][node.outer], rows, (0.0,) * len(node.inner))
+        if not math.isfinite(v):
+            raise DomainError(f"value overflows to {v!r} at the base point")
+        memo[node] = v
+        dmemo[node] = d
+    return ders[0][e]
 
 
 def _coefficient(c: float) -> float:

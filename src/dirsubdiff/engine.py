@@ -40,7 +40,7 @@ from itertools import islice
 
 from .dirset import ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_members, embed_point
 from .deriv import dirderiv_transform
-from .expr import Affine, Const, DomainError, Expr, LinComb, Max, Min, Var, as_point
+from .expr import Affine, Const, DomainError, Expr, LinComb, Max, Min, Var, as_point, walk
 
 
 class KinkError(ValueError):
@@ -139,11 +139,11 @@ def _finite_leaf(v: float) -> float:
 class _Sweep:
     """Reads the levels of a directed subdifferential off one transform ``g``.
 
-    ``g`` is flattened into slots, one per node and affine context: a node
-    under an ``Affine`` sees its own point, so the same node reached through
-    two different substitutions gets two slots.  Context 0 sees the sweep
-    point; ``contexts[c] = (parent, matrix)`` maps the parent's point to
-    context ``c``'s.
+    ``g`` is flattened into slots, one per ``(node, context)`` pair of
+    :func:`dirsubdiff.expr.walk`: a node under an ``Affine`` sees its own
+    point, so the same node reached through two different substitutions
+    gets two slots.  Context 0 sees the sweep point; ``contexts[c] =
+    (parent, matrix)`` maps the parent's point to context ``c``'s.
 
     A level's narrowing state ``act`` maps each reachable max/min slot to
     the child slots still active (``None`` at the top: all children).  A
@@ -171,43 +171,28 @@ class _Sweep:
 
     @staticmethod
     def _flatten(g):
-        slots = []
-        index: dict = {}
-        contexts = [None]
-        context_ids: dict = {}
-        stack = [(g, 0, False)]
-        while stack:
-            node, ctx, ready = stack.pop()
-            if (id(node), ctx) in index:
-                continue
-            if isinstance(node, Affine):
-                key = (ctx, id(node))
-                if key not in context_ids:
-                    context_ids[key] = len(contexts)
-                    contexts.append((ctx, node.matrix))
-                kids = ((node.child, context_ids[key]),)
-            else:
-                kids = tuple((c, ctx) for c in node.children)
-            if not ready:
-                stack.append((node, ctx, True))
-                stack.extend((c, cc, False) for c, cc in reversed(kids))
-                continue
-            ks = [index[(id(c), cc)] for c, cc in kids]
-            if isinstance(node, Var):
+        """One slot per pair of :func:`walk`, numbered in its order."""
+        slots: list = []
+        index: list = [{}]
+        contexts: list = [None]
+        for node, ctx, sub in walk(g, index, contexts):
+            slot = index[ctx]
+            t = type(node)
+            if t is Var:
                 rec = (_VAR, ctx, node.index)
-            elif isinstance(node, Const):
+            elif t is Const:
                 rec = (_CONST, node.value)
-            elif isinstance(node, LinComb):
-                rec = (_LIN, node.alpha, ks[0], node.beta, ks[1])
-            elif isinstance(node, (Max, Min)):
-                rec = (_MAX if isinstance(node, Max) else _MIN, tuple(ks))
-            elif isinstance(node, Affine):
-                rec = (_ALIAS, ks[0])
+            elif t is LinComb:
+                rec = (_LIN, node.alpha, slot[node.left], node.beta, slot[node.right])
+            elif t is Max or t is Min:
+                rec = (_MAX if t is Max else _MIN, tuple([slot[c] for c in node.children]))
+            elif t is Affine:
+                rec = (_ALIAS, index[sub][node.child])
             else:  # pragma: no cover - the transform emits no other kinds
-                raise TypeError(f"unexpected {type(node).__name__} node in a transform")
-            index[(id(node), ctx)] = len(slots)
+                raise TypeError(f"unexpected {t.__name__} node in a transform")
+            slot[node] = len(slots)
             slots.append(rec)
-        return slots, index[(id(g), 0)], contexts
+        return slots, len(slots) - 1, [None] + [(c, node.matrix) for c, node in contexts[1:]]
 
     def _program(self, act):
         """Instructions evaluating the root under ``act``, in ``_eval`` order.
@@ -408,12 +393,7 @@ def smooth_gradient(e: Expr, x, active_rtol: float = ACTIVE_RTOL) -> tuple:
     g = dirderiv_transform(e, xs, active_rtol, info)
     if info.ties:
         raise KinkError(f"kink detected at {xs}: ambiguous gradient")
-    n = len(xs)
-    grad = []
-    for j in range(n):
-        unit = tuple(1.0 if i == j else 0.0 for i in range(n))
-        grad.append(float(g._eval(unit)))
-    return tuple(grad)
+    return tuple(g._gradient(len(xs)))
 
 
 def embed_gradient(e: Expr, x, grid: SphereGrid | None = None) -> DirectedSet:

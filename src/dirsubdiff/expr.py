@@ -15,6 +15,10 @@ operators are overloaded, so expressions compose naturally:
 
 ``abs`` is sugar: ``vabs(e)`` builds ``max(e, -e)`` and there is no separate
 absolute-value node.
+
+Evaluation, the derivative transform and the engine's flattening all run on
+:func:`walk`, one iterative post-order over the ``(node, context)`` pairs of
+a tree, so neither a long chain nor a deep nesting takes Python frames.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ class DomainError(ExprError):
     """
 
 
-class ArityError(ExprError):
+class ArityError(ExprError, ValueError):
     """The evaluation point has fewer coordinates than the expression uses."""
 
 
@@ -136,19 +140,46 @@ class Expr:
     def __call__(self, *point: float) -> float:
         return evaluate(self, point)
 
-    def _eval(self, xs) -> float:
-        """Value at the float tuple ``xs``, unchecked.
+    def _eval(self, xs, memos: list | None = None) -> float:
+        """Value at the float tuple ``xs``, unchecked: the one evaluator of
+        expressions, run on :func:`walk` (which stores the leaves' values).
 
-        Each node's ``_value(xs, memo)`` evaluates it at ``xs``.  ``memo``
-        maps the compound nodes already evaluated at ``xs`` to their values
-        (nodes hash by identity), so a shared subtree (``abs(e)`` is
-        ``max(e, -e)``) is evaluated once per point instead of once per path.
-        A node under an affine substitution or a composition sees a new point
-        and starts a new memo.  Leaves are cheaper to evaluate than to look
-        up and skip the memo.  The memo check is written into each compound
-        ``_value`` so that evaluation takes one stack frame per node.
+        A primitive outside its domain and a division by zero raise
+        :class:`DomainError`; non-finite values pass through.  ``memos``,
+        when given as ``[{}]``, keeps the value of every pair by context and
+        node.
         """
-        return self._value(xs, {})
+        if memos is None:
+            memos = [{}]
+        for node, ctx, sub in walk(self, memos, [None], xs):
+            memo = memos[ctx]
+            t = type(node)
+            if t is LinComb:
+                memo[node] = node.alpha * memo[node.left] + node.beta * memo[node.right]
+            elif t is Max:
+                memo[node] = max(map(memo.__getitem__, node.children))
+            elif t is Min:
+                memo[node] = min(map(memo.__getitem__, node.children))
+            elif t is SmoothUnary:
+                v = memo[node.child]
+                memo[node] = primitive(node.kind, v)[0](v, node.exponent)
+            elif t is Product:
+                memo[node] = memo[node.left] * memo[node.right]
+            elif t is Quotient:
+                d = memo[node.den]
+                if d == 0.0:
+                    raise DomainError("division by zero")
+                memo[node] = memo[node.num] / d
+            elif t is Affine:
+                memo[node] = memos[sub][node.child]
+            else:
+                memo[node] = memos[sub][node.outer]
+        return memos[0][self]
+
+    def _gradient(self, n: int) -> list:
+        """Values at the ``n`` unit vectors of R^n: the gradient of a linear
+        expression, such as the transform of a smooth one."""
+        return [self._eval(tuple([float(i == j) for i in range(n)])) for j in range(n)]
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -165,9 +196,6 @@ class Var(Expr):
 
     children = ()
 
-    def _value(self, xs, memo):
-        return xs[self.index]
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Const(Expr):
@@ -182,9 +210,6 @@ class Const(Expr):
         object.__setattr__(self, "arity", 0)
 
     children = ()
-
-    def _value(self, xs, memo):
-        return self.value
 
 
 _ZERO = Const(0.0)
@@ -214,13 +239,6 @@ class SmoothUnary(Expr):
     @property
     def children(self):
         return (self.child,)
-
-    def _value(self, xs, memo):
-        out = memo.get(self)
-        if out is None:
-            v = self.child._value(xs, memo)
-            out = memo[self] = primitive(self.kind, v)[0](v, self.exponent)
-        return out
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -275,12 +293,6 @@ class Affine(Expr):
             out.append(acc)
         return tuple(out)
 
-    def _value(self, xs, memo):
-        v = memo.get(self)
-        if v is None:
-            v = memo[self] = self.child._value(self._inner_point(xs), {})
-        return v
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class LinComb(Expr):
@@ -304,14 +316,6 @@ class LinComb(Expr):
     def children(self):
         return (self.left, self.right)
 
-    def _value(self, xs, memo):
-        v = memo.get(self)
-        if v is None:
-            v = memo[self] = (
-                self.alpha * self.left._value(xs, memo) + self.beta * self.right._value(xs, memo)
-            )
-        return v
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Product(Expr):
@@ -326,12 +330,6 @@ class Product(Expr):
     def children(self):
         return (self.left, self.right)
 
-    def _value(self, xs, memo):
-        v = memo.get(self)
-        if v is None:
-            v = memo[self] = self.left._value(xs, memo) * self.right._value(xs, memo)
-        return v
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Quotient(Expr):
@@ -345,15 +343,6 @@ class Quotient(Expr):
     @property
     def children(self):
         return (self.num, self.den)
-
-    def _value(self, xs, memo):
-        v = memo.get(self)
-        if v is None:
-            d = self.den._value(xs, memo)
-            if d == 0.0:
-                raise DomainError("division by zero")
-            v = memo[self] = self.num._value(xs, memo) / d
-        return v
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -370,17 +359,6 @@ class Max(Expr):
         object.__setattr__(self, "children", kids)
         object.__setattr__(self, "arity", max(c.arity for c in kids))
 
-    def _value(self, xs, memo):
-        best = memo.get(self)
-        if best is None:
-            best = self.children[0]._value(xs, memo)
-            for c in self.children[1:]:
-                v = c._value(xs, memo)
-                if v > best:
-                    best = v
-            memo[self] = best
-        return best
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Min(Expr):
@@ -395,17 +373,6 @@ class Min(Expr):
             raise ValueError("min needs at least two children")
         object.__setattr__(self, "children", kids)
         object.__setattr__(self, "arity", max(c.arity for c in kids))
-
-    def _value(self, xs, memo):
-        best = memo.get(self)
-        if best is None:
-            best = self.children[0]._value(xs, memo)
-            for c in self.children[1:]:
-                v = c._value(xs, memo)
-                if v < best:
-                    best = v
-            memo[self] = best
-        return best
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -441,13 +408,6 @@ class SmoothCompose(Expr):
     @property
     def children(self):
         return (self.outer, *self.inner)
-
-    def _value(self, xs, memo):
-        v = memo.get(self)
-        if v is None:
-            ys = tuple(h._value(xs, memo) for h in self.inner)
-            v = memo[self] = self.outer._value(ys, {})
-        return v
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +477,106 @@ def compose(outer, inner) -> SmoothCompose:
 # queries and evaluation
 
 
+def walk(root: Expr, memos: list, contexts: list, point: tuple | None = None):
+    """One post-order over the ``(node, context)`` pairs of ``root``.
+
+    A context is the point a node sees.  Context 0 is the root's point; an
+    :class:`Affine` node opens a context for its child, and a
+    :class:`SmoothCompose` node one for its outer expression, whose point is
+    the values of its inner components (they stay in the node's context).
+    ``memos`` and ``contexts`` start as ``[{}]`` and ``[None]``; for each
+    node that opens a context the walk appends an empty dict to ``memos``
+    and ``(parent, node)`` to ``contexts``.  A node reached under two
+    contexts is two pairs; reached twice under one (``abs(e)`` is
+    ``max(e, -e)``), it is one.
+
+    Yields every pair once as ``(node, ctx, sub)``, children before parents
+    and in evaluation order: in the order of ``node.children``, except that
+    a composition's inner components come before its outer.  ``sub`` is the
+    context ``node`` opened, else ``ctx``.  The root comes last.  The
+    consumer stores its result for each pair in ``memos[ctx][node]`` before
+    it takes the next pair, and reads the results of the node's children
+    there (of an opened context's child in ``memos[sub]``); the walk skips
+    the pairs already stored.  Given the float tuple ``point`` (the
+    evaluator's use), the walk stores the value of every leaf itself, a
+    variable's coordinate in its context's point or a constant's value, and
+    yields only the other pairs.  It keeps its own stack, so deep
+    expressions take no Python frames.
+    """
+    points = {0: point}
+    stack = [(root, 0, -1)]  # (node, ctx, -1) to visit, (node, ctx, sub) to yield
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        node, ctx, sub = pop()
+        if sub >= 0:  # the children are done
+            yield node, ctx, sub
+            continue
+        memo = memos[ctx]
+        if node in memo:
+            continue
+        while True:  # visit (node, ctx), then its first child not yet stored
+            t = type(node)
+            if t is LinComb or t is Product:
+                kids = (node.left, node.right)
+            elif t is Affine or t is SmoothCompose:
+                sub = len(contexts)
+                contexts.append((ctx, node))
+                memos.append({})
+                push((node, ctx, sub))
+                if t is SmoothCompose:
+                    push((node.outer, sub, -1))
+                    for h in reversed(node.inner):
+                        push((h, ctx, -1))
+                    break
+                node, ctx, memo = node.child, sub, memos[sub]
+                continue
+            else:
+                kids = node.children
+            for k in kids:  # leading children that are leaves or stored skip the stack
+                if k not in memo:
+                    if k.children:
+                        break
+                    if point is None:
+                        yield k, ctx, ctx
+                    elif type(k) is Var:
+                        pt = point if ctx == 0 else context_point(ctx, points, contexts, memos)
+                        memo[k] = pt[k.index]
+                    else:
+                        memo[k] = k.value
+            else:
+                if kids or point is None:
+                    yield node, ctx, ctx
+                elif t is Var:
+                    pt = point if ctx == 0 else context_point(ctx, points, contexts, memos)
+                    memo[node] = pt[node.index]
+                else:
+                    memo[node] = node.value
+                break
+            push((node, ctx, ctx))
+            for c in kids[:kids.index(k):-1]:  # the later siblings, last first
+                push((c, ctx, -1))
+            node = k
+
+
+def context_point(c: int, points: dict, contexts: list, memos: list) -> tuple:
+    """The point of context ``c`` of a :func:`walk`, given the ``points``
+    computed so far by context and the values so far in ``memos``; computed
+    on first use, with the points of its parents."""
+    chain = []
+    while c not in points:
+        chain.append(c)
+        c = contexts[c][0]
+    for c in reversed(chain):
+        parent, node = contexts[c]
+        if type(node) is Affine:
+            points[c] = node._inner_point(points[parent])
+        else:
+            memo = memos[parent]
+            points[c] = tuple([memo[h] for h in node.inner])
+    return points[c]
+
+
 def has_kinks(e: Expr) -> bool:
     """True when the tree contains a max/min node anywhere.
 
@@ -524,12 +584,11 @@ def has_kinks(e: Expr) -> bool:
     defined, which is what the composition and gradient-embedding paths
     require.
     """
-    stack = [e]
-    while stack:
-        node = stack.pop()
+    memos: list = [{}]
+    for node, ctx, _ in walk(e, memos, [None]):
         if isinstance(node, (Max, Min)):
             return True
-        stack.extend(node.children)
+        memos[ctx][node] = None
     return False
 
 
@@ -539,9 +598,17 @@ def as_point(x) -> tuple:
     Raises :class:`DomainError` on a NaN or infinite coordinate.
     """
     xs = (float(x),) if isinstance(x, (int, float)) else tuple(map(float, x))
-    for v in xs:
-        if not math.isfinite(v):
-            raise DomainError(f"point coordinates must be finite, got {xs!r}")
+    if not all(map(math.isfinite, xs)):
+        raise DomainError(f"point coordinates must be finite, got {xs!r}")
+    return xs
+
+
+def checked_point(e: Expr, point) -> tuple:
+    """:func:`as_point` of ``point``, which must have at least the
+    coordinates ``e`` reads; raises :class:`ArityError` otherwise."""
+    xs = as_point(point)
+    if len(xs) < e.arity:
+        raise ArityError(f"expression reads {e.arity} coordinates, point has {len(xs)}")
     return xs
 
 
@@ -552,55 +619,8 @@ def evaluate(e: Expr, point) -> float:
     are ignored), but never fewer.  Raises :class:`DomainError` when a
     primitive is evaluated outside its domain or the value is not finite.
     """
-    xs = as_point(point)
-    if len(xs) < e.arity:
-        raise ArityError(
-            f"expression reads {e.arity} coordinates, point has {len(xs)}"
-        )
+    xs = checked_point(e, point)
     v = float(e._eval(xs))
     if not math.isfinite(v):
         raise DomainError(f"value overflows to {v!r} at {xs!r}")
     return v
-
-
-def expr_to_json(e: Expr) -> dict:
-    """Tagged JSON-friendly dict of the tree (debugging aid)."""
-    if isinstance(e, Var):
-        return {"kind": "var", "index": e.index}
-    if isinstance(e, Const):
-        return {"kind": "const", "value": e.value}
-    if isinstance(e, SmoothUnary):
-        out = {"kind": e.kind, "child": expr_to_json(e.child)}
-        if e.kind == "pow":
-            out["exponent"] = e.exponent
-        return out
-    if isinstance(e, Affine):
-        return {
-            "kind": "affine",
-            "matrix": [list(row) for row in e.matrix],
-            "offset": list(e.offset),
-            "child": expr_to_json(e.child),
-        }
-    if isinstance(e, LinComb):
-        return {
-            "kind": "lincomb",
-            "alpha": e.alpha,
-            "left": expr_to_json(e.left),
-            "beta": e.beta,
-            "right": expr_to_json(e.right),
-        }
-    if isinstance(e, Product):
-        return {"kind": "product", "left": expr_to_json(e.left), "right": expr_to_json(e.right)}
-    if isinstance(e, Quotient):
-        return {"kind": "quotient", "num": expr_to_json(e.num), "den": expr_to_json(e.den)}
-    if isinstance(e, Max):
-        return {"kind": "max", "children": [expr_to_json(c) for c in e.children]}
-    if isinstance(e, Min):
-        return {"kind": "min", "children": [expr_to_json(c) for c in e.children]}
-    if isinstance(e, SmoothCompose):
-        return {
-            "kind": "compose",
-            "outer": expr_to_json(e.outer),
-            "inner": [expr_to_json(h) for h in e.inner],
-        }
-    raise TypeError(f"unknown node type {type(e).__name__}")

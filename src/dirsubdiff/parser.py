@@ -53,13 +53,14 @@ _VARIABLE = re.compile(r"x(\d+)\Z")
 _UNARY_CALLS = ("abs", "sin", "cos", "exp", "log", "sqr", "sqrt")
 
 #: deepest nesting of parentheses, calls and unary signs the parser accepts.
-#: Under the default recursion limit of 1000, called from a shallow stack,
-#: the parser itself runs out of stack at 165 nested calls (six frames per
-#: call) and 198 parentheses, and the CLI at 493 unary signs; below those
-#: depths evaluation, the derivative transform and the CLI succeed.  A cap
+#: The parser reads nesting by recursion: under the default recursion limit
+#: of 1000, called from a shallow stack, it runs out of stack at 165 nested
+#: calls (six frames per call), 198 parentheses and 495 unary signs.  A cap
 #: of 100 leaves about 400 frames for the caller.  ``+``/``*`` chains are
-#: read iteratively and not capped: evaluation and the transform take one
-#: frame per node, so a left-deep sum runs out of stack at about 990 terms.
+#: read iteratively and not capped.  Evaluation, the derivative transform
+#: and the engine walk expressions on their own stack
+#: (:func:`dirsubdiff.expr.walk`), so no expression, parsed or built in
+#: Python, takes a frame per node there.
 MAX_NESTING = 100
 
 

@@ -2,11 +2,12 @@ import math
 
 import pytest
 
+import dirsubdiff
 from dirsubdiff.basis import orthobasis
 from dirsubdiff.corpus import get_rng, random_probe, random_smooth_poly
 from dirsubdiff.deriv import dirderiv, dirderiv_transform, restrict
 from dirsubdiff.dirset import ActiveSetInfo
-from dirsubdiff.expr import DomainError, Max, evaluate, neg, var
+from dirsubdiff.expr import ArityError, DomainError, Max, evaluate, neg, var
 from dirsubdiff.parser import parse
 
 
@@ -46,6 +47,16 @@ def test_transform_abs_difference():
 def test_transform_base_point_arity():
     with pytest.raises(ValueError):
         dirderiv_transform(parse("x1 + x2"), (1.0,))
+
+
+@pytest.mark.parametrize("entry", ["evaluate", "dirderiv_transform", "dirderiv",
+                                   "smooth_gradient", "directed_subdiff"])
+def test_short_point_is_arity_error(entry):
+    e = parse("x1 + x2")
+    call = {"dirderiv": lambda: dirderiv(e, (1.0,), (1.0,))}.get(
+        entry, lambda: getattr(dirsubdiff, entry)(e, (1.0,)))
+    with pytest.raises(ArityError, match="point has 1$"):
+        call()
 
 
 def test_dirderiv_values():

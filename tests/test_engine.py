@@ -26,7 +26,7 @@ from dirsubdiff.engine import (
     smooth_gradient,
 )
 from dirsubdiff.parser import parse
-from dirsubdiff.expr import DomainError, evaluate
+from dirsubdiff.expr import DomainError, LinComb, Var, evaluate, has_kinks, sin
 
 
 def test_as_point():
@@ -256,3 +256,31 @@ def test_engine_imports_no_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          timeout=120, check=True)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def _deep(shape: str, n: int, depth: int):
+    if shape == "sum":
+        return parse("+".join(f"x{1 + i % n}" for i in range(depth)))
+    e = Var(0)
+    for i in range(depth):
+        e = LinComb(1.0, e, 0.5, Var(i % n)) if shape == "lincomb" else sin(e + Var(i % n))
+    return e
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("shape", ["sum", "lincomb", "sin"])
+def test_deep_expressions_need_no_recursion(shape, n):
+    # three times the default recursion limit: every entry point walks
+    # expressions on its own stack
+    e = _deep(shape, n, 3000)
+    x = tuple(0.3 + 0.1 * i for i in range(n))
+    grid = {1: None, 2: SphereGrid.circle(8), 3: SphereGrid.sphere(2, 4, 8)}[n]
+    assert math.isfinite(evaluate(e, x))
+    g = dirderiv_transform(e, x)
+    grad = smooth_gradient(e, x)
+    assert not has_kinks(e)
+    s = directed_subdiff(e, x, grid)
+    if n == 1:
+        assert (s.interval.a_neg, s.interval.a_pos) == (-grad[0], grad[0])
+    else:
+        assert s.levels[0][0] == evaluate(g, grid.directions[0])

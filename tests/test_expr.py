@@ -3,6 +3,8 @@ import time
 
 import pytest
 
+from dirsubdiff.corpus import _exp_arguments_bounded
+from dirsubdiff.deriv import dirderiv_transform
 from dirsubdiff.expr import (
     Affine,
     ArityError,
@@ -19,7 +21,6 @@ from dirsubdiff.expr import (
     compose,
     const,
     evaluate,
-    expr_to_json,
     has_kinks,
     powk,
     sqr,
@@ -152,13 +153,6 @@ def test_abs_desugars_to_max():
     assert len(e.children) == 2
 
 
-def test_expr_to_json_tags():
-    d = expr_to_json(parse("max(x1, x2, 0.0)"))
-    assert d["kind"] == "max"
-    assert len(d["children"]) == 3
-    assert d["children"][0] == {"kind": "var", "index": 0}
-
-
 def test_const_coercion_in_helpers():
     e = vmax(var(0), 0.0)
     assert isinstance(e.children[1], Const)
@@ -175,3 +169,30 @@ def test_shared_subtrees_evaluate_once_per_point():
     h = vabs(var(0) - 1.0)
     two = Affine(h, ((2.0,),), (0.0,)) + Affine(h, ((-1.0,),), (0.0,))
     assert evaluate(two, (3.0,)) == 5.0 + 4.0
+
+
+def test_shared_subtrees_walk_once_per_node():
+    # 41 distinct nodes, 2^40 paths: each query visits every node once
+    e = var(0)
+    for _ in range(40):
+        e = e + e
+    t0 = time.perf_counter()
+    assert not has_kinks(e)
+    assert compose(var(0), [e]).arity == 1
+    assert _exp_arguments_bounded(SmoothUnary("exp", 0.0 * e) + 0.0 * e, (0.1,), 3.0)
+    assert time.perf_counter() - t0 < 0.5
+    # a non-finite or out-of-domain exp argument still fails the check
+    assert not _exp_arguments_bounded(SmoothUnary("exp", 1e300 * e), (0.1,), 3.0)
+    assert not _exp_arguments_bounded(SmoothUnary("exp", SmoothUnary("log", e)), (-0.1,), 3.0)
+
+
+def test_quotient_reads_numerator_first():
+    # the numerator's domain error comes before the zero denominator, in
+    # evaluation as in the derivative transform
+    e = parse("log(x1-2)/(x1-1)")
+    with pytest.raises(DomainError, match=r"^log undefined at -1\.0$"):
+        evaluate(e, (1.0,))
+    with pytest.raises(DomainError, match=r"^log undefined at -1\.0$"):
+        dirderiv_transform(e, (1.0,))
+    with pytest.raises(DomainError, match="^division by zero$"):
+        evaluate(parse("log(x1)/(x1-1)"), (1.0,))
