@@ -54,6 +54,7 @@ def dirderiv_transform(
     x,
     active_rtol: float = ACTIVE_RTOL,
     info: ActiveSetInfo | None = None,
+    _shared: dict | None = None,
 ) -> Expr:
     """Build ``g`` with ``g(u) = f'(x; u)`` for all directions ``u``.
 
@@ -65,12 +66,16 @@ def dirderiv_transform(
     overflows there, or when a derivative coefficient does.  Node by node
     in the order of :func:`walk`, each value and derivative is formed from
     those of the children and the value is checked finite.
+
+    ``_shared``, a dict only :mod:`dirsubdiff.engine` passes, keeps the walk
+    state across the transforms of several roots at one point: a subtree
+    they share is transformed once and is one node of their results.
     """
     xs = checked_point(e, x)
-    vals: list = [{}]
-    ders: dict = defaultdict(dict)
-    contexts: list = [None]
-    points = {0: xs}
+    state = ([{}], defaultdict(dict), [None], {0: xs})
+    if _shared is not None:
+        state = _shared.setdefault("walk", state)
+    vals, ders, contexts, points = state
     for node, ctx, sub in walk(e, vals, contexts):
         memo, dmemo = vals[ctx], ders[ctx]
         t = type(node)

@@ -80,8 +80,8 @@ def active_members(values, rtol: float, maximize: bool, info: ActiveSetInfo | No
     and the max/min rule verifiers, so both sides of the max/min rules agree
     on which members count.  ``info`` collects the tie and borderline flags;
     a member is borderline when its gap lies in ``(eps, 10 eps]``.  Each gap
-    is classified once (:func:`dirsubdiff.oracle.two_pass_active_members`
-    lists them first).
+    is classified once (``two_pass_active_members`` in
+    ``tests/references.py`` lists them first).
     """
     m = max(values) if maximize else min(values)
     eps = rtol * (1.0 + abs(m))

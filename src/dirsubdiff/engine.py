@@ -24,9 +24,16 @@ pass.  Each max/min narrows with :func:`active_members`, the rule and
 tolerance of the transform, once per direction, and the sweep adds, lifts
 and picks in the order of ``Expr._eval``, so the set is bitwise the one of
 the defining recursion: restrict ``g`` to the slice through ``l``,
-transform it again and recurse one dimension down
-(:func:`dirsubdiff.oracle.recursive_subdiff`).  No expression is built per
-direction, and the program of a narrowing is built once per call.
+transform it again and recurse one dimension down (``recursive_subdiff``
+in ``tests/references.py``).  No expression is built per direction, and
+the program of a narrowing is built once per call.
+
+Several expressions at one point take one pass (:func:`directed_subdiffs`):
+their transforms share the walk, so the operands inside a combination are
+one subtree of the combination's transform, and the sweep runs the program
+of the union of their slots, filling each root's levels.  A max/min
+narrows on its own member values only, so every root's set is the one a
+separate call reads.
 
 For differentiable functions this reproduces the embedded gradient; at kinks
 the lower components record the (possibly inverted) face data that make the
@@ -40,7 +47,9 @@ from itertools import islice
 
 from .dirset import ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_members, embed_point
 from .deriv import dirderiv_transform
-from .expr import Affine, Const, DomainError, Expr, LinComb, Max, Min, Var, as_point, walk
+from .expr import (
+    Affine, Const, DomainError, Expr, ExprError, LinComb, Max, Min, Var, as_point, walk,
+)
 
 
 class KinkError(ValueError):
@@ -72,19 +81,53 @@ def directed_subdiff(
     for n = 1.  ``info`` collects active-set tie/borderline flags from the
     transform and from every narrowing of the sweep.
     """
+    return directed_subdiffs((e,), x, grid, active_rtol, info)[0]
+
+
+def directed_subdiffs(
+    exprs,
+    x,
+    grid: SphereGrid | None = None,
+    active_rtol: float = ACTIVE_RTOL,
+    info: ActiveSetInfo | None = None,
+) -> list:
+    """:func:`directed_subdiff` of every expression of ``exprs`` at one point.
+
+    The transforms of all roots are built on one walk, so a subtree they
+    share (the operands inside a combination) is transformed once, and one
+    sweep reads every root's levels.  A max/min narrows on its own member
+    values only, so each set is bitwise the set a separate call returns,
+    and ``info`` gets the union of the separate calls' flags.  On a
+    :class:`DomainError` or :class:`ArityError` the roots are redone one by
+    one, so the error is the one separate calls raise first, in root order.
+    """
     xs = as_point(x)
     n = len(xs)
     if n == 1:
         if grid is not None:
             raise ValueError("1-D subdifferentials take no grid")
-        g = dirderiv_transform(e, xs, active_rtol, info)
-        return DirectedSet.leaf(_finite_leaf(g._eval((-1.0,))), _finite_leaf(g._eval((1.0,))))
-    if grid is None or grid.dim != n:
+    elif grid is None or grid.dim != n:
         raise ValueError(f"point of dimension {n} needs a grid of dimension {n}")
-    g = dirderiv_transform(e, xs, active_rtol, info)
-    sweep = _Sweep(g, active_rtol, info, n)
-    sweep.level(grid, (), None)
-    return DirectedSet(grid, sweep.levels, sweep.a_neg, sweep.a_pos)
+    joint = info if len(exprs) == 1 else ActiveSetInfo()
+    shared: dict = {}
+    try:
+        gs = [dirderiv_transform(e, xs, active_rtol, joint, shared) for e in exprs]
+        if n == 1:
+            sets = [DirectedSet.leaf(_finite_leaf(g._eval((-1.0,))), _finite_leaf(g._eval((1.0,))))
+                    for g in gs]
+        else:
+            sweep = _Sweep(gs, active_rtol, joint, n)
+            sweep.level(grid, (), None)
+            parts = zip(sweep.levels, sweep.a_neg, sweep.a_pos)
+            sets = [DirectedSet(grid, levels, neg, pos) for levels, neg, pos in parts]
+    except ExprError:
+        if joint is info:
+            raise
+        return [directed_subdiffs((e,), xs, grid, active_rtol, info)[0] for e in exprs]
+    if joint is not info and info is not None:
+        info.ties |= joint.ties
+        info.borderline |= joint.borderline
+    return sets
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +180,14 @@ def _finite_leaf(v: float) -> float:
 
 
 class _Sweep:
-    """Reads the levels of a directed subdifferential off one transform ``g``.
+    """Reads the levels of the directed subdifferentials of several
+    transforms ``gs`` at one point off one sweep.
 
-    ``g`` is flattened into slots, one per ``(node, context)`` pair of
-    :func:`dirsubdiff.expr.walk`: a node under an ``Affine`` sees its own
-    point, so the same node reached through two different substitutions
-    gets two slots.  Context 0 sees the sweep point; ``contexts[c] =
+    The roots are flattened into one table of slots, one per ``(node,
+    context)`` pair of :func:`dirsubdiff.expr.walk`: a node under an
+    ``Affine`` sees its own point, so the same node reached through two
+    different substitutions gets two slots, and a node two roots share gets
+    one.  Context 0 sees the sweep point; ``contexts[c] =
     (parent, matrix)`` maps the parent's point to context ``c``'s.
 
     A level's narrowing state ``act`` maps each reachable max/min slot to
@@ -152,30 +197,32 @@ class _Sweep:
     every slot holds a column, the slot's value per point (a constant slot
     holds one float).  On a circle the points are the directions followed
     by their ``-1`` and ``+1`` leaf points.  The level then recurses, depth
-    first, into each direction with the members active there.  The set's
-    flat arrays (see :mod:`dirsubdiff.dirset`) accumulate in ``levels``,
-    ``a_neg`` and ``a_pos`` in walk order: direction by direction, each
-    followed by everything below it.  After a :class:`DomainError`, ``info``
-    may also hold flags of narrowings at directions past the failing one.
+    first, into each direction with the members active there.  Root
+    ``k``'s flat arrays (see :mod:`dirsubdiff.dirset`) accumulate in
+    ``levels[k]``, ``a_neg[k]`` and ``a_pos[k]`` in walk order: direction
+    by direction, each followed by everything below it.  After a
+    :class:`DomainError`, ``info`` may also hold flags of narrowings at
+    directions past the failing one.
     """
 
-    def __init__(self, g: Expr, rtol: float, info: ActiveSetInfo | None, dim: int):
+    def __init__(self, gs, rtol: float, info: ActiveSetInfo | None, dim: int):
         self.rtol = rtol
         self.info = info
-        self.slots, self.root, self.contexts = self._flatten(g)
+        self.slots, self.roots, self.contexts = self._flatten(gs)
         self.programs: dict = {}
         self.columns: dict = {}
-        self.levels = [[] for _ in range(dim - 1)]
-        self.a_neg: list = []
-        self.a_pos: list = []
+        self.levels = [[[] for _ in range(dim - 1)] for _ in gs]
+        self.a_neg = [[] for _ in gs]
+        self.a_pos = [[] for _ in gs]
 
     @staticmethod
-    def _flatten(g):
-        """One slot per pair of :func:`walk`, numbered in its order."""
+    def _flatten(gs):
+        """One slot per pair of :func:`walk` over the roots in turn, numbered
+        in its order; returns the slots, the root slots and the contexts."""
         slots: list = []
         index: list = [{}]
         contexts: list = [None]
-        for node, ctx, sub in walk(g, index, contexts):
+        for node, ctx, sub in (step for g in gs for step in walk(g, index, contexts)):
             slot = index[ctx]
             t = type(node)
             if t is Var:
@@ -192,12 +239,14 @@ class _Sweep:
                 raise TypeError(f"unexpected {t.__name__} node in a transform")
             slot[node] = len(slots)
             slots.append(rec)
-        return slots, len(slots) - 1, [None] + [(c, node.matrix) for c, node in contexts[1:]]
+        roots = tuple([index[0][g] for g in gs])
+        return slots, roots, [None] + [(c, node.matrix) for c, node in contexts[1:]]
 
     def _program(self, act):
-        """Instructions evaluating the root under ``act``, in ``_eval`` order.
+        """Instructions evaluating the roots under ``act``, each in ``_eval``
+        order after the slots of the roots before it.
 
-        Returns ``(program, root slot, singles)``, built once per distinct
+        Returns ``(program, root slots, singles)``, built once per distinct
         narrowing.  A max/min left with one active child, and an affine
         node, emit nothing: their slot resolves to the child's, as the
         transform returns the child's derivative there.  ``singles`` keeps
@@ -215,7 +264,7 @@ class _Sweep:
         singles: dict = {}
         consts: dict = {}
         program = []
-        stack = [(self.root, False)]
+        stack = [(r, False) for r in reversed(self.roots)]
         while stack:
             s, ready = stack.pop()
             if s in resolved:
@@ -260,7 +309,7 @@ class _Sweep:
                 if op == _CONST:
                     consts[s] = rec[1]
                 program.append((op, s) + rec[1:])
-        out = self.programs[key] = (program, resolved[self.root], singles)
+        out = self.programs[key] = (program, [resolved[r] for r in self.roots], singles)
         return out
 
     def _grid_columns(self, grid: SphereGrid) -> list:
@@ -289,29 +338,31 @@ class _Sweep:
         return pts
 
     def level(self, grid: SphereGrid, frames: tuple, act, depth: int = 0) -> None:
-        """Append the supports over ``grid`` below the directions whose bases
-        are ``frames`` to ``levels[depth]``, then (depth first) everything
-        below them; on a circle, the leaf pairs go to ``a_neg`` and ``a_pos``.
+        """Append each root's supports over ``grid`` below the directions
+        whose bases are ``frames`` to its ``levels[depth]``, then (depth
+        first) everything below them; on a circle, the leaf pairs go to
+        ``a_neg`` and ``a_pos``.
 
         Raises the :class:`DomainError` of the first non-finite value in
         walk order: per direction the node values in program order, then
-        the leaf pair or the levels below.
+        the leaf pairs or the levels below.
         """
-        program, root, singles = self._program(act)
+        program, roots, singles = self._program(act)
         n = len(grid)
         leaf = grid.dim == 2
         pts = self._points(self._grid_columns(grid), frames)
         val, acts, bad, bad_value = self._run(program, n, pts, leaf)
-        out = _column(val[root], 3 * n if leaf else n)
-        self.levels[depth].extend(out[:n])
-        if leaf:
-            neg, pos = out[n:2 * n], out[2 * n:]
-            j = min(_first_bad(neg, bad), _first_bad(pos, bad))
-            if j < bad:
-                raise _overflow(neg[j] if not math.isfinite(neg[j]) else pos[j])
-            self.a_neg.extend(neg)
-            self.a_pos.extend(pos)
-        else:
+        for k, root in enumerate(roots):
+            out = _column(val[root], 3 * n if leaf else n)
+            self.levels[k][depth].extend(out[:n])
+            if leaf:
+                neg, pos = out[n:2 * n], out[2 * n:]
+                j = min(_first_bad(neg, bad), _first_bad(pos, bad))
+                if j < bad:
+                    raise _overflow(neg[j] if not math.isfinite(neg[j]) else pos[j])
+                self.a_neg[k].extend(neg)
+                self.a_pos[k].extend(pos)
+        if not leaf:
             for j in range(bad):
                 narrowed = dict(singles)
                 for s, col in acts.items():

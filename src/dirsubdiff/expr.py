@@ -582,13 +582,18 @@ def has_kinks(e: Expr) -> bool:
 
     Kink-free expressions are smooth by construction wherever they are
     defined, which is what the composition and gradient-embedding paths
-    require.
+    require.  A kink is a property of a node, not of the point it sees, so
+    each node is visited once however many contexts reach it.
     """
-    memos: list = [{}]
-    for node, ctx, _ in walk(e, memos, [None]):
+    seen = {e}
+    stack = [e]
+    while stack:
+        node = stack.pop()
         if isinstance(node, (Max, Min)):
             return True
-        memos[ctx][node] = None
+        fresh = [c for c in node.children if c not in seen]
+        seen.update(fresh)
+        stack += fresh
     return False
 
 

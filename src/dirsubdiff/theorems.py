@@ -1,10 +1,14 @@
 """Mechanical verification of the subdifferential calculus.
 
 Every rule is checked on concrete instances by computing both sides with
-independent recipes and measuring their distance in the directed-set norm:
+separate recipes and measuring their distance in the directed-set norm:
 the left side always goes through the engine applied to the combined
 expression, the right side through directed-set arithmetic on the operand
-subdifferentials.  Reports carry the distance, the tolerance and both sides.
+subdifferentials.  The sum, product, quotient, max and min rules read the
+operand sets and the combined set off one transform walk and one sweep
+(:func:`dirsubdiff.engine.directed_subdiffs`), each set bitwise the one a
+separate engine call returns.  Reports carry the distance, the tolerance
+and both sides.
 
 Verifiers guard against razor-edge active-set classifications: whenever some
 max/min or sup/inf member sat within the borderline band, the computation is
@@ -34,7 +38,7 @@ from .dirset import (
     scale,
     sup,
 )
-from .engine import directed_subdiff, smooth_gradient
+from .engine import directed_subdiff, directed_subdiffs, smooth_gradient
 from .expr import (
     Affine,
     DomainError,
@@ -156,9 +160,8 @@ def verify_sum_rule(
     alpha, beta = float(alpha), float(beta)
 
     def compute(rtol, info):
-        s1 = directed_subdiff(f1, xs, grid, rtol, info)
-        s2 = directed_subdiff(f2, xs, grid, rtol, info)
-        lhs = directed_subdiff(LinComb(alpha, f1, beta, f2), xs, grid, rtol, info)
+        s1, s2, lhs = directed_subdiffs(
+            (f1, f2, LinComb(alpha, f1, beta, f2)), xs, grid, rtol, info)
         return lhs, linear_combination(alpha, s1, beta, s2)
 
     return _guarded_report(
@@ -181,9 +184,7 @@ def verify_product_rule(
     v2 = evaluate(f2, xs)
 
     def compute(rtol, info):
-        s1 = directed_subdiff(f1, xs, grid, rtol, info)
-        s2 = directed_subdiff(f2, xs, grid, rtol, info)
-        lhs = directed_subdiff(Product(f1, f2), xs, grid, rtol, info)
+        s1, s2, lhs = directed_subdiffs((f1, f2, Product(f1, f2)), xs, grid, rtol, info)
         return lhs, linear_combination(v1, s2, v2, s1)
 
     return _guarded_report("product", compute, xs, active_rtol=active_rtol, guard=guard)
@@ -205,9 +206,7 @@ def verify_quotient_rule(
         raise DomainError("quotient rule needs f2(x) != 0")
 
     def compute(rtol, info):
-        s1 = directed_subdiff(f1, xs, grid, rtol, info)
-        s2 = directed_subdiff(f2, xs, grid, rtol, info)
-        lhs = directed_subdiff(Quotient(f1, f2), xs, grid, rtol, info)
+        s1, s2, lhs = directed_subdiffs((f1, f2, Quotient(f1, f2)), xs, grid, rtol, info)
         rhs = scale(-1.0 / (v2 * v2), linear_combination(v1, s2, -v2, s1))
         return lhs, rhs
 
@@ -222,8 +221,7 @@ def _verify_extreme_rule(fs, x, grid, active_rtol, guard, maximize):
 
     def compute(rtol, info):
         idx = active_members(values, rtol, maximize, info)
-        subs = [directed_subdiff(fs[i], xs, grid, rtol, info) for i in idx]
-        lhs = directed_subdiff(node(fs), xs, grid, rtol, info)
+        *subs, lhs = directed_subdiffs([fs[i] for i in idx] + [node(fs)], xs, grid, rtol, info)
         rhs = subs[0] if len(subs) == 1 else combine(subs, rtol, info)
         return lhs, rhs
 

@@ -1,7 +1,7 @@
 """The one-pass active-set rule against its listed form.
 
 ``dirset.active_members`` classifies each gap to the extreme once;
-``oracle.two_pass_active_members`` lists the gaps first and scans them
+``references.two_pass_active_members`` lists the gaps first and scans them
 twice.  They must return the same indices and set the same flags.
 """
 
@@ -9,7 +9,7 @@ import pytest
 
 from dirsubdiff.corpus import get_rng
 from dirsubdiff.dirset import ActiveSetInfo, active_members
-from dirsubdiff.oracle import two_pass_active_members
+from references import two_pass_active_members
 
 
 def _planted_values(rng, rtol, maximize):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -337,3 +338,29 @@ def test_subdiff_leaf_overflow(capsys, f, point):
     rc, out, err = run(capsys, "subdiff", "-f", f, "--point=" + point, "-M", "8")
     assert rc == 2
     assert err.startswith("error:") and "overflows to" in err
+
+
+# ---------------------------------------------------------------------------
+# byte identity
+
+_PINNED_OUTPUTS = [
+    (("verify", "--rule", "all", "--random", "6", "-M", "45", "--seed", "0"),
+     "349e44321988e201cbd71d7d205e88b4f77b9035cbefd8a9cc92770b220e2341"),
+    (("subdiff", "-f", "max(x1,x2,-x1-x2)+abs(x1*x2)+sin(x1)", "-x", "0,0", "-M", "360"),
+     "2b41d842edd225f14c8cb928ce0de9085e4730689df48cfaba41901f120fbb7d"),
+    (("subdiff", "-f", "max(x1,x2,-x1-x2)+abs(x1*x2)+sin(x1)", "-x", "0.3,-0.7", "-M", "360"),
+     "c26952ffa0660ea85249cda56a03c0fff50838a918185d755c69174e041f9472"),
+    (("subdiff", "-f", "max(x1,x2,x3,-x1-x2-x3)+abs(x1)", "-x", "0,0,0"),
+     "0d80dd32fe5400720da0f31fdabb242b91f29bfdb7f746b248648ac18498903b"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _PINNED_OUTPUTS, ids=["verify", "2d-kink", "2d", "3d"])
+def test_json_output_is_byte_identical(tmp_path, capsys, argv, digest):
+    """The ``--json`` files of these commands keep their bytes: the sets,
+    the verdicts and the text layout.  A deliberate change of the file
+    format or of a computed value updates these hashes, and CHANGES.md says
+    which and why."""
+    path = tmp_path / "out.json"
+    assert run(capsys, *argv, "--json", str(path))[0] == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

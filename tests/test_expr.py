@@ -186,6 +186,18 @@ def test_shared_subtrees_walk_once_per_node():
     assert not _exp_arguments_bounded(SmoothUnary("exp", SmoothUnary("log", e)), (-0.1,), 3.0)
 
 
+def test_has_kinks_visits_each_node_once():
+    # 81 distinct nodes under 2^40 distinct substitution contexts
+    e = var(0)
+    for _ in range(40):
+        e = Affine(e, ((1.0,),), (0.0,)) + Affine(e, ((2.0,),), (0.0,))
+    t0 = time.perf_counter()
+    assert not has_kinks(e)
+    assert compose(var(0), [e]).arity == 1
+    assert has_kinks(Affine(e, ((1.0,),), (0.0,)) * vabs(e))
+    assert time.perf_counter() - t0 < 0.5
+
+
 def test_quotient_reads_numerator_first():
     # the numerator's domain error comes before the zero denominator, in
     # evaluation as in the derivative transform

@@ -1,7 +1,7 @@
 """The flat directed-set layout against the recursive reference operations.
 
 ``dirsubdiff.dirset`` stores a set as its grid plus one float tuple per
-level; ``dirsubdiff.oracle`` keeps the operations as recursions over
+level; ``tests/references.py`` keeps the operations as recursions over
 ``supports``, ``lowers`` and ``interval``.  They must agree exactly: equal
 sets, equal ``ActiveSetInfo`` flags and equal verdicts.  The second half
 covers the JSON layout (``"format": 2`` for dimension >= 3).
@@ -29,7 +29,7 @@ from dirsubdiff.dirset import (
     scale,
     sup,
 )
-from dirsubdiff.oracle import (
+from references import (
     recursive_inf,
     recursive_leq,
     recursive_linear_combination,

@@ -1,6 +1,6 @@
 """The engine's lexicographic sweep against the defining recursion.
 
-``oracle.recursive_subdiff`` restricts the transform to every tangent slice
+``references.recursive_subdiff`` restricts the transform to every tangent slice
 and transforms it again; ``engine.directed_subdiff`` reads the same levels
 off one transform.  They must agree bit for bit: the same JSON text, the
 same active-set flags and the same errors.
@@ -18,7 +18,7 @@ from dirsubdiff.engine import directed_subdiff
 from dirsubdiff.expr import (
     Affine, Const, DomainError, LinComb, Max, Min, Product, Quotient, Var, compose, evaluate,
 )
-from dirsubdiff.oracle import recursive_subdiff
+from references import recursive_subdiff
 from dirsubdiff.parser import parse
 
 SPHERE = SphereGrid.sphere(4, 8, 16)
