@@ -71,6 +71,12 @@ class ActiveSetInfo:
     borderline: bool = False
 
 
+def check_tolerance(name: str, value: float) -> None:
+    """Raise :class:`ValueError` unless ``value`` is a finite number >= 0."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def active_members(values, rtol: float, maximize: bool, info: ActiveSetInfo | None) -> list:
     """Indices of the members of ``values`` that are active at the extreme.
 
@@ -81,8 +87,11 @@ def active_members(values, rtol: float, maximize: bool, info: ActiveSetInfo | No
     on which members count.  ``info`` collects the tie and borderline flags;
     a member is borderline when its gap lies in ``(eps, 10 eps]``.  Each gap
     is classified once (``two_pass_active_members`` in
-    ``tests/references.py`` lists them first).
+    ``tests/references.py`` lists them first).  ``rtol`` must be finite and
+    >= 0.
     """
+    if not 0.0 <= rtol < math.inf:  # tested inline: this runs per max/min and direction
+        check_tolerance("active_rtol", rtol)
     m = max(values) if maximize else min(values)
     eps = rtol * (1.0 + abs(m))
     band = 10.0 * eps
@@ -734,8 +743,7 @@ def leq(a: DirectedSet, b: DirectedSet, eps: float = 1e-9) -> bool:
     plus ``eps``; where the two supports agree within ``eps`` (and dimension
     permits) the comparison recurses into the lower components.
     """
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
+    check_tolerance("eps", eps)
     _check_compatible(a, b)
     tied = [0]  # entries of the current level whose supports agree within eps
     for j, m in enumerate(_sizes(a.grid)):

@@ -444,24 +444,12 @@ def sin(e) -> SmoothUnary:
     return SmoothUnary("sin", _coerce(e))
 
 
-def cos(e) -> SmoothUnary:
-    return SmoothUnary("cos", _coerce(e))
-
-
 def exp(e) -> SmoothUnary:
     return SmoothUnary("exp", _coerce(e))
 
 
-def log(e) -> SmoothUnary:
-    return SmoothUnary("log", _coerce(e))
-
-
 def sqr(e) -> SmoothUnary:
     return SmoothUnary("sqr", _coerce(e))
-
-
-def sqrt(e) -> SmoothUnary:
-    return SmoothUnary("sqrt", _coerce(e))
 
 
 def powk(e, k: int) -> SmoothUnary:

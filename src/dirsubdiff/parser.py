@@ -31,6 +31,7 @@ from .expr import (
     Min,
     Product,
     Quotient,
+    SMOOTH_KINDS,
     SmoothUnary,
     Var,
     neg,
@@ -50,7 +51,8 @@ _NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _VARIABLE = re.compile(r"x(\d+)\Z")
 
-_UNARY_CALLS = ("abs", "sin", "cos", "exp", "log", "sqr", "sqrt")
+#: one-argument calls: ``abs`` and the smooth primitives (``pow`` is matched first)
+_UNARY_CALLS = ("abs", *SMOOTH_KINDS)
 
 #: deepest nesting of parentheses, calls and unary signs the parser accepts.
 #: The parser reads nesting by recursion: under the default recursion limit

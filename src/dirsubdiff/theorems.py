@@ -29,6 +29,7 @@ from .dirset import (
     DirectedSet,
     SphereGrid,
     active_members,
+    check_tolerance,
     directed_zero,
     distance,
     inf,
@@ -286,6 +287,13 @@ def verify_dirderiv_fixpoint(
 # optimality conditions
 
 
+def _order_condition(f, x, grid, eps, active_rtol, maximize) -> bool:
+    """The directed zero lies below ``-D(f)(x)`` (``maximize``) or ``D(f)(x)``."""
+    xs = as_point(x)
+    s = directed_subdiff(f, xs, grid, active_rtol)
+    return leq(directed_zero(len(xs), grid), scale(-1.0, s) if maximize else s, eps)
+
+
 def check_min_condition(
     f: Expr,
     x,
@@ -294,9 +302,7 @@ def check_min_condition(
     active_rtol: float = ACTIVE_RTOL,
 ) -> bool:
     """Necessary minimum condition: the directed zero lies below ``D(f)(x)``."""
-    xs = as_point(x)
-    s = directed_subdiff(f, xs, grid, active_rtol)
-    return leq(directed_zero(len(xs), grid), s, eps)
+    return _order_condition(f, x, grid, eps, active_rtol, False)
 
 
 def check_max_condition(
@@ -307,9 +313,7 @@ def check_max_condition(
     active_rtol: float = ACTIVE_RTOL,
 ) -> bool:
     """Necessary maximum condition: the directed zero lies below ``-D(f)(x)``."""
-    xs = as_point(x)
-    s = directed_subdiff(f, xs, grid, active_rtol)
-    return leq(directed_zero(len(xs), grid), scale(-1.0, s), eps)
+    return _order_condition(f, x, grid, eps, active_rtol, True)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +418,7 @@ def verify_taylor_invariance(
     linearized = Affine(g, tuple(tuple(jrow) for jrow in jac), offsets)
 
     def compute(rtol, info):
-        lhs = directed_subdiff(composite, xs, grid, rtol, info)
-        rhs = directed_subdiff(linearized, xs, grid, rtol, info)
-        return lhs, rhs
+        return directed_subdiffs((composite, linearized), xs, grid, rtol, info)
 
     meta = {"inner_values": tuple(values)}
     return _guarded_report(
@@ -459,52 +461,48 @@ def mvt_witness(
     embedded increment lies below the segment subdifferential at ``t_hat``.
     A uniform interior scan is tried first, then bisection refines every
     sign change of ``u`` down to ``refine_width``, which lands inside the
-    active-set snap window of a kink.  Raises
+    active-set snap window of a kink.  Each parameter is probed once, with
+    u and v read off its :func:`segment_subdiff` pair.  Raises
+    :class:`ValueError` unless ``eps`` is finite and >= 0, and
     :class:`WitnessNotFoundError` when both stages fail.
     """
+    check_tolerance("eps", eps)
     a = as_point(x0)
     b = as_point(x1)
     if len(a) != len(b):
         raise ValueError("segment endpoints must share a dimension")
-    d = tuple(bv - av for av, bv in zip(a, b))
-    if all(dv == 0.0 for dv in d):
+    if all(av == bv for av, bv in zip(a, b)):
         raise ValueError("segment endpoints coincide")
-    neg_d = tuple(-dv for dv in d)
     c = evaluate(g, b) - evaluate(g, a)
     if scan_points < 1:
         raise ValueError("scan_points must be >= 1")
 
-    def uv(t: float):
-        xt = tuple(av + t * dv for av, dv in zip(a, d))
-        transform = dirderiv_transform(g, xt, active_rtol)
-        return evaluate(transform, d) - c, evaluate(transform, neg_d) + c
+    def probe(t: float):
+        """``(t, u, v, pair)``: u and v read off the segment pair at ``t``."""
+        pair = segment_subdiff(g, a, b, t, active_rtol)
+        return t, pair.a_pos - c, pair.a_neg + c, pair
 
-    def witness(t, u, v):
-        residual = max(0.0, -u, -v)
-        return MvtWitness(t, residual, segment_subdiff(g, a, b, t, active_rtol))
+    def witness(t, u, v, pair):
+        return MvtWitness(t, max(0.0, -u, -v), pair)
 
     ts = sorted({1e-6, 1.0 - 1e-6} | {(i + 1) / (scan_points + 1) for i in range(scan_points)})
-    scan = [(t, *uv(t)) for t in ts]
-    admissible = [(min(u, v), t, u, v) for t, u, v in scan if min(u, v) >= -eps]
+    scan = [probe(t) for t in ts]
+    admissible = [p for p in scan if min(p[1], p[2]) >= -eps]
     if admissible:
-        _, t, u, v = max(admissible, key=lambda item: item[0])
-        return witness(t, u, v)
+        return witness(*max(admissible, key=lambda p: min(p[1], p[2])))
 
-    for (ta, ua, va), (tb, ub, vb) in zip(scan, scan[1:]):
-        if (ua < 0.0) == (ub < 0.0):
+    for lo, hi in zip(scan, scan[1:]):
+        if (lo[1] < 0.0) == (hi[1] < 0.0):
             continue
-        lo, lo_uv = ta, (ua, va)
-        hi, hi_uv = tb, (ub, vb)
-        while hi - lo > refine_width:
-            mid = 0.5 * (lo + hi)
-            mid_uv = uv(mid)
-            if (mid_uv[0] < 0.0) == (lo_uv[0] < 0.0):
-                lo, lo_uv = mid, mid_uv
+        while hi[0] - lo[0] > refine_width:
+            mid = probe(0.5 * (lo[0] + hi[0]))
+            if (mid[1] < 0.0) == (lo[1] < 0.0):
+                lo = mid
             else:
-                hi, hi_uv = mid, mid_uv
-        for t, (u, v) in ((hi, hi_uv), (lo, lo_uv)):
-            if min(u, v) >= -eps:
-                return witness(t, u, v)
+                hi = mid
+        for p in (hi, lo):
+            if min(p[1], p[2]) >= -eps:
+                return witness(*p)
 
     raise WitnessNotFoundError(
         f"no admissible point after scanning {len(ts)} interior points and "

@@ -20,11 +20,7 @@ class Segment(NamedTuple):
     inverted: bool
 
 
-#: type of viz output: a plain list of segments
-SegmentList = list
-
-
-def viz_segments(a: DirectedSet) -> "SegmentList[Segment]":
+def viz_segments(a: DirectedSet) -> list[Segment]:
     """Boundary segments of a 2-D directed set.
 
     For direction ``l`` with support ``s`` and lower pair ``(c_neg, c_pos)``

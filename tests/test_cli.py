@@ -225,6 +225,28 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "FAIL sum" in err
 
 
+def test_verify_negative_random_is_an_input_error(capsys):
+    rc, out, err = run(capsys, "verify", "--random", "-1")
+    assert (rc, out, err) == (2, "", "error: --random needs N >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    # flags are read before any rule runs: a bad point before a bad operand
+    (("all", "-f1", "x1+", "-x", "0,a"), "bad point '0,a'"),
+    (("all", "--fs", "x1", "--fs", "(", "-x", "0"), "unexpected 'end of input' (at position 1)"),
+    # rules run in order: sum and product pass, quotient meets f2(x) = 0
+    (("all", "-x", "0"), "quotient rule needs f2(x) != 0"),
+    (("all", "-f2", "x1+1", "-x", "0"), "rule max needs at least two --fs expressions"),
+    # within a rule, its operands are checked before the point
+    (("max", "-f1", "x1"), "rule max needs at least two --fs expressions"),
+    (("max", "--fs", "x1", "--fs", "x2"), "this rule needs -x/--point"),
+])
+def test_verify_reports_the_first_error_in_rule_order(capsys, argv, message):
+    rc, out, err = run(capsys, "verify", "--rule", *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # optcheck
 
@@ -338,6 +360,21 @@ def test_subdiff_leaf_overflow(capsys, f, point):
     rc, out, err = run(capsys, "subdiff", "-f", f, "--point=" + point, "-M", "8")
     assert rc == 2
     assert err.startswith("error:") and "overflows to" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("argv", [
+    ("subdiff", "-f", "max(x1,x2)", "-x", "0,0", "-M", "8", "--eps-active"),
+    ("verify", "--rule", "max", "--fs", "x1", "--fs", "x2", "-x", "0,0", "-M", "8",
+     "--eps-active"),
+    ("optcheck", "-f", "x1", "-x", "0,0", "-M", "8", "--eps-order"),
+    ("mvt", "-f", "abs(x1)", "--x0=-1", "--x1", "2", "--eps-order"),
+], ids=["subdiff", "verify", "optcheck", "mvt"])
+def test_bad_tolerance_is_an_input_error(capsys, argv, bad):
+    rc, out, err = run(capsys, *argv[:-1], f"{argv[-1]}={bad}")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "must be finite and >= 0" in err
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

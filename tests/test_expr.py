@@ -4,7 +4,7 @@ import time
 import pytest
 
 from dirsubdiff.corpus import _exp_arguments_bounded
-from dirsubdiff.deriv import dirderiv_transform
+from dirsubdiff.deriv import dirderiv, dirderiv_transform
 from dirsubdiff.expr import (
     Affine,
     ArityError,
@@ -15,6 +15,7 @@ from dirsubdiff.expr import (
     Min,
     Product,
     Quotient,
+    SMOOTH_KINDS,
     SmoothCompose,
     SmoothUnary,
     Var,
@@ -29,6 +30,7 @@ from dirsubdiff.expr import (
     vmax,
     vmin,
 )
+from dirsubdiff.oracle import dini_fd
 from dirsubdiff.parser import parse
 
 
@@ -88,6 +90,28 @@ def test_smooth_primitives():
     assert evaluate(sqr(x), (3.0,)) == 9.0
     assert evaluate(SmoothUnary("sqrt", x), (4.0,)) == 2.0
     assert evaluate(powk(x, 5), (2.0,)) == 32.0
+
+
+#: kind -> (pow exponent, interior point, reference value); every kind of
+#: SMOOTH_KINDS needs a row
+SMOOTH_CASES = {
+    "sin": (0, 0.7, math.sin),
+    "cos": (0, 0.7, math.cos),
+    "exp": (0, 0.7, math.exp),
+    "log": (0, 2.5, math.log),
+    "sqr": (0, -1.3, lambda v: v * v),
+    "sqrt": (0, 2.5, math.sqrt),
+    "pow": (3, -1.3, lambda v: v**3),
+}
+
+
+@pytest.mark.parametrize("kind", SMOOTH_KINDS)
+def test_smooth_primitive_value_and_slope(kind):
+    k, v, reference = SMOOTH_CASES[kind]
+    e = SmoothUnary(kind, var(0), k)
+    assert evaluate(e, (v,)) == reference(v)
+    for l in (1.0, -1.0):
+        assert dirderiv(e, (v,), (l,)) == pytest.approx(dini_fd(e, (v,), (l,)), rel=1e-7)
 
 
 def test_domain_errors():

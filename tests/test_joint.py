@@ -25,7 +25,7 @@ SPHERE = SphereGrid.sphere(2, 4, 8)
 def _outcome(run):
     info = ActiveSetInfo()
     try:
-        out = [s.to_json() for s in run(info)]
+        out = [s.to_json(indent=None) for s in run(info)]
     except (DomainError, ArityError) as exc:
         out = (type(exc), str(exc))
     return out, info

@@ -48,7 +48,7 @@ def assert_agree(e, x, grid):
         assert str(caught.value) == str(exc)
         return
     got = directed_subdiff(e, x, grid, info=got_info)
-    assert got.to_json() == want.to_json()
+    assert got.to_json(indent=None) == want.to_json(indent=None)
     assert got_info == want_info
 
 

@@ -1,8 +1,21 @@
+import logging
 import math
 
 import pytest
 
-from dirsubdiff.dirset import DirectedInterval, SphereGrid, distance, embed_polygon
+from dirsubdiff import theorems
+from dirsubdiff.dirset import (
+    ACTIVE_RTOL,
+    DirectedInterval,
+    DirectedSet,
+    SphereGrid,
+    directed_zero,
+    distance,
+    embed_polygon,
+    inf,
+    leq,
+    sup,
+)
 from dirsubdiff.engine import directed_subdiff
 from dirsubdiff.expr import DomainError
 from dirsubdiff.parser import parse
@@ -353,3 +366,67 @@ def test_guard_can_be_disabled():
     r = verify_max_rule([parse("x1"), parse("x1 + 4e-9")], (0.0,), guard=False)
     assert r.passed
     assert "borderline_active_set" not in r.metadata
+
+
+def test_guard_records_and_logs_a_verdict_flip(caplog):
+    # a stub rule: borderline at every tolerance, failing at the requested
+    # one and passing at the tenfold rerun
+    def compute(rtol, info):
+        info.borderline = True
+        gap = 1.0 if rtol == ACTIVE_RTOL else 0.0
+        return DirectedSet.leaf(0.0, 0.0), DirectedSet.leaf(gap, gap)
+
+    with caplog.at_level(logging.WARNING, logger="dirsubdiff.theorems"):
+        r = theorems._guarded_report("stub", compute, (0.0,))
+    assert not r.passed
+    assert r.metadata == {"borderline_active_set": True, "active_guard_flip": True}
+    assert "verdict of stub at (0.0,) flips under a tenfold" in caplog.text
+
+
+# ---------------------------------------------------------------------------
+# tolerances
+
+BAD_TOLERANCES = [math.nan, -1.0, math.inf]
+KINK = parse("max(x1, x2)")
+ORIGIN = (0.0, 0.0)
+G8 = SphereGrid.circle(8)
+
+#: entry point -> call with a bad active-set tolerance
+ACTIVE_RTOL_CALLS = {
+    "sup": lambda bad: sup(
+        [directed_subdiff(KINK, ORIGIN, G8), directed_subdiff(parse("x1"), ORIGIN, G8)], bad),
+    "inf": lambda bad: inf(
+        [directed_subdiff(KINK, ORIGIN, G8), directed_subdiff(parse("x1"), ORIGIN, G8)], bad),
+    "directed_subdiff": lambda bad: directed_subdiff(KINK, ORIGIN, G8, bad),
+    "verify_max_rule": lambda bad: verify_max_rule(
+        [parse("x1"), parse("x2")], ORIGIN, G8, active_rtol=bad),
+    "check_min_condition": lambda bad: check_min_condition(KINK, ORIGIN, G8, active_rtol=bad),
+    "mvt_witness": lambda bad: mvt_witness(parse("abs(x1)"), (-1.0,), (2.0,), active_rtol=bad),
+}
+
+#: entry point -> call with a bad order or witness tolerance
+EPS_CALLS = {
+    "leq": lambda bad: leq(directed_zero(2, G8), directed_subdiff(KINK, ORIGIN, G8), bad),
+    "check_min_condition": lambda bad: check_min_condition(parse("x1"), ORIGIN, G8, eps=bad),
+    "check_max_condition": lambda bad: check_max_condition(parse("x1"), ORIGIN, G8, eps=bad),
+    "mvt_witness": lambda bad: mvt_witness(parse("abs(x1)"), (-1.0,), (2.0,), eps=bad),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+@pytest.mark.parametrize("entry", ACTIVE_RTOL_CALLS)
+def test_bad_active_rtol_is_rejected(entry, bad):
+    with pytest.raises(ValueError, match="active_rtol must be finite and >= 0"):
+        ACTIVE_RTOL_CALLS[entry](bad)
+
+
+@pytest.mark.parametrize("bad", BAD_TOLERANCES)
+@pytest.mark.parametrize("entry", EPS_CALLS)
+def test_bad_eps_is_rejected(entry, bad):
+    with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+        EPS_CALLS[entry](bad)
+
+
+def test_zero_tolerances_are_accepted():
+    assert check_min_condition(KINK, ORIGIN, G8, eps=0.0, active_rtol=0.0) is False
+    assert leq(directed_zero(2, G8), directed_zero(2, G8), 0.0)
