@@ -31,9 +31,8 @@ from .expr import ArityError, DomainError, evaluate
 from .parser import parse
 from .theorems import (
     WitnessNotFoundError,
-    check_max_condition,
-    check_min_condition,
     mvt_witness,
+    order_condition,
     verify_chain_rule_1d,
     verify_dirderiv_fixpoint,
     verify_max_rule,
@@ -67,15 +66,10 @@ def _parse_point(text: str) -> tuple[float, ...]:
 
 
 def _grid_for(n: int, resolution: int) -> SphereGrid | None:
-    if n == 1:
-        return None
-    if resolution < 8:
+    """The ``-M`` circle for a 2-D point, :func:`default_grid` for any other."""
+    if n > 1 and resolution < 8:
         raise ValueError("resolution must be at least 8")
-    if n == 2:
-        return SphereGrid.circle(resolution)
-    if n == 3:
-        return default_grid(3)
-    raise ValueError("points beyond dimension 3 are not supported")
+    return SphereGrid.circle(resolution) if n == 2 else default_grid(n)
 
 
 def _emit_json(payload, path: str | None) -> None:
@@ -193,6 +187,10 @@ def _random_instances(args, rules):
 def cmd_verify(args) -> int:
     if args.random < 0:
         raise ValueError(f"--random needs N >= 0, got {args.random}")
+    flags = {"-f1": args.f1, "-f2": args.f2, "--fs": args.fs, "--phi": args.phi, "-x": args.point}
+    given = [flag for flag, value in flags.items() if value is not None]
+    if args.random and given:
+        raise ValueError(f"--random draws its own instances; drop {', '.join(given)}")
     rules = RULES if args.rule == "all" else (args.rule,)
     instances = (_random_instances if args.random else _explicit_instances)(args, rules)
     reports = [_verifier(rule)(*inst, active_rtol=args.eps_active) for rule, inst in instances]
@@ -213,8 +211,8 @@ def cmd_verify(args) -> int:
 def cmd_optcheck(args) -> int:
     e = parse(args.function)
     x, grid = _at_point(_parse_point(args.point), args.resolution, e)
-    is_min = check_min_condition(e, x, grid, eps=args.eps_order, active_rtol=args.eps_active)
-    is_max = check_max_condition(e, x, grid, eps=args.eps_order, active_rtol=args.eps_active)
+    s = directed_subdiff(e, x, grid, active_rtol=args.eps_active)
+    is_min, is_max = (order_condition(s, args.eps_order, maximize) for maximize in (False, True))
     print(f"min-candidate: {'yes' if is_min else 'no'}")
     print(f"max-candidate: {'yes' if is_max else 'no'}")
     return 0
@@ -261,18 +259,23 @@ def cmd_viz(args) -> int:
     return 0
 
 
-def _add_common(sp, point_required=True):
-    sp.add_argument("-M", "--resolution", type=int, default=_default_resolution(),
-                    help="circle grid resolution for 2-D points (default 360, "
-                         f"or ${RESOLUTION_ENV})")
+_OUTPUTS = {"--json": "write JSON here instead of stdout",
+            "--csv": "write segment CSV here", "--svg": "write segment SVG here"}
+
+
+def _add_common(sp, resolution=True, eps_order=None, outputs=()):
+    """Add ``--eps-active`` and those other shared flags the subcommand reads."""
+    if resolution:
+        sp.add_argument("-M", "--resolution", type=int, default=_default_resolution(),
+                        help="circle grid resolution for 2-D points (default 360, "
+                             f"or ${RESOLUTION_ENV})")
     sp.add_argument("--eps-active", type=float, default=ACTIVE_RTOL,
                     help="relative active-set tolerance (default 1e-9)")
-    sp.add_argument("--eps-order", type=float, default=1e-9,
-                    help="order/witness tolerance (default 1e-9; mvt uses 1e-8)")
-    sp.add_argument("--json", metavar="PATH", default=None,
-                    help="write JSON here instead of stdout")
-    sp.add_argument("--csv", metavar="PATH", default=None, help="write segment CSV here")
-    sp.add_argument("--svg", metavar="PATH", default=None, help="write segment SVG here")
+    if eps_order is not None:
+        sp.add_argument("--eps-order", type=float, default=eps_order,
+                        help=f"order/witness tolerance (default {eps_order:g})")
+    for flag in outputs:
+        sp.add_argument(flag, metavar="PATH", default=None, help=_OUTPUTS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("subdiff", help="compute a directed subdifferential")
     p.add_argument("-f", "--function", required=True)
     p.add_argument("-x", "--point", required=True, help="comma-separated coordinates")
-    _add_common(p)
+    _add_common(p, outputs=_OUTPUTS)
     p.set_defaults(func=cmd_subdiff)
 
     p = sub.add_parser("verify", help="check calculus rules on instances")
@@ -304,13 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", type=int, default=0, metavar="N",
                    help="run N seeded random instances per rule instead")
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    _add_common(p, outputs=("--json",))
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("optcheck", help="order-based optimality conditions")
     p.add_argument("-f", "--function", required=True)
     p.add_argument("-x", "--point", required=True)
-    _add_common(p)
+    _add_common(p, eps_order=1e-9)
     p.set_defaults(func=cmd_optcheck)
 
     p = sub.add_parser("mvt", help="mean-value witness search")
@@ -318,16 +321,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", required=True, help="segment start (comma-separated)")
     p.add_argument("--x1", required=True, help="segment end")
     p.add_argument("--scan", type=int, default=99, help="interior scan points (default 99)")
-    _add_common(p)
+    _add_common(p, resolution=False, eps_order=1e-8)
     p.set_defaults(func=cmd_mvt)
-    p.set_defaults(eps_order=1e-8)
 
     p = sub.add_parser("viz", help="export 2-D segments from a set or a function")
     p.add_argument("-f", "--function", default=None)
     p.add_argument("-x", "--point", default=None)
     p.add_argument("--in", dest="input", default=None, metavar="PATH",
                    help="read a DirectedSet JSON file")
-    _add_common(p)
+    _add_common(p, outputs=("--csv", "--svg"))
     p.set_defaults(func=cmd_viz)
 
     return parser

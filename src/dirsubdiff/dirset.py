@@ -227,13 +227,18 @@ class SphereGrid:
         """Rebuild a grid (and its nested sub-grids), re-hashing each one.
 
         Raises :class:`GridMismatchError` when a stored id does not match the
-        recomputed content hash.
+        recomputed content hash, and ``ValueError`` on a document of the
+        wrong shape.
         """
-        subgrid = cls.from_json_dict(d["subgrid"]) if "subgrid" in d else None
-        rebuilt = cls._from_parts(d["dim"], d["resolution"], d["directions"], subgrid)
-        if rebuilt.id != d["id"]:
+        try:
+            subgrid = cls.from_json_dict(d["subgrid"]) if "subgrid" in d else None
+            rebuilt = cls._from_parts(d["dim"], d["resolution"], d["directions"], subgrid)
+            stored = d["id"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed grid document: {exc!r}") from exc
+        if rebuilt.id != stored:
             raise GridMismatchError(
-                f"grid content hash mismatch: stored {d['id']!r}, recomputed {rebuilt.id!r}"
+                f"grid content hash mismatch: stored {stored!r}, recomputed {rebuilt.id!r}"
             )
         return rebuilt
 
@@ -502,8 +507,16 @@ class DirectedSet:
         Raises :class:`GridMismatchError` when a stored grid id does not match
         its content, and ``ValueError`` on a wrong format tag (a dimension
         n >= 3 document must carry ``"format": 2``), a wrong array length or
-        a non-finite value.
+        a non-finite value.  A document of the wrong shape, a missing key or
+        a value of the wrong type, raises ``ValueError`` too.
         """
+        try:
+            return cls._decode(d)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed directed set document: {exc!r}") from exc
+
+    @classmethod
+    def _decode(cls, d) -> "DirectedSet":
         dim = d["dim"]
         fmt, want = d.get("format", 1), (2 if dim >= 3 else 1)
         if fmt != want:

@@ -47,7 +47,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_NUMBER = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _VARIABLE = re.compile(r"x(\d+)\Z")
 
@@ -67,10 +67,14 @@ MAX_NESTING = 100
 
 
 def _tokenize(text: str):
+    """Split ``text`` into tokens.  Only ASCII is read: any other character,
+    a Unicode digit or letter included, is a :class:`ParseError`."""
     tokens = []
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
+        if not ch.isascii():
+            raise ParseError(f"unexpected character {ch!r}", i)
         if ch.isspace():
             i += 1
             continue

@@ -287,11 +287,9 @@ def verify_dirderiv_fixpoint(
 # optimality conditions
 
 
-def _order_condition(f, x, grid, eps, active_rtol, maximize) -> bool:
-    """The directed zero lies below ``-D(f)(x)`` (``maximize``) or ``D(f)(x)``."""
-    xs = as_point(x)
-    s = directed_subdiff(f, xs, grid, active_rtol)
-    return leq(directed_zero(len(xs), grid), scale(-1.0, s) if maximize else s, eps)
+def order_condition(s: DirectedSet, eps: float, maximize: bool) -> bool:
+    """The minimum condition ``0 <= s`` on ``s = D(f)(x)``, or with ``maximize`` ``0 <= -s``."""
+    return leq(directed_zero(s.dim, s.grid), scale(-1.0, s) if maximize else s, eps)
 
 
 def check_min_condition(
@@ -302,7 +300,7 @@ def check_min_condition(
     active_rtol: float = ACTIVE_RTOL,
 ) -> bool:
     """Necessary minimum condition: the directed zero lies below ``D(f)(x)``."""
-    return _order_condition(f, x, grid, eps, active_rtol, False)
+    return order_condition(directed_subdiff(f, x, grid, active_rtol), eps, False)
 
 
 def check_max_condition(
@@ -313,7 +311,7 @@ def check_max_condition(
     active_rtol: float = ACTIVE_RTOL,
 ) -> bool:
     """Necessary maximum condition: the directed zero lies below ``-D(f)(x)``."""
-    return _order_condition(f, x, grid, eps, active_rtol, True)
+    return order_condition(directed_subdiff(f, x, grid, active_rtol), eps, True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from dirsubdiff import cli
+from dirsubdiff import cli, engine
 from dirsubdiff.cli import main
-from dirsubdiff.dirset import DirectedSet
-from dirsubdiff.theorems import VerificationReport
+from dirsubdiff.dirset import DirectedSet, SphereGrid, directed_zero
+from dirsubdiff.parser import parse
+from dirsubdiff.theorems import VerificationReport, check_max_condition, check_min_condition
 
 
 def run(capsys, *argv):
@@ -401,3 +403,176 @@ def test_json_output_is_byte_identical(tmp_path, capsys, argv, digest):
     path = tmp_path / "out.json"
     assert run(capsys, *argv, "--json", str(path))[0] == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# inputs that end in an input error, and paths no other test runs
+
+
+def one_error_line(rc, out, err, message):
+    return (rc, out) == (2, "") and (
+        err.startswith("error: ") and message in err and err.count("\n") == 1
+    )
+
+
+@pytest.mark.parametrize("function, message", [
+    ("é", "unexpected character 'é' (at position 0)"),
+    ("x1 + ١", "unexpected character '١' (at position 5)"),
+])
+def test_subdiff_non_ascii_is_a_parse_error(capsys, function, message):
+    assert one_error_line(*run(capsys, "subdiff", "-f", function, "-x", "0"), message)
+
+
+def test_subdiff_4d_point_has_no_default_grid(capsys):
+    rc, out, err = run(capsys, "subdiff", "-f", "x1+x4", "-x", "0,0,0,0")
+    assert one_error_line(rc, out, err, "no default grid for dimension 4")
+
+
+def test_viz_needs_a_2d_point(tmp_path, capsys):
+    rc, out, err = run(capsys, "viz", "-f", "x1", "-x", "0,0,0", "--csv", str(tmp_path / "x.csv"))
+    assert one_error_line(rc, out, err, "viz needs a 2-D point")
+
+
+def _plane():
+    return directed_zero(2, SphereGrid.circle(4)).to_json_dict()
+
+
+def _without(d, key):
+    return {k: v for k, v in d.items() if k != key}
+
+
+_MALFORMED_DOCUMENTS = {
+    "no-dim": _without(_plane(), "dim"),
+    "lower-without-a_neg": {**_plane(), "entries": [
+        {"support": 0.0, "lower": _without(e["lower"], "a_neg")} for e in _plane()["entries"]]},
+    "null-support": {**_plane(), "entries": [{**e, "support": None} for e in _plane()["entries"]]},
+    "entries-5": {**_plane(), "entries": 5},
+    "list": [_plane()],
+    "dim-string": {**_plane(), "dim": "2"},
+}
+
+
+@pytest.mark.parametrize("doc", _MALFORMED_DOCUMENTS.values(), ids=_MALFORMED_DOCUMENTS)
+def test_malformed_document_is_an_input_error(tmp_path, capsys, doc):
+    with pytest.raises(ValueError, match="malformed directed set document"):
+        DirectedSet.from_json_dict(doc)
+    stored = tmp_path / "doc.json"
+    stored.write_text(json.dumps(doc))
+    csv_path = tmp_path / "x.csv"
+    rc, out, err = run(capsys, "viz", "--in", str(stored), "--csv", str(csv_path))
+    assert one_error_line(rc, out, err, "malformed directed set document")
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("-f1", "abs(x1)"), "-f1"),
+    (("-f2", "x1"), "-f2"),
+    (("--fs", "x1", "--fs", "x2"), "--fs"),
+    (("--phi", "x1"), "--phi"),
+    (("-x", "0"), "-x"),
+    (("-f1", "abs(x1)", "-f2", "x1", "-x", "0"), "-f1, -f2, -x"),
+])
+def test_verify_random_rejects_instance_flags(capsys, flags, named):
+    rc, out, err = run(capsys, "verify", "--rule", "sum", "--random", "2", "-M", "16", *flags)
+    assert one_error_line(rc, out, err, f"--random draws its own instances; drop {named}")
+
+
+def test_verify_random_zero_reads_the_instance_flags(capsys):
+    rc, out, _ = run(capsys, "verify", "--rule", "sum", "--random", "0", "-f1", "abs(x1)",
+                     "-x", "0")
+    assert rc == 0
+    # abs(x1) + x1 at 0: D = [0, 2], stored as the supports (0, 2) at -1 and +1
+    assert json.loads(out)[0]["lhs"] == {"dim": 1, "a_neg": 0.0, "a_pos": 2.0}
+
+
+@pytest.mark.parametrize("flags", [("-f1", "abs(x1)"), ("--fs", "abs(x1)", "--fs", "x2")],
+                         ids=["f1", "first-fs-member"])
+def test_verify_fixpoint_operand(capsys, flags):
+    rc, out, _ = run(capsys, "verify", "--rule", "fixpoint", *flags, "-x", "0,0", "-M", "16")
+    assert rc == 0
+    report = json.loads(out)[0]
+    assert report["rule"] == "fixpoint" and report["pass"] is True
+    # the transform of abs(x1) at the origin is abs(x1) itself: |l_1| at l = (1, 0)
+    assert report["lhs"]["entries"][0]["support"] == 1.0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("fixpoint", "-x", "0"), "rule fixpoint needs -f1"),
+    (("chain1d", "-f1", "max(x1, x2)"), "rule chain1d needs -f1 (outer) and --phi"),
+    (("taylor", "-f1", "abs(x1)", "-x", "0"), "rule taylor needs -f1 (outer) and --phi"),
+])
+def test_verify_missing_operands(capsys, argv, message):
+    assert one_error_line(*run(capsys, "verify", "--rule", *argv), message)
+
+
+# ---------------------------------------------------------------------------
+# each subcommand accepts only the shared flags it reads
+
+_SHARED_FLAGS = {"-M", "--eps-active", "--eps-order", "--json", "--csv", "--svg"}
+_READS = {
+    "subdiff": {"-M", "--eps-active", "--json", "--csv", "--svg"},
+    "verify": {"-M", "--eps-active", "--json"},
+    "optcheck": {"-M", "--eps-active", "--eps-order"},
+    "mvt": {"--eps-active", "--eps-order"},
+    "viz": {"-M", "--eps-active", "--csv", "--svg"},
+}
+_BASE_ARGV = {
+    "subdiff": ("-f", "abs(x1)", "-x", "0,0"),
+    "verify": ("--rule", "sum", "-x", "0"),
+    "optcheck": ("-f", "abs(x1)", "-x", "0,0"),
+    "mvt": ("-f", "abs(x1)", "--x0=-1", "--x1", "2"),
+    "viz": ("-f", "abs(x1)", "-x", "0,0", "--svg", "unused.svg"),
+}
+
+
+def test_subcommands_accept_the_shared_flags_they_read():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(_READS)
+    for name, subparser in sub.choices.items():
+        options = {s for a in subparser._actions for s in a.option_strings}
+        assert options & _SHARED_FLAGS == _READS[name], name
+
+
+@pytest.mark.parametrize("command, flag", [
+    (c, f) for c in _READS for f in sorted(_SHARED_FLAGS - _READS[c])
+])
+def test_unread_flag_is_a_usage_error(tmp_path, capsys, monkeypatch, command, flag):
+    monkeypatch.chdir(tmp_path)
+    value = "16" if flag == "-M" else "1e-3" if flag.startswith("--eps") else "out.file"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *_BASE_ARGV[command], flag, value])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# ---------------------------------------------------------------------------
+# optcheck reads both conditions off one set
+
+
+@pytest.mark.parametrize("function, point", [
+    ("max(x1,x2,x3,-x1-x2-x3)+abs(x1)", "0,0,0"),
+    ("abs(x1) + abs(x2)", "0,0"),
+    ("-(abs(x1) + abs(x2))", "0,0"),
+    ("x1*x1 - x2*x2", "0,0"),
+    ("-abs(x1)", "0"),
+])
+def test_optcheck_computes_one_set(capsys, monkeypatch, function, point):
+    calls = []
+    original = engine.directed_subdiffs
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "directed_subdiffs", counting)
+    argv = (f"--function={function}", "-x", point) + (("-M", "16") if "," in point else ())
+    rc, out, _ = run(capsys, "optcheck", *argv)
+    assert rc == 0 and len(calls) == 1
+    monkeypatch.undo()
+    x = tuple(float(v) for v in point.split(","))
+    grid = cli._grid_for(len(x), 16)
+    e = parse(function)
+    assert out == (f"min-candidate: {'yes' if check_min_condition(e, x, grid) else 'no'}\n"
+                   f"max-candidate: {'yes' if check_max_condition(e, x, grid) else 'no'}\n")

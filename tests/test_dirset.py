@@ -386,3 +386,16 @@ def test_embedding_monotone_under_inclusion():
         far = (max(x for x, _ in p) * 2.0 + 1.0, 0.0)
         q = list(p) + [far]
         assert leq(embed_polygon(p, g), embed_polygon(q, g), 1e-9)
+
+
+def test_json_decoder_shape_errors():
+    plane = directed_zero(2, SphereGrid.circle(4)).to_json_dict()
+    sphere = SphereGrid.sphere(2, 4, 8).to_json_dict()
+    with pytest.raises(ValueError, match="dimension 2 carries a 3-D grid"):
+        DirectedSet.from_json_dict({**plane, "grid": sphere})
+    plane["entries"][1]["lower"]["dim"] = 2
+    with pytest.raises(ValueError, match="lower components of a 2-D set must be 1-D"):
+        DirectedSet.from_json_dict(plane)
+    for bad in ({k: v for k, v in sphere.items() if k != "id"}, {**sphere, "directions": 5}):
+        with pytest.raises(ValueError, match="malformed grid document"):
+            SphereGrid.from_json_dict(bad)

@@ -126,3 +126,26 @@ def test_nesting_up_to_the_cap_parses():
     assert evaluate(parse("-" * MAX_NESTING + "x1"), (2.0,)) == 2.0
     calls = parse("sin(" * MAX_NESTING + "x1 + x2" + ")" * MAX_NESTING)
     assert len(directed_subdiff(calls, (0.3, 0.1), SphereGrid.circle(8)).supports) == 8
+
+
+@pytest.mark.parametrize("text, message, position", [
+    # only ASCII is read: a Unicode letter or digit is not a name or a number
+    ("é", "unexpected character 'é'", 0),
+    ("x1 + ١", "unexpected character '١'", 5),
+    ("1١", "unexpected character '١'", 1),
+    ("y", "unknown identifier 'y'", 0),
+    ("pow(x1)", "pow takes exactly two arguments", 0),
+    ("pow(x1, 2, 3)", "pow takes exactly two arguments", 0),
+    ("1 + sin(x1, x2)", "sin takes exactly one argument", 4),
+])
+def test_parse_error_messages_and_positions(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert message in str(err.value)
+    assert err.value.position == position
+
+
+def test_unary_plus():
+    e = parse("+x1")
+    assert isinstance(e, Var) and e.index == 0
+    assert evaluate(parse("2 * +x1"), (1.5,)) == 3.0
