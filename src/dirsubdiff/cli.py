@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .corpus import (
@@ -44,18 +43,7 @@ from .theorems import (
 )
 from .viz import viz_segments, write_segments_csv, write_segments_svg
 
-RESOLUTION_ENV = "DIRSUBDIFF_RESOLUTION"
 RULES = ("sum", "product", "quotient", "max", "min", "fixpoint", "taylor", "chain1d")
-
-
-def _default_resolution() -> int:
-    raw = os.environ.get(RESOLUTION_ENV)
-    if raw is None:
-        return 360
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{RESOLUTION_ENV} must be an integer, got {raw!r}") from exc
 
 
 def _parse_point(text: str) -> tuple[float, ...]:
@@ -266,9 +254,8 @@ _OUTPUTS = {"--json": "write JSON here instead of stdout",
 def _add_common(sp, resolution=True, eps_order=None, outputs=()):
     """Add ``--eps-active`` and those other shared flags the subcommand reads."""
     if resolution:
-        sp.add_argument("-M", "--resolution", type=int, default=_default_resolution(),
-                        help="circle grid resolution for 2-D points (default 360, "
-                             f"or ${RESOLUTION_ENV})")
+        sp.add_argument("-M", "--resolution", type=int, default=360,
+                        help="circle grid resolution for 2-D points (default 360)")
     sp.add_argument("--eps-active", type=float, default=ACTIVE_RTOL,
                     help="relative active-set tolerance (default 1e-9)")
     if eps_order is not None:

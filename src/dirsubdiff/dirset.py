@@ -48,9 +48,6 @@ from .basis import orthobasis
 #: relative scale of the active-set tolerance: eps = ACTIVE_RTOL * (1 + |extreme|)
 ACTIVE_RTOL = 1e-9
 
-#: absolute tie tolerance when grouping supporting-face vertices
-FACE_TIE_TOL = 1e-12
-
 
 class GridMismatchError(ValueError):
     """Operands carry sphere grids with different content ids."""
@@ -83,8 +80,9 @@ def active_members(values, rtol: float, maximize: bool, info: ActiveSetInfo | No
     The extreme ``m`` is the maximum (``maximize``) or the minimum; a member
     is active when its gap to ``m`` is at most ``eps = rtol * (1 + |m|)``.
     This one rule serves the derivative transform, :func:`sup`/:func:`inf`
-    and the max/min rule verifiers, so both sides of the max/min rules agree
-    on which members count.  ``info`` collects the tie and borderline flags;
+    (and through :func:`sup` the faces of :func:`embed_polygon`) and the
+    max/min rule verifiers, so both sides of the max/min rules agree on
+    which members count.  ``info`` collects the tie and borderline flags;
     a member is borderline when its gap lies in ``(eps, 10 eps]``.  Each gap
     is classified once (``two_pass_active_members`` in
     ``tests/references.py`` lists them first).  ``rtol`` must be finite and
@@ -228,13 +226,14 @@ class SphereGrid:
 
         Raises :class:`GridMismatchError` when a stored id does not match the
         recomputed content hash, and ``ValueError`` on a document of the
-        wrong shape.
+        wrong shape, including a dimension or resolution that does not fit
+        the 64-bit integers of the content hash.
         """
         try:
             subgrid = cls.from_json_dict(d["subgrid"]) if "subgrid" in d else None
             rebuilt = cls._from_parts(d["dim"], d["resolution"], d["directions"], subgrid)
             stored = d["id"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, struct.error) as exc:
             raise ValueError(f"malformed grid document: {exc!r}") from exc
         if rebuilt.id != stored:
             raise GridMismatchError(
@@ -551,7 +550,12 @@ class DirectedSet:
 
     @classmethod
     def from_json(cls, text: str) -> "DirectedSet":
-        return cls.from_json_dict(json.loads(text))
+        """:meth:`from_json_dict` of the decoded ``text``; a document nested
+        too deeply to decode raises ``ValueError``."""
+        try:
+            return cls.from_json_dict(json.loads(text))
+        except RecursionError:
+            raise ValueError("directed set document nested too deeply to decode") from None
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +598,12 @@ def embed_point(point, grid: SphereGrid | None = None) -> DirectedSet:
 def embed_polygon(vertices, grid: SphereGrid) -> DirectedSet:
     """Embed the convex hull of 2-D ``vertices`` as a directed set.
 
-    The hull is implicit: for each grid direction the support is the maximum
-    of ``<l, v>`` over all vertices and the lower component is the embedded
-    projection of the supporting face (all vertices tying for the maximum
-    within :data:`FACE_TIE_TOL`) onto the fixed tangent axis.  Degenerate
-    inputs (single point, two points, collinear points) are fine.
+    The hull is implicit: it is the :func:`sup` of the embedded vertices, so
+    for each grid direction the support is the maximum of ``<l, v>`` over all
+    vertices and the lower component is the embedded projection of the
+    supporting face (the vertices that :func:`active_members` finds active)
+    onto the fixed tangent axis.  Degenerate inputs (single point, two
+    points, collinear points) are fine.
     """
     verts = [tuple(float(c) for c in v) for v in vertices]
     if not verts:
@@ -610,20 +615,7 @@ def embed_polygon(vertices, grid: SphereGrid) -> DirectedSet:
             raise ValueError("polygon vertices must be finite")
     if grid.dim != 2:
         raise ValueError("polygon embedding needs a 2-D grid")
-    supports, a_neg, a_pos = [], [], []
-    for l, rows in zip(grid.directions, grid.tangent_rows):
-        vals = [l[0] * v[0] + l[1] * v[1] for v in verts]
-        m = max(vals)
-        r = (rows[0][0], rows[1][0])
-        projs = [
-            r[0] * v[0] + r[1] * v[1]
-            for v, val in zip(verts, vals)
-            if m - val <= FACE_TIE_TOL
-        ]
-        supports.append(m)
-        a_neg.append(-min(projs))
-        a_pos.append(max(projs))
-    return DirectedSet(grid, (supports,), a_neg, a_pos)
+    return sup([embed_point(v, grid) for v in verts])
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ a tree, so neither a long chain nor a deep nesting takes Python frames.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 class ExprError(Exception):
@@ -140,6 +140,46 @@ class Expr:
     def __call__(self, *point: float) -> float:
         return evaluate(self, point)
 
+    def __repr__(self) -> str:
+        """The dataclass text of the tree, built on its own stack.
+
+        Leaves print inline.  A composite node prints in full where it is
+        first reached and as ``<Kind #k>`` after that, ``k`` counting the
+        composite nodes from 0 in the order they print in full.  So the text
+        grows with the number of distinct nodes, and a tree in which no
+        composite node is reached twice prints as the recursive dataclass
+        repr would.
+        """
+        out, numbers = [], {}
+        stack = [self]
+        while stack:
+            item = stack.pop()
+            if type(item) is str:
+                out.append(item)
+                continue
+            kind = type(item).__qualname__
+            if item in numbers:
+                out.append(f"<{kind} #{numbers[item]}>")
+                continue
+            if item.children:
+                numbers[item] = len(numbers)
+            parts = [kind + "("]
+            for i, f in enumerate(fld for fld in fields(item) if fld.repr):
+                value = getattr(item, f.name)
+                parts.append(f"{', ' if i else ''}{f.name}=")
+                if isinstance(value, Expr):
+                    parts.append(value)
+                elif type(value) is tuple and value and isinstance(value[0], Expr):
+                    parts.append("(")
+                    for c in value:
+                        parts += (c, ", ")
+                    parts[-1] = ",)" if len(value) == 1 else ")"
+                else:
+                    parts.append(repr(value))
+            parts.append(")")
+            stack += reversed(parts)
+        return "".join(out)
+
     def _eval(self, xs, memos: list | None = None) -> float:
         """Value at the float tuple ``xs``, unchecked: the one evaluator of
         expressions, run on :func:`walk` (which stores the leaves' values).
@@ -182,7 +222,7 @@ class Expr:
         return [self._eval(tuple([float(i == j) for i in range(n)])) for j in range(n)]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class Var(Expr):
     """Input coordinate ``x_{index+1}`` (indices start at 0)."""
 
@@ -197,7 +237,7 @@ class Var(Expr):
     children = ()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class Const(Expr):
     value: float
     arity: int = field(init=False, repr=False)
@@ -215,7 +255,7 @@ class Const(Expr):
 _ZERO = Const(0.0)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class SmoothUnary(Expr):
     """Smooth primitive applied to a subexpression.
 
@@ -241,7 +281,7 @@ class SmoothUnary(Expr):
         return (self.child,)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class Affine(Expr):
     """Affine substitution: ``y -> child(offset + matrix @ y)``.
 
@@ -294,7 +334,7 @@ class Affine(Expr):
         return tuple(out)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class LinComb(Expr):
     """``alpha * left + beta * right`` with real coefficients."""
 
@@ -317,7 +357,7 @@ class LinComb(Expr):
         return (self.left, self.right)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class Product(Expr):
     left: Expr
     right: Expr
@@ -331,7 +371,7 @@ class Product(Expr):
         return (self.left, self.right)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class Quotient(Expr):
     num: Expr
     den: Expr
@@ -345,7 +385,7 @@ class Quotient(Expr):
         return (self.num, self.den)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class Max(Expr):
     """Pointwise maximum of two or more subexpressions."""
 
@@ -360,7 +400,7 @@ class Max(Expr):
         object.__setattr__(self, "arity", max(c.arity for c in kids))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class Min(Expr):
     """Pointwise minimum of two or more subexpressions."""
 
@@ -375,7 +415,7 @@ class Min(Expr):
         object.__setattr__(self, "arity", max(c.arity for c in kids))
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, repr=False)
 class SmoothCompose(Expr):
     """``outer(inner_1(x), ..., inner_m(x))`` with smooth inner components.
 

@@ -7,6 +7,7 @@ import pytest
 from dirsubdiff import cli, engine
 from dirsubdiff.cli import main
 from dirsubdiff.dirset import DirectedSet, SphereGrid, directed_zero
+from dirsubdiff.expr import DomainError
 from dirsubdiff.parser import parse
 from dirsubdiff.theorems import VerificationReport, check_max_condition, check_min_condition
 
@@ -130,18 +131,14 @@ def test_resolution_floor(capsys):
     assert "at least 8" in err
 
 
-def test_resolution_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("DIRSUBDIFF_RESOLUTION", "16")
+@pytest.mark.parametrize("value", ["16", "many"])
+def test_environment_does_not_set_the_resolution(monkeypatch, capsys, value):
+    # -M has one default; no environment variable changes it
+    monkeypatch.setenv("DIRSUBDIFF_RESOLUTION", value)
     rc, out, _ = run(capsys, "subdiff", "-f", "abs(x1)", "-x", "0,0")
     assert rc == 0
-    assert json.loads(out)["grid"]["resolution"] == [16]
-
-
-def test_resolution_env_var_invalid(monkeypatch, capsys):
-    monkeypatch.setenv("DIRSUBDIFF_RESOLUTION", "many")
-    rc, _, err = run(capsys, "subdiff", "-f", "abs(x1)", "-x", "0,0")
-    assert rc == 2
-    assert "DIRSUBDIFF_RESOLUTION" in err
+    grid = json.loads(out)["grid"]
+    assert grid["resolution"] == [360] and len(grid["directions"]) == 360
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +459,36 @@ def test_malformed_document_is_an_input_error(tmp_path, capsys, doc):
     rc, out, err = run(capsys, "viz", "--in", str(stored), "--csv", str(csv_path))
     assert one_error_line(rc, out, err, "malformed directed set document")
     assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("field, value", [("resolution", [2**70]), ("dim", 2**70)],
+                         ids=["resolution", "dim"])
+def test_grid_integer_past_64_bits_is_an_input_error(tmp_path, capsys, field, value):
+    # the grid's content hash packs its dimension and resolution as 64-bit integers
+    doc = {**_plane(), "grid": {**_plane()["grid"], field: value}}
+    with pytest.raises(ValueError, match="malformed grid document"):
+        DirectedSet.from_json_dict(doc)
+    stored = tmp_path / "doc.json"
+    stored.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "viz", "--in", str(stored), "--csv", str(tmp_path / "x.csv"))
+    assert one_error_line(rc, out, err, "malformed grid document")
+
+
+def test_document_nested_too_deeply_is_an_input_error(tmp_path, capsys):
+    text = "[" * 100000
+    with pytest.raises(ValueError, match="nested too deeply to decode"):
+        DirectedSet.from_json(text)
+    stored = tmp_path / "doc.json"
+    stored.write_text(text)
+    rc, out, err = run(capsys, "viz", "--in", str(stored), "--csv", str(tmp_path / "x.csv"))
+    assert one_error_line(rc, out, err, "nested too deeply to decode")
+
+
+def test_division_by_zero_at_the_point_is_an_input_error(capsys):
+    with pytest.raises(DomainError, match="division by zero at the base point"):
+        engine.directed_subdiff(parse("x1/x2"), (1.0, 0.0), SphereGrid.circle(8))
+    rc, out, err = run(capsys, "subdiff", "-f", "x1/x2", "-x", "1,0", "-M", "8")
+    assert one_error_line(rc, out, err, "division by zero at the base point")
 
 
 @pytest.mark.parametrize("flags, named", [

@@ -98,6 +98,39 @@ def test_embed_polygon_interior_points_ignored():
     assert embed_polygon(SQUARE + [(0.0, 0.0), (0.5, 0.5)], g) == embed_polygon(SQUARE, g)
 
 
+def test_polygon_faces_use_the_active_set_rule():
+    # the vertex supports differ by 5e-10 at l = (1, 0): inside the relative
+    # active-set tolerance, so the face there is the whole edge, as in the
+    # transform of the max of the two linear pieces
+    g = SphereGrid.circle(4)
+    hull = embed_polygon([(1.0, -1.0), (1.0 + 5e-10, 1.0)], g)
+    f = parse("max(x1 - x2, 1.0000000005*x1 + x2)")
+    assert distance(hull, directed_subdiff(f, (0.0, 0.0), g)) == 0.0
+
+
+_PLANE = SphereGrid.circle(4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: embed_polygon([], _PLANE), "polygon needs at least one vertex"),
+    (lambda: embed_polygon([(0.0, 0.0), (1.0, 0.0, 0.0)], _PLANE), "polygon vertices must be 2-D"),
+    (lambda: embed_polygon([(0.0, math.nan)], _PLANE), "polygon vertices must be finite"),
+    (lambda: embed_polygon([(0.0, 0.0)], SphereGrid.sphere(2, 4, 8)),
+     "polygon embedding needs a 2-D grid"),
+    (lambda: embed_point((), _PLANE), "point must have at least one coordinate"),
+    (lambda: embed_point((1.0, 2.0, 3.0), _PLANE),
+     "embedding a 3-D point needs a grid of dimension 3"),
+    (lambda: linear_combination(math.inf, leaf(0.0, 0.0), 1.0, leaf(0.0, 0.0)),
+     "coefficients must be finite"),
+    (lambda: directed_zero(0), "dimension must be >= 1"),
+    (lambda: distance(leaf(1e308, 0.0), leaf(-1e308, 0.0)), "support values must be finite"),
+], ids=["polygon-empty", "polygon-3d-vertex", "polygon-nan", "polygon-3d-grid", "point-empty",
+        "point-grid-dim", "lincomb-inf", "zero-dim-0", "distance-overflow"])
+def test_bad_arguments_are_value_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # linear structure
 

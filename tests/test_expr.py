@@ -143,6 +143,27 @@ def test_constructor_validation():
         Var(-1)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Affine(var(0), ((1.0,), (2.0,)), (0.0,)), ValueError,
+     "matrix row count must match offset length"),
+    (lambda: Affine(Const(1.0), (), ()), ValueError, "affine substitution needs at least one row"),
+    (lambda: Affine(var(0), ((math.inf,),), (0.0,)), ValueError,
+     "affine matrix entries must be finite"),
+    (lambda: Affine(var(0), ((1.0,),), (math.nan,)), ValueError, "affine offsets must be finite"),
+    (lambda: LinComb(math.inf, var(0), 1.0, var(0)), ValueError,
+     "linear combination coefficients must be finite"),
+    (lambda: SmoothCompose(var(0), ()), ValueError,
+     "composition needs at least one inner component"),
+    (lambda: compose(var(1), [var(0)]), ValueError,
+     "outer reads 2 coordinates but only 1 inner components were given"),
+    (lambda: var(0) + "x2", TypeError, "cannot use str as an expression"),
+], ids=["affine-rows", "affine-empty", "affine-matrix-inf", "affine-offset-nan", "lincomb-inf",
+        "compose-empty", "compose-outer-arity", "coerce-str"])
+def test_constructor_checks(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_affine_inner_point_and_shapes():
     # y -> child(offset + matrix y), here child(1 + 2s, 3s)
     child = var(0) + var(1)
@@ -232,3 +253,28 @@ def test_quotient_reads_numerator_first():
         dirderiv_transform(e, (1.0,))
     with pytest.raises(DomainError, match="^division by zero$"):
         evaluate(parse("log(x1)/(x1-1)"), (1.0,))
+
+
+def test_repr_prints_shared_nodes_once():
+    # a tree in which no composite node is reached twice keeps the dataclass text
+    assert repr(parse("max(x1, 2*x2) - sin(x1)/x2")) == (
+        "LinComb(alpha=1.0, left=Max(children=(Var(index=0), Product(left=Const(value=2.0), "
+        "right=Var(index=1)))), beta=-1.0, right=Quotient(num=SmoothUnary(kind='sin', "
+        "child=Var(index=0), exponent=0), den=Var(index=1)))"
+    )
+    # a composite node reached again is a back-reference; leaves stay inline
+    e = parse("abs(x1 + x2)")
+    assert repr(e) == (
+        "Max(children=(LinComb(alpha=1.0, left=Var(index=0), beta=1.0, right=Var(index=1)), "
+        "LinComb(alpha=-1.0, left=<LinComb #1>, beta=0.0, right=Const(value=0.0))))"
+    )
+    # 17 distinct nodes, 2^16 paths: the text grows with the nodes
+    e = var(0)
+    for _ in range(16):
+        e = e + e
+    assert len(repr(e)) < 2000 and repr(e).count("<LinComb #") == 15
+    # a 5,000-deep chain takes no Python frames
+    e = var(0)
+    for _ in range(5000):
+        e = SmoothUnary("sin", e)
+    assert repr(e).count("SmoothUnary(kind='sin'") == 5000

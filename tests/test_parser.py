@@ -134,6 +134,7 @@ def test_nesting_up_to_the_cap_parses():
     ("x1 + ١", "unexpected character '١'", 5),
     ("1١", "unexpected character '١'", 1),
     ("y", "unknown identifier 'y'", 0),
+    (".", "bad number starting with '.'", 0),
     ("pow(x1)", "pow takes exactly two arguments", 0),
     ("pow(x1, 2, 3)", "pow takes exactly two arguments", 0),
     ("1 + sin(x1, x2)", "sin takes exactly one argument", 4),
