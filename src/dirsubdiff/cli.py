@@ -15,8 +15,8 @@ and a negative ``--random``), 3 witness not found.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from contextlib import nullcontext
 
 from .corpus import (
     get_rng,
@@ -24,7 +24,7 @@ from .corpus import (
     random_rule_pair,
     random_taylor_instance,
 )
-from .dirset import ACTIVE_RTOL, DirectedSet, SphereGrid, norm
+from .dirset import ACTIVE_RTOL, DirectedSet, SphereGrid, norm, write_json
 from .engine import default_grid, directed_subdiff
 from .expr import ArityError, DomainError, evaluate
 from .parser import parse
@@ -61,12 +61,10 @@ def _grid_for(n: int, resolution: int) -> SphereGrid | None:
 
 
 def _emit_json(payload, path: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if path:
-        with open(path, "w", encoding="utf-8") as fp:
-            fp.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    """Stream ``payload`` as indent-2 JSON and a newline to ``path`` or stdout."""
+    with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fp:
+        write_json(payload, fp)
+        fp.write("\n")
 
 
 def _write_viz(segments, args) -> None:

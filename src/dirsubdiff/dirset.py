@@ -36,6 +36,7 @@ resolutions raises :class:`GridMismatchError` instead of resampling silently.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import operator
@@ -227,19 +228,29 @@ class SphereGrid:
         Raises :class:`GridMismatchError` when a stored id does not match the
         recomputed content hash, and ``ValueError`` on a document of the
         wrong shape, including a dimension or resolution that does not fit
-        the 64-bit integers of the content hash.
+        the 64-bit integers of the content hash.  The ``"subgrid"`` chain is
+        walked in a loop, one dimension down per step, so a chain of any
+        length ends in ``ValueError``.
         """
         try:
-            subgrid = cls.from_json_dict(d["subgrid"]) if "subgrid" in d else None
-            rebuilt = cls._from_parts(d["dim"], d["resolution"], d["directions"], subgrid)
-            stored = d["id"]
-        except (KeyError, TypeError, struct.error) as exc:
+            chain = [d]  # grid documents, outermost first
+            while "subgrid" in chain[-1]:
+                sub, dim = chain[-1]["subgrid"], chain[-1]["dim"]
+                if sub["dim"] != dim - 1:  # also ends a chain that loops back
+                    raise ValueError(
+                        f"malformed grid document: a {dim!r}-D grid with a {sub['dim']!r}-D sub-grid"
+                    )
+                chain.append(sub)
+            grid = None
+            for g in reversed(chain):
+                grid = cls._from_parts(g["dim"], g["resolution"], g["directions"], grid)
+                if grid.id != g["id"]:
+                    raise GridMismatchError(
+                        f"grid content hash mismatch: stored {g['id']!r}, recomputed {grid.id!r}"
+                    )
+        except (KeyError, TypeError, OverflowError, struct.error) as exc:
             raise ValueError(f"malformed grid document: {exc!r}") from exc
-        if rebuilt.id != stored:
-            raise GridMismatchError(
-                f"grid content hash mismatch: stored {stored!r}, recomputed {rebuilt.id!r}"
-            )
-        return rebuilt
+        return grid
 
 
 def _sizes(grid: SphereGrid | None) -> list:
@@ -497,7 +508,13 @@ class DirectedSet:
         return {"format": 2, "dim": self.dim, "grid": self.grid.to_json_dict(), "entries": entries}
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+        """``json.dumps(self.to_json_dict(), indent=indent)``, the indented
+        text written by :func:`write_json`."""
+        if indent is None:
+            return json.dumps(self.to_json_dict())
+        buf = io.StringIO()
+        write_json(self.to_json_dict(), buf, indent)
+        return buf.getvalue()
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DirectedSet":
@@ -506,12 +523,13 @@ class DirectedSet:
         Raises :class:`GridMismatchError` when a stored grid id does not match
         its content, and ``ValueError`` on a wrong format tag (a dimension
         n >= 3 document must carry ``"format": 2``), a wrong array length or
-        a non-finite value.  A document of the wrong shape, a missing key or
-        a value of the wrong type, raises ``ValueError`` too.
+        a non-finite value.  A document of the wrong shape, a missing key, a
+        value of the wrong type or an integer too large for a float, raises
+        ``ValueError`` too.
         """
         try:
             return cls._decode(d)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"malformed directed set document: {exc!r}") from exc
 
     @classmethod
@@ -556,6 +574,57 @@ class DirectedSet:
             return cls.from_json_dict(json.loads(text))
         except RecursionError:
             raise ValueError("directed set document nested too deeply to decode") from None
+
+
+# ---------------------------------------------------------------------------
+# JSON output
+
+_CONTAINERS = (list, tuple, dict)
+
+
+def write_json(obj, fp, indent: int = 2) -> None:
+    """Write exactly the text of ``json.dumps(obj, indent=indent)`` to ``fp``.
+
+    ``json.dumps`` runs CPython's C encoder only without an indent.  Here a
+    container whose values are scalars or empty containers is one compact
+    ``json.dumps`` call whose item separator carries the newline and the
+    indent, and only containers holding non-empty containers are walked in
+    Python.  Floats, strings, ints, ``true``/``false``/``null``, ``NaN`` and
+    ``Infinity`` and non-string keys thus come out as ``json.dumps`` writes
+    them.  The text goes to ``fp.write`` in pieces, none longer than the
+    longest container of scalars, so no whole-document string is built.
+    """
+    _write(obj, fp.write, " " * indent, 0)
+
+
+def _flat(values) -> bool:
+    """True when no value is a non-empty container (a type check first, since
+    the values are mostly floats)."""
+    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
+        return True
+    return not any(isinstance(v, _CONTAINERS) and v for v in values)
+
+
+def _write(obj, write, pad: str, depth: int) -> None:
+    if not (isinstance(obj, _CONTAINERS) and obj):
+        write(json.dumps(obj))
+        return
+    inner, close = "\n" + pad * (depth + 1), "\n" + pad * depth
+    is_dict = isinstance(obj, dict)
+    values = obj.values() if is_dict else obj
+    if _flat(values):
+        text = json.dumps(obj, separators=("," + inner, ": "))
+        write(text[0] + inner + text[1:-1] + close + text[-1])
+        return
+    # the C encoder coerces a non-string key (float, int, bool, None) as json.dumps does
+    keys = [json.dumps({k: 0})[1:-4] + ": " for k in obj] if is_dict else [""] * len(obj)
+    sep = inner
+    write("{" if is_dict else "[")
+    for key, value in zip(keys, values):
+        write(sep + key)
+        _write(value, write, pad, depth + 1)
+        sep = "," + inner
+    write(close + ("}" if is_dict else "]"))
 
 
 # ---------------------------------------------------------------------------

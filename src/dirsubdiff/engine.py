@@ -43,6 +43,7 @@ calculus rules exact.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import islice
 
 from .dirset import ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_members, embed_point
@@ -56,9 +57,13 @@ class KinkError(ValueError):
     """Gradient embedding was asked for at a point with an active kink."""
 
 
+@cache
 def default_grid(dim: int) -> SphereGrid | None:
     """Default grids: none for 1-D, 360 directions for 2-D, a cost-controlled
-    16 x 32 lattice with a 64-direction inner circle for 3-D."""
+    16 x 32 lattice with a 64-direction inner circle for 3-D.
+
+    Built once per dimension and process: grids are frozen, so every caller
+    shares one grid and the tangent bases it caches."""
     if dim == 1:
         return None
     if dim == 2:
@@ -399,9 +404,7 @@ class _Sweep:
             elif op == _VAR:
                 col = pts[ins[2]][ins[3]]
             elif op == _CONST:
-                v = val[s] = ins[2]
-                if not math.isfinite(v) and bad > 0:
-                    bad, bad_value = 0, v
+                val[s] = ins[2]
                 continue
             else:
                 # the first non-finite value of a direction is never a

@@ -446,6 +446,7 @@ _MALFORMED_DOCUMENTS = {
     "entries-5": {**_plane(), "entries": 5},
     "list": [_plane()],
     "dim-string": {**_plane(), "dim": "2"},
+    "huge-integer": {"dim": 1, "a_neg": 2**1100, "a_pos": 0},
 }
 
 
@@ -461,10 +462,12 @@ def test_malformed_document_is_an_input_error(tmp_path, capsys, doc):
     assert not csv_path.exists()
 
 
-@pytest.mark.parametrize("field, value", [("resolution", [2**70]), ("dim", 2**70)],
-                         ids=["resolution", "dim"])
+@pytest.mark.parametrize("field, value", [
+    ("resolution", [2**70]), ("dim", 2**70), ("directions", [[2**1100, 0]]),
+], ids=["resolution", "dim", "directions-past-float"])
 def test_grid_integer_past_64_bits_is_an_input_error(tmp_path, capsys, field, value):
     # the grid's content hash packs its dimension and resolution as 64-bit integers
+    # and its directions as doubles
     doc = {**_plane(), "grid": {**_plane()["grid"], field: value}}
     with pytest.raises(ValueError, match="malformed grid document"):
         DirectedSet.from_json_dict(doc)

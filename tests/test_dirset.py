@@ -432,3 +432,41 @@ def test_json_decoder_shape_errors():
     for bad in ({k: v for k, v in sphere.items() if k != "id"}, {**sphere, "directions": 5}):
         with pytest.raises(ValueError, match="malformed grid document"):
             SphereGrid.from_json_dict(bad)
+
+
+def _chain(depth, step):
+    """A grid document nesting ``depth`` sub-grids, each ``step`` dimensions
+    below its parent, with wrong ids."""
+    doc = {"id": "0", "dim": 2, "resolution": [1], "directions": []}
+    for _ in range(depth):
+        doc = {"id": "0", "dim": doc["dim"] + step, "resolution": [1], "directions": [],
+               "subgrid": doc}
+    return doc
+
+
+def _loop():
+    doc = SphereGrid.circle(4).to_json_dict()
+    doc["subgrid"] = doc
+    return doc
+
+
+@pytest.mark.parametrize("grid, message", [
+    (_chain(5000, 1), "grid content hash mismatch"),
+    (_chain(5000, 0), "malformed grid document: a 2-D grid with a 2-D sub-grid"),
+    (_loop(), "malformed grid document: a 2-D grid with a 2-D sub-grid"),
+], ids=["5000-deep", "5000-deep-same-dim", "loop"])
+def test_long_subgrid_chains_are_value_errors(grid, message):
+    with pytest.raises(ValueError, match=message):
+        SphereGrid.from_json_dict(grid)
+    with pytest.raises(ValueError, match=message):
+        DirectedSet.from_json_dict({"format": 1 if grid["dim"] == 2 else 2, "dim": grid["dim"],
+                                    "grid": grid, "entries": []})
+
+
+def test_grid_documents_decode_to_equal_sets():
+    for grid in (SphereGrid.circle(6), SphereGrid.sphere(2, 3, 5)):
+        s = directed_subdiff(parse("max(x1, x2) + abs(x1 - x2)" + " + x3" * (grid.dim - 2)),
+                             (0.0,) * grid.dim, grid)
+        assert SphereGrid.from_json_dict(grid.to_json_dict()) == grid
+        assert DirectedSet.from_json_dict(s.to_json_dict()) == s
+        assert DirectedSet.from_json(s.to_json()) == s
