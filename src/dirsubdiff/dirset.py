@@ -125,6 +125,20 @@ def _content_id(dim, resolution, directions, subgrid) -> str:
     return h.hexdigest()[:16]
 
 
+_NUMBER, _INT = frozenset((int, float)), frozenset((int,))
+
+
+def _typed(values, types: frozenset, what: str):
+    """``values``, after a check that the exact type of every entry is in
+    ``types``: the decoders take JSON numbers as they are, so a string or a
+    ``bool`` raises ``TypeError`` instead of being coerced."""
+    wrong = set(map(type, values)) - types
+    if wrong:
+        raise TypeError(f"{what} must be {' or '.join(sorted(t.__name__ for t in types))}, "
+                        f"not {' or '.join(sorted(t.__name__ for t in wrong))}")
+    return values
+
+
 @dataclass(frozen=True)
 class SphereGrid:
     """Deterministic unit-direction grid on the sphere of dimension ``dim``.
@@ -146,6 +160,8 @@ class SphereGrid:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("sphere grids exist for dimension >= 2")
+        if not self.directions:
+            raise ValueError("a sphere grid needs at least one direction")
         if self.dim == 2 and self.subgrid is not None:
             raise ValueError("a circle grid has no sub-grid")
         if self.dim >= 3:
@@ -169,6 +185,20 @@ class SphereGrid:
         of ``dim - 1`` entries each.  Computed once, on first use.
         """
         return tuple(orthobasis(d).matrix_rows for d in self.directions)
+
+    @cached_property
+    def sweep_columns(self) -> tuple:
+        """The points the engine's sweep runs a level over this grid at, one
+        tuple per coordinate: the directions and, on a circle, then the leaf
+        points ``B_d (-1)`` of every direction ``d``, then the leaf points
+        ``B_d (+1)``, ``B_d`` the tangent basis of :attr:`tangent_rows`.
+        Computed once, on first use."""
+        cols = [list(c) for c in zip(*self.directions)]
+        if self.dim == 2:
+            for t in (-1.0, 1.0):
+                for i, col in enumerate(cols):
+                    col += [0.0 + rows[i][0] * t for rows in self.tangent_rows]
+        return tuple(map(tuple, cols))
 
     @classmethod
     def _from_parts(cls, dim, resolution, directions, subgrid) -> "SphereGrid":
@@ -227,8 +257,10 @@ class SphereGrid:
 
         Raises :class:`GridMismatchError` when a stored id does not match the
         recomputed content hash, and ``ValueError`` on a document of the
-        wrong shape, including a dimension or resolution that does not fit
-        the 64-bit integers of the content hash.  The ``"subgrid"`` chain is
+        wrong shape, including a dimension or resolution that is not an
+        ``int`` or does not fit the 64-bit integers of the content hash, a
+        direction entry that is not an ``int`` or ``float``, and a grid
+        without directions.  The ``"subgrid"`` chain is
         walked in a loop, one dimension down per step, so a chain of any
         length ends in ``ValueError``.
         """
@@ -243,6 +275,9 @@ class SphereGrid:
                 chain.append(sub)
             grid = None
             for g in reversed(chain):
+                _typed([g["dim"]], _INT, "dim")
+                _typed(g["resolution"], _INT, "resolution entries")
+                _typed([v for dv in g["directions"] for v in dv], _NUMBER, "direction entries")
                 grid = cls._from_parts(g["dim"], g["resolution"], g["directions"], grid)
                 if grid.id != g["id"]:
                     raise GridMismatchError(
@@ -524,8 +559,9 @@ class DirectedSet:
         its content, and ``ValueError`` on a wrong format tag (a dimension
         n >= 3 document must carry ``"format": 2``), a wrong array length or
         a non-finite value.  A document of the wrong shape, a missing key, a
-        value of the wrong type or an integer too large for a float, raises
-        ``ValueError`` too.
+        value of the wrong type (numbers must be ``int`` or ``float``, and
+        ``dim`` an ``int``; a string or ``bool`` is not coerced) or an
+        integer too large for a float, raises ``ValueError`` too.
         """
         try:
             return cls._decode(d)
@@ -534,25 +570,26 @@ class DirectedSet:
 
     @classmethod
     def _decode(cls, d) -> "DirectedSet":
-        dim = d["dim"]
-        fmt, want = d.get("format", 1), (2 if dim >= 3 else 1)
+        dim = _typed([d["dim"]], _INT, "dim")[0]
+        fmt, want = _typed([d.get("format", 1)], _INT, "format")[0], (2 if dim >= 3 else 1)
         if fmt != want:
             raise ValueError(f"a {dim}-D directed set document must be format {want}, got {fmt!r}")
         if dim == 1:
-            return cls.leaf(d["a_neg"], d["a_pos"])
+            return cls.leaf(*_typed([d["a_neg"], d["a_pos"]], _NUMBER, "a_neg and a_pos"))
         grid = SphereGrid.from_json_dict(d["grid"])
         if grid.dim != dim:
             raise ValueError(f"document of dimension {dim} carries a {grid.dim}-D grid")
         entries = d["entries"]
         if len(entries) != len(grid):
             raise ValueError(f"{len(entries)} entries for a grid of {len(grid)} directions")
-        supports = [e["support"] for e in entries]
+        supports = _typed([e["support"] for e in entries], _NUMBER, "supports")
         if dim == 2:
             lowers = [e["lower"] for e in entries]
-            if any(low["dim"] != 1 for low in lowers):
+            if set(_typed([low["dim"] for low in lowers], _INT, "dim")) != {1}:
                 raise ValueError("lower components of a 2-D set must be 1-D")
-            return cls(grid, (supports,), [low["a_neg"] for low in lowers],
-                       [low["a_pos"] for low in lowers])
+            a_neg = _typed([low["a_neg"] for low in lowers], _NUMBER, "a_neg")
+            a_pos = _typed([low["a_pos"] for low in lowers], _NUMBER, "a_pos")
+            return cls(grid, (supports,), a_neg, a_pos)
         widths = _widths(_lengths(grid))
         total = sum(widths)
         arrays = [[] for _ in widths]
@@ -564,6 +601,8 @@ class DirectedSet:
             for a, w in zip(arrays, widths):
                 a += lower[start:start + w]
                 start += w
+        for a in arrays:
+            _typed(a, _NUMBER, "lower entries")
         return cls(grid, [supports] + arrays[:-2], arrays[-2], arrays[-1])
 
     @classmethod

@@ -200,9 +200,12 @@ class _Sweep:
     level runs the program of its narrowing once over the points of its
     grid below one parent direction, lifted through the parents' bases:
     every slot holds a column, the slot's value per point (a constant slot
-    holds one float).  On a circle the points are the directions followed
-    by their ``-1`` and ``+1`` leaf points.  The level then recurses, depth
-    first, into each direction with the members active there.  Root
+    holds one float).  The points are the grid's
+    :attr:`~dirsubdiff.dirset.SphereGrid.sweep_columns`, built once per
+    grid: the directions and, on a circle, their ``-1`` and ``+1`` leaf
+    points.  Their lifts depend on the parent direction and are not kept.
+    The level then recurses, depth first, into each direction with the
+    members active there.  Root
     ``k``'s flat arrays (see :mod:`dirsubdiff.dirset`) accumulate in
     ``levels[k]``, ``a_neg[k]`` and ``a_pos[k]`` in walk order: direction
     by direction, each followed by everything below it.  After a
@@ -215,7 +218,6 @@ class _Sweep:
         self.info = info
         self.slots, self.roots, self.contexts = self._flatten(gs)
         self.programs: dict = {}
-        self.columns: dict = {}
         self.levels = [[[] for _ in range(dim - 1)] for _ in gs]
         self.a_neg = [[] for _ in gs]
         self.a_pos = [[] for _ in gs]
@@ -317,20 +319,6 @@ class _Sweep:
         out = self.programs[key] = (program, [resolved[r] for r in self.roots], singles)
         return out
 
-    def _grid_columns(self, grid: SphereGrid) -> list:
-        """The points a level over ``grid`` runs at, one list per coordinate:
-        the directions of ``grid`` and, on a circle, then the leaf points
-        ``B_d (-1)`` of every direction ``d``, then the leaf points ``B_d (+1)``."""
-        cols = self.columns.get(grid.id)
-        if cols is None:
-            cols = [list(c) for c in zip(*grid.directions)]
-            if grid.dim == 2:
-                for t in (-1.0, 1.0):
-                    for i, col in enumerate(cols):
-                        col += [0.0 + rows[i][0] * t for rows in grid.tangent_rows]
-            self.columns[grid.id] = cols
-        return cols
-
     def _points(self, cols, frames) -> list:
         """Per affine context, the columns of the points it sees when the
         points ``cols`` are lifted through the bases ``frames`` (outermost
@@ -355,7 +343,7 @@ class _Sweep:
         program, roots, singles = self._program(act)
         n = len(grid)
         leaf = grid.dim == 2
-        pts = self._points(self._grid_columns(grid), frames)
+        pts = self._points(grid.sweep_columns, frames)
         val, acts, bad, bad_value = self._run(program, n, pts, leaf)
         for k, root in enumerate(roots):
             out = _column(val[root], 3 * n if leaf else n)

@@ -36,16 +36,7 @@ from dirsubdiff.dirset import (
 )
 from dirsubdiff.engine import directed_subdiff, embed_gradient
 from dirsubdiff.expr import DomainError, evaluate
-from dirsubdiff.oracle import (
-    boundary_segments,
-    convex_hull,
-    dini_fd,
-    dist_point_segment,
-    interval_inf_bruteforce,
-    interval_sup_bruteforce,
-    polygon_support_oracle,
-    segments_hausdorff,
-)
+from dirsubdiff.oracle import dini_fd
 from dirsubdiff.parser import parse
 from dirsubdiff.theorems import (
     check_min_condition,
@@ -58,6 +49,15 @@ from dirsubdiff.theorems import (
     verify_quotient_rule,
     verify_sum_rule,
     verify_taylor_invariance,
+)
+from references import (
+    boundary_segments,
+    convex_hull,
+    dist_point_segment,
+    interval_inf_bruteforce,
+    interval_sup_bruteforce,
+    polygon_support_oracle,
+    segments_hausdorff,
 )
 
 G180 = SphereGrid.circle(180)

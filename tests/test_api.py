@@ -1,0 +1,35 @@
+"""The public API: the names ``dirsubdiff`` exports and those of
+``dirsubdiff.oracle``, whose other cross-checks are test code."""
+
+import dirsubdiff
+import dirsubdiff.oracle as oracle
+
+PUBLIC = [
+    "ActiveSetInfo", "Affine", "ArityError", "Basis", "Const", "DirectedInterval",
+    "DirectedSet", "DomainError", "Expr", "ExprError", "FdSchedule", "GridMismatchError",
+    "KinkError", "LinComb", "Max", "Min", "MvtWitness", "ParseError", "Product", "Quotient",
+    "Segment", "SmoothCompose", "SmoothUnary", "SphereGrid", "Var", "VerificationError",
+    "VerificationReport", "WitnessNotFoundError", "chain_rule_1d", "check_max_condition",
+    "check_min_condition", "compose", "const", "default_grid", "dini_fd", "dirderiv",
+    "dirderiv_transform", "directed_subdiff", "directed_zero", "distance", "embed_gradient",
+    "embed_interval", "embed_point", "embed_polygon", "evaluate", "has_kinks", "inf", "leq",
+    "linear_combination", "mvt_witness", "norm", "orthobasis", "parse", "powk", "restrict",
+    "scale", "segment_subdiff", "smooth_gradient", "sqr", "sup", "vabs", "var",
+    "verify_chain_rule_1d", "verify_dirderiv_fixpoint", "verify_max_rule", "verify_min_rule",
+    "verify_product_rule", "verify_quotient_rule", "verify_sum_rule", "verify_taylor_invariance",
+    "viz_segments", "vmax", "vmin", "write_segments_csv", "write_segments_svg",
+]
+
+
+def test_package_exports():
+    assert sorted(dirsubdiff.__all__) == PUBLIC
+    assert all(hasattr(dirsubdiff, name) for name in PUBLIC)
+
+
+def test_oracle_defines_only_the_finite_differences():
+    defined = sorted(
+        name for name, value in vars(oracle).items()
+        if getattr(value, "__module__", None) == oracle.__name__
+    )
+    assert defined == ["FdSchedule", "dini_fd"]
+    assert dirsubdiff.FdSchedule is oracle.FdSchedule and dirsubdiff.dini_fd is oracle.dini_fd

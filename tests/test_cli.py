@@ -1,12 +1,14 @@
 import argparse
 import hashlib
 import json
+import re
+from types import SimpleNamespace
 
 import pytest
 
 from dirsubdiff import cli, engine
 from dirsubdiff.cli import main
-from dirsubdiff.dirset import DirectedSet, SphereGrid, directed_zero
+from dirsubdiff.dirset import DirectedSet, SphereGrid, _content_id, directed_zero
 from dirsubdiff.expr import DomainError
 from dirsubdiff.parser import parse
 from dirsubdiff.theorems import VerificationReport, check_max_condition, check_min_condition
@@ -434,6 +436,10 @@ def _plane():
     return directed_zero(2, SphereGrid.circle(4)).to_json_dict()
 
 
+def _space():
+    return directed_zero(3, SphereGrid.sphere(2, 2, 4)).to_json_dict()
+
+
 def _without(d, key):
     return {k: v for k, v in d.items() if k != key}
 
@@ -447,6 +453,15 @@ _MALFORMED_DOCUMENTS = {
     "list": [_plane()],
     "dim-string": {**_plane(), "dim": "2"},
     "huge-integer": {"dim": 1, "a_neg": 2**1100, "a_pos": 0},
+    # numbers are taken as JSON gives them: no string or bool is coerced
+    "1-D-a_neg-string": {"dim": 1, "a_neg": "3", "a_pos": 0},
+    "1-D-dim-true": {"dim": True, "a_neg": 3, "a_pos": 0},
+    "2-D-format-true": {**_plane(), "format": True},
+    "2-D-support-true": {**_plane(), "entries": [{**e, "support": True} for e in _plane()["entries"]]},
+    "2-D-lower-dim-true": {**_plane(), "entries": [
+        {**e, "lower": {**e["lower"], "dim": True}} for e in _plane()["entries"]]},
+    "3-D-lower-string": {**_space(), "entries": [
+        {**e, "lower": ["0"] + e["lower"][1:]} for e in _space()["entries"]]},
 }
 
 
@@ -475,6 +490,35 @@ def test_grid_integer_past_64_bits_is_an_input_error(tmp_path, capsys, field, va
     stored.write_text(json.dumps(doc))
     rc, out, err = run(capsys, "viz", "--in", str(stored), "--csv", str(tmp_path / "x.csv"))
     assert one_error_line(rc, out, err, "malformed grid document")
+
+
+def _plane_on(**grid_fields):
+    return {**_plane(), "grid": {**_plane()["grid"], **grid_fields}}
+
+
+_EMPTY_CIRCLE = {"id": _content_id(2, (1,), (), None), "dim": 2, "resolution": [1],
+                 "directions": []}
+_EMPTY_SPHERE = {"id": _content_id(3, (1, 1), (), SimpleNamespace(id=_EMPTY_CIRCLE["id"])),
+                 "dim": 3, "resolution": [1, 1], "directions": [], "subgrid": _EMPTY_CIRCLE}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_plane_on(resolution=[4.0]),
+     "malformed grid document: TypeError('resolution entries must be int, not float')"),
+    (_plane_on(directions=[["1", "0"]] + _plane()["grid"]["directions"][1:]),
+     "malformed grid document: TypeError('direction entries must be float or int, not str')"),
+    ({"dim": 2, "grid": _EMPTY_CIRCLE, "entries": []}, "a sphere grid needs at least one direction"),
+    ({"format": 2, "dim": 3, "grid": _EMPTY_SPHERE, "entries": []},
+     "a sphere grid needs at least one direction"),
+], ids=["resolution-float", "direction-string", "2-D-no-directions", "3-D-no-directions"])
+def test_grid_document_of_wrong_content_is_an_input_error(tmp_path, capsys, doc, message):
+    # the ids match the content, so only the checks on the content can reject these
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DirectedSet.from_json_dict(doc)
+    stored = tmp_path / "doc.json"
+    stored.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "viz", "--in", str(stored), "--csv", str(tmp_path / "x.csv"))
+    assert one_error_line(rc, out, err, message)
 
 
 def test_document_nested_too_deeply_is_an_input_error(tmp_path, capsys):

@@ -311,6 +311,33 @@ def test_grid_validation():
         SphereGrid.circle(0)
     with pytest.raises(ValueError):
         SphereGrid.sphere(0, 8, 8)
+    with pytest.raises(ValueError, match="at least one direction"):
+        SphereGrid._from_parts(3, (1, 1), [], SphereGrid.circle(4))
+
+
+def _sweep_columns(grid):
+    """The sweep's points as the engine built them per sweep before the grid
+    kept them: the directions and, on a circle, the leaf points at -1, +1."""
+    cols = [list(c) for c in zip(*grid.directions)]
+    if grid.dim == 2:
+        for t in (-1.0, 1.0):
+            for i, col in enumerate(cols):
+                col += [0.0 + rows[i][0] * t for rows in grid.tangent_rows]
+    return cols
+
+
+@pytest.mark.parametrize("grid", [
+    SphereGrid.circle(1), SphereGrid.circle(360), SphereGrid.sphere(4, 8, 16),
+], ids=["circle-1", "circle-360", "sphere"])
+def test_sweep_columns_are_built_once_per_grid(grid):
+    directed_subdiff(parse("max(x1, x2) + abs(x1 - x2)" + " + x3" * (grid.dim - 2)),
+                     (0.0,) * grid.dim, grid)
+    for g in (grid, grid.subgrid) if grid.subgrid else (grid,):
+        assert "sweep_columns" in vars(g)  # the engine read the grid's columns
+        cols = g.sweep_columns
+        assert g.sweep_columns is cols
+        assert type(cols) is tuple and all(type(c) is tuple for c in cols)
+        assert repr(cols) == repr(tuple(map(tuple, _sweep_columns(g))))  # signed zeros too
 
 
 def test_json_roundtrip_leaf():
@@ -412,7 +439,7 @@ def test_embedding_monotone_under_inclusion():
     rng = get_rng(41)
     g = SphereGrid.circle(16)
     from dirsubdiff.corpus import random_polygon
-    from dirsubdiff.oracle import convex_hull
+    from references import convex_hull
 
     for _ in range(20):
         p = convex_hull(random_polygon(rng))
@@ -437,7 +464,7 @@ def test_json_decoder_shape_errors():
 def _chain(depth, step):
     """A grid document nesting ``depth`` sub-grids, each ``step`` dimensions
     below its parent, with wrong ids."""
-    doc = {"id": "0", "dim": 2, "resolution": [1], "directions": []}
+    doc = {"id": "0", "dim": 2, "resolution": [1], "directions": [[1.0, 0.0]]}
     for _ in range(depth):
         doc = {"id": "0", "dim": doc["dim"] + step, "resolution": [1], "directions": [],
                "subgrid": doc}

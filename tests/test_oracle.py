@@ -6,18 +6,17 @@ from dirsubdiff.corpus import get_rng, random_interval, random_probe
 from dirsubdiff.deriv import dirderiv
 from dirsubdiff.dirset import DirectedInterval, DirectedSet, inf, sup
 from dirsubdiff.expr import DomainError
-from dirsubdiff.oracle import (
-    FdSchedule,
+from dirsubdiff.oracle import FdSchedule, dini_fd
+from dirsubdiff.parser import parse
+from references import (
     boundary_segments,
     convex_hull,
-    dini_fd,
     dist_point_segment,
     interval_inf_bruteforce,
     interval_sup_bruteforce,
     polygon_support_oracle,
     segments_hausdorff,
 )
-from dirsubdiff.parser import parse
 
 SQUARE = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
 

@@ -6,14 +6,14 @@ import pytest
 from dirsubdiff.corpus import get_rng, random_polygon
 from dirsubdiff.dirset import DirectedSet, SphereGrid, embed_point, embed_polygon
 from dirsubdiff.engine import directed_subdiff
-from dirsubdiff.oracle import (
+from dirsubdiff.parser import parse
+from dirsubdiff.viz import viz_segments, write_segments_csv, write_segments_svg
+from references import (
     boundary_segments,
     convex_hull,
     polygon_support_oracle,
     segments_hausdorff,
 )
-from dirsubdiff.parser import parse
-from dirsubdiff.viz import viz_segments, write_segments_csv, write_segments_svg
 
 SQUARE = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
 
