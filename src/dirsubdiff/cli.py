@@ -45,6 +45,9 @@ from .viz import viz_segments, write_segments_csv, write_segments_svg
 
 RULES = ("sum", "product", "quotient", "max", "min", "fixpoint", "taylor", "chain1d")
 
+#: largest ``-M``: a circle of this many directions holds about 7 MB of floats
+MAX_RESOLUTION = 65536
+
 
 def _parse_point(text: str) -> tuple[float, ...]:
     try:
@@ -54,9 +57,14 @@ def _parse_point(text: str) -> tuple[float, ...]:
 
 
 def _grid_for(n: int, resolution: int) -> SphereGrid | None:
-    """The ``-M`` circle for a 2-D point, :func:`default_grid` for any other."""
-    if n > 1 and resolution < 8:
-        raise ValueError("resolution must be at least 8")
+    """The ``-M`` circle for a 2-D point, :func:`default_grid` for any other.
+
+    Every path that reads ``-M`` comes here: for points of dimension >= 2
+    it must lie in ``[8, MAX_RESOLUTION]``, checked before the circle's
+    directions are allocated."""
+    if n > 1 and not 8 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be at least 8 and at most {MAX_RESOLUTION}, "
+                         f"got {resolution}")
     return SphereGrid.circle(resolution) if n == 2 else default_grid(n)
 
 
@@ -148,9 +156,9 @@ def _explicit_instances(args, rules):
 
 
 def _random_instances(args, rules):
-    """Yield ``args.random`` seeded instances per rule on one circle grid."""
+    """Yield ``args.random`` seeded instances per rule on one ``-M`` circle."""
     rng = get_rng(args.seed)
-    grid = SphereGrid.circle(args.resolution)
+    grid = _grid_for(2, args.resolution)
     for rule in rules:
         for _ in range(args.random):
             if rule == "chain1d":

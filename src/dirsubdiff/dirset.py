@@ -43,6 +43,7 @@ import operator
 import struct
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
 
 from .basis import orthobasis
 
@@ -75,39 +76,71 @@ def check_tolerance(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-def active_members(values, rtol: float, maximize: bool, info: ActiveSetInfo | None) -> list:
-    """Indices of the members of ``values`` that are active at the extreme.
+def _extremes(cols, maximize: bool) -> list:
+    """Per direction, ``max`` (``maximize``) or ``min`` of the members'
+    values in member order; ``cols[i][j]`` is member ``i`` at direction
+    ``j``."""
+    if len(cols) == 1:
+        return list(cols[0])
+    return list(map(max if maximize else min, *cols))
 
-    The extreme ``m`` is the maximum (``maximize``) or the minimum; a member
-    is active when its gap to ``m`` is at most ``eps = rtol * (1 + |m|)``.
-    This one rule serves the derivative transform, :func:`sup`/:func:`inf`
-    (and through :func:`sup` the faces of :func:`embed_polygon`) and the
-    max/min rule verifiers, so both sides of the max/min rules agree on
-    which members count.  ``info`` collects the tie and borderline flags;
-    a member is borderline when its gap lies in ``(eps, 10 eps]``.  Each gap
-    is classified once (``two_pass_active_members`` in
-    ``tests/references.py`` lists them first).  ``rtol`` must be finite and
-    >= 0.
+
+def active_columns(cols, rtol: float, maximize: bool, info: ActiveSetInfo | None) -> tuple:
+    """The active-set rule over many directions at once.
+
+    ``cols[i][j]`` is member ``i``'s value at direction ``j``.  Returns
+    ``(extremes, active)``: per direction ``j`` the extreme ``m_j``, the
+    maximum (``maximize``) or the minimum of the members' values in member
+    order, and the tuple of the members active there, those whose gap to
+    ``m_j`` is at most ``eps_j = rtol * (1 + |m_j|)``.  ``info`` collects
+    the tie flag (some direction has more than one active member) and the
+    borderline flag (some gap lies in ``(eps_j, 10 eps_j]``).  A gap that
+    is NaN, as at a non-finite extreme, makes its member inactive and not
+    borderline.
+
+    This one rule serves the derivative transform and the max/min rule
+    verifiers (through :func:`active_members`), :func:`sup`/:func:`inf`
+    (once per parent block, and through :func:`sup` the faces of
+    :func:`embed_polygon`) and the engine's sweep (once per max/min and
+    level), so both sides of the max/min rules agree on which members
+    count.  The work runs column by column, with no Python call per
+    direction: the extremes, the tolerances, and per member its gaps and
+    their ``<= eps`` and ``<= 10 eps`` columns, with the scalar rule's
+    operations in its order, so the result and the flags are those of
+    ``two_pass_active_members`` in ``tests/references.py`` applied to each
+    direction.  ``rtol`` must be finite and >= 0.
     """
-    if not 0.0 <= rtol < math.inf:  # tested inline: this runs per max/min and direction
-        check_tolerance("active_rtol", rtol)
-    m = max(values) if maximize else min(values)
-    eps = rtol * (1.0 + abs(m))
-    band = 10.0 * eps
-    active = []
-    borderline = False
-    for i, v in enumerate(values):
-        gap = m - v if maximize else v - m
-        if gap <= eps:
-            active.append(i)
-        elif gap <= band:
-            borderline = True
-    if info is not None:
-        if len(active) > 1:
-            info.ties = True
-        if borderline:
+    check_tolerance("active_rtol", rtol)
+    if not cols:
+        raise ValueError("the active-set rule needs at least one member")
+    extremes = _extremes(cols, maximize)
+    eps = [rtol * (1.0 + abs(m)) for m in extremes]
+    check_band = info is not None and not info.borderline
+    band = [10.0 * e for e in eps] if check_band else None
+    inside = []
+    for col in cols:
+        gaps = list(map(operator.sub, extremes, col) if maximize else map(operator.sub, col, extremes))
+        within = list(map(operator.le, gaps, eps))
+        # within eps implies within 10 eps, so the columns differ exactly
+        # where a gap lies in (eps, 10 eps]
+        if check_band and list(map(operator.le, gaps, band)) != within:
             info.borderline = True
-    return active
+            check_band = False
+        inside.append(within)
+    # one tuple per distinct selection: most directions share a few
+    selections = list(zip(*inside))
+    members = range(len(cols))
+    tuples = {sel: tuple(compress(members, sel)) for sel in set(selections)}
+    if info is not None and any(len(t) > 1 for t in tuples.values()):
+        info.ties = True
+    return extremes, list(map(tuples.__getitem__, selections))
+
+
+def active_members(values, rtol: float, maximize: bool, info: ActiveSetInfo | None) -> list:
+    """Indices of the members of ``values`` that are active at the extreme:
+    :func:`active_columns` on the one direction whose member values are
+    ``values``."""
+    return list(active_columns([(v,) for v in values], rtol, maximize, info)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +204,7 @@ class SphereGrid:
             if len(l) != self.dim:
                 raise ValueError("direction length does not match grid dimension")
             nrm = math.sqrt(sum(v * v for v in l))
-            if abs(nrm - 1.0) > 1e-12:
+            if not abs(nrm - 1.0) <= 1e-12:  # also true for a NaN norm
                 raise ValueError(f"grid directions must be unit vectors, got |l| = {nrm!r}")
 
     def __len__(self) -> int:
@@ -325,7 +358,12 @@ def _blocks(s: "DirectedSet") -> list:
 
 
 def _finite(values) -> bool:
-    return all(map(math.isfinite, values))
+    """True when every entry of ``values`` is finite.  A non-finite entry
+    makes the sum non-finite, so a finite sum clears ``values`` without a
+    scan: summing in C is about twice as fast as scanning.  Only a sum that
+    is not finite, which finite entries can reach by overflow, is checked
+    entry by entry."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +747,7 @@ def embed_polygon(vertices, grid: SphereGrid) -> DirectedSet:
     The hull is implicit: it is the :func:`sup` of the embedded vertices, so
     for each grid direction the support is the maximum of ``<l, v>`` over all
     vertices and the lower component is the embedded projection of the
-    supporting face (the vertices that :func:`active_members` finds active)
+    supporting face (the vertices that :func:`active_columns` finds active)
     onto the fixed tangent axis.  Degenerate inputs (single point, two
     points, collinear points) are fine.
     """
@@ -794,11 +832,13 @@ def distance(a: DirectedSet, b: DirectedSet) -> float:
 def _extreme(sets, rtol, info, maximize):
     """sup (``maximize``) or inf of a family, level by level.
 
-    At every entry of a level reached so far, the members still active
-    there are compared with :func:`active_members`.  An entry with one
-    active member copies that member's whole block below it; one with
-    several passes them on to the entries below it, and the leaf pairs take
-    the componentwise extreme over the members still active.
+    Below every entry of a level reached so far, the members still active
+    at that entry are compared over the whole block of entries below it by
+    one :func:`active_columns` call.  An entry with one active member
+    copies that member's whole block below it; one with several passes them
+    on to the entries below it.  The leaf pairs of the entries left take
+    the componentwise extreme over the members still active, one leaf array
+    and one set of active members at a time.
     """
     family = list(sets)
     if not family:
@@ -806,31 +846,36 @@ def _extreme(sets, rtol, info, maximize):
     first = family[0]
     for s in family[1:]:
         _check_compatible(first, s)
-    pick = max if maximize else min
     members = [s._arrays() for s in family]
     out = [list(xs) for xs in members[0]]  # blocks with member 0 active stay as they are
     depth = len(first.levels)
     lengths = _lengths(first.grid)
-    pending = [(0, tuple(range(len(family))))]  # (entry, active members) to resolve
+    pending = {tuple(range(len(family))): [0]}  # active members -> entries to resolve
     for j, m in enumerate(_sizes(first.grid)):
         below = _widths(lengths, j)
         row = out[j]
-        carried = []
-        for parent, active in pending:
-            for idx in range(parent * m, (parent + 1) * m):
-                vals = [members[i][j][idx] for i in active]
-                keep = active_members(vals, rtol, maximize, info)
-                row[idx] = pick(vals)
-                if len(keep) > 1:
-                    carried.append((idx, tuple(active[k] for k in keep)))
-                elif active[keep[0]] != 0:
-                    source = members[active[keep[0]]]
-                    for jj, w in enumerate(below, j + 1):
-                        out[jj][idx * w:(idx + 1) * w] = source[jj][idx * w:(idx + 1) * w]
+        carried: dict = {}
+        for active, parents in pending.items():
+            stay = (0,) if active[0] == 0 else None  # member 0 alone: its copy stays
+            for parent in parents:
+                lo = parent * m
+                row[lo:lo + m], keep = active_columns(
+                    [members[i][j][lo:lo + m] for i in active], rtol, maximize, info
+                )
+                for idx, kept in compress(enumerate(keep, lo), map(operator.ne, keep, repeat(stay))):
+                    if len(kept) > 1:
+                        carried.setdefault(tuple([active[k] for k in kept]), []).append(idx)
+                    else:
+                        source = members[active[kept[0]]]
+                        for jj, w in enumerate(below, j + 1):
+                            out[jj][idx * w:(idx + 1) * w] = source[jj][idx * w:(idx + 1) * w]
         pending = carried
-    for idx, active in pending:
-        out[depth][idx] = pick(members[i][depth][idx] for i in active)
-        out[depth + 1][idx] = pick(members[i][depth + 1][idx] for i in active)
+    for active, entries in pending.items():
+        for jj in (depth, depth + 1):
+            leaf = out[jj]
+            cols = [list(map(members[i][jj].__getitem__, entries)) for i in active]
+            for idx, v in zip(entries, _extremes(cols, maximize)):
+                leaf[idx] = v
     return DirectedSet(first.grid, out[:depth], out[depth], out[depth + 1])
 
 
@@ -839,7 +884,7 @@ def sup(sets, active_rtol: float = ACTIVE_RTOL, info: ActiveSetInfo | None = Non
 
     1-D: componentwise maximum of the stored pairs.  Higher dimensions take
     the pointwise maximal support and recurse on the lower components of the
-    members that :func:`active_members` finds active there.
+    members that :func:`active_columns` finds active there.
     """
     return _extreme(sets, active_rtol, info, True)
 

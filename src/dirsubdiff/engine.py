@@ -20,8 +20,9 @@ combinations and max/min picks, and a level runs the program of its
 narrowing once over all directions of its grid below one parent direction,
 every node holding a list of values over those directions.  The leaf level
 runs over the leaf points ``B_l B_r (-1)`` and ``B_l B_r (+1)`` in the same
-pass.  Each max/min narrows with :func:`active_members`, the rule and
-tolerance of the transform, once per direction, and the sweep adds, lifts
+pass.  Each max/min narrows with one :func:`active_columns` call over its
+member columns at all directions of the level, which applies the rule and
+tolerance of the transform to each direction, and the sweep adds, lifts
 and picks in the order of ``Expr._eval``, so the set is bitwise the one of
 the defining recursion: restrict ``g`` to the slice through ``l``,
 transform it again and recurse one dimension down (``recursive_subdiff``
@@ -44,9 +45,10 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from itertools import islice
 
-from .dirset import ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_members, embed_point
+from .dirset import (
+    ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, _finite, active_columns, embed_point,
+)
 from .deriv import dirderiv_transform
 from .expr import (
     Affine, Const, DomainError, Expr, ExprError, LinComb, Max, Min, Var, as_point, walk,
@@ -163,10 +165,9 @@ def _column(v, n: int):
 
 def _first_bad(col, stop: int) -> int:
     """Index of the first non-finite entry of ``col`` before ``stop``, else
-    ``stop``.  A non-finite entry makes the sum non-finite, so a finite sum
-    clears the column without a scan: summing in C is about twice as fast
-    as scanning the first ``stop`` entries."""
-    if not math.isfinite(sum(col)):
+    ``stop``; a finite column is cleared without a scan (see
+    :func:`dirsubdiff.dirset._finite`)."""
+    if not _finite(col):
         for j in range(stop):
             if not math.isfinite(col[j]):
                 return j
@@ -373,8 +374,10 @@ class _Sweep:
         active at the direction.  Returns the node values by slot, the
         active members per direction of every max/min slot, and the first
         direction ``bad`` with a non-finite node value (``n`` if none) with
-        that value.  Each max/min calls :func:`active_members` once per
-        direction, on the value list a one-direction sweep would form.
+        that value.  Each max/min calls :func:`active_columns` once, on its
+        member columns over the ``n`` directions: direction ``j`` gets the
+        extreme and active members of the value list a one-direction sweep
+        would form.
         """
         rtol, info = self.rtol, self.info
         width = 3 * n if leaf else n
@@ -399,16 +402,14 @@ class _Sweep:
                 # max/min's: its members come earlier in the program
                 members = [_column(val[c], width) for c in ins[2]]
                 maximize = op == _MAX
-                pick = max if maximize else min
-                col = []
-                picked = []
-                for vals in islice(zip(*members), n):
-                    col.append(pick(vals))
-                    picked.append(active_members(vals, rtol, maximize, info))
+                col, picked = active_columns(
+                    [m[:n] for m in members] if leaf else members, rtol, maximize, info
+                )
                 if leaf:
                     # no member is active where the direction's values are
                     # not finite; that direction is past ``bad``, so its
                     # filler leaf value is never stored
+                    pick = max if maximize else min
                     for start in (n, 2 * n):
                         col += [pick([members[i][start + j] for i in idx]) if idx else math.nan
                                 for j, idx in enumerate(picked)]

@@ -10,8 +10,10 @@ but not its sweep: it is the defining recursion over tangent slices that
 the directed-set operations written as the recursion over ``supports``,
 ``lowers`` and ``interval`` that the flat operations of
 :mod:`dirsubdiff.dirset` must reproduce, and
-:func:`two_pass_active_members` is the listed form of the one-pass
-active-set rule :func:`dirsubdiff.dirset.active_members`.
+:func:`two_pass_active_members` is the listed form of the column-wise
+active-set rule :func:`dirsubdiff.dirset.active_columns` at one direction;
+the recursive sup and inf judge with it, so the flat ones are not judged by
+their own rule.
 
 The cross-checks are brute-force interval lattice operations in endpoint
 form (:func:`interval_sup_bruteforce`, :func:`interval_inf_bruteforce`)
@@ -30,7 +32,7 @@ import math
 from dirsubdiff.basis import orthobasis
 from dirsubdiff.deriv import dirderiv_transform, restrict
 from dirsubdiff.dirset import (
-    ACTIVE_RTOL, ActiveSetInfo, DirectedInterval, DirectedSet, SphereGrid, active_members,
+    ACTIVE_RTOL, ActiveSetInfo, DirectedInterval, DirectedSet, SphereGrid,
 )
 from dirsubdiff.engine import directed_subdiff
 from dirsubdiff.expr import Expr, as_point
@@ -100,7 +102,7 @@ def _recursive_extreme(family, rtol, info, maximize):
     lowers = []
     for k in range(len(first.grid.directions)):
         vals = [s.supports[k] for s in family]
-        active = active_members(vals, rtol, maximize, info)
+        active = two_pass_active_members(vals, rtol, maximize, info)
         supports.append(pick(vals))
         if len(active) == 1:
             lowers.append(family[active[0]].lowers[k])
@@ -111,7 +113,7 @@ def _recursive_extreme(family, rtol, info, maximize):
 
 def recursive_sup(sets, active_rtol: float = ACTIVE_RTOL, info: ActiveSetInfo | None = None) -> DirectedSet:
     """Supremum: the maximal support per direction, recursing on the lower
-    sets of the members :func:`active_members` keeps there."""
+    sets of the members :func:`two_pass_active_members` keeps there."""
     return _recursive_extreme(list(sets), active_rtol, info, True)
 
 
@@ -155,10 +157,11 @@ def recursive_norm(a: DirectedSet) -> float:
 
 
 def two_pass_active_members(values, rtol: float, maximize: bool, info: ActiveSetInfo | None) -> list:
-    """:func:`dirsubdiff.dirset.active_members` written as the rule reads:
-    list every gap to the extreme, keep the gaps within ``eps``, and flag a
-    borderline member when any gap lies in ``(eps, 10 eps]``.  Same indices
-    and flags as the one-pass rule, which classifies each gap once."""
+    """The active-set rule at one direction, written as it reads: list every
+    gap to the extreme, keep the gaps within ``eps``, and flag a borderline
+    member when any gap lies in ``(eps, 10 eps]``.  Same indices and flags
+    as :func:`dirsubdiff.dirset.active_columns` at each direction, which
+    classifies whole columns of gaps at once."""
     m = max(values) if maximize else min(values)
     eps = rtol * (1.0 + abs(m))
     gaps = [m - v for v in values] if maximize else [v - m for v in values]

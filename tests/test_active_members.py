@@ -1,25 +1,30 @@
-"""The one-pass active-set rule against its listed form.
+"""The column-wise active-set rule against its listed form.
 
-``dirset.active_members`` classifies each gap to the extreme once;
-``references.two_pass_active_members`` lists the gaps first and scans them
-twice.  They must return the same indices and set the same flags.
+``dirset.active_columns`` classifies whole columns of gaps to the extremes
+at once, and ``dirset.active_members`` is its one-direction case;
+``references.two_pass_active_members`` lists the gaps of one direction
+first and scans them twice.  They must return the same indices and
+extremes and set the same flags, direction by direction.
 """
+
+import math
 
 import pytest
 
 from dirsubdiff.corpus import get_rng
-from dirsubdiff.dirset import ActiveSetInfo, active_members
+from dirsubdiff.dirset import ActiveSetInfo, active_columns, active_members
 from references import two_pass_active_members
 
 
-def _planted_values(rng, rtol, maximize):
-    """1-6 values around an extreme with planted ties, gaps at and inside
-    the tolerance band, signed zeros and far members."""
+def _planted_values(rng, rtol, maximize, count=None):
+    """``count`` values (1-6 when omitted) around an extreme with planted
+    ties, gaps at and inside the tolerance band, signed zeros and far
+    members."""
     m = rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-3.0, 3.0), 1e300, -1e-300])
     eps = rtol * (1.0 + abs(m))
     sign = -1.0 if maximize else 1.0  # members sit below a max, above a min
     values = []
-    for _ in range(rng.randint(1, 6)):
+    for _ in range(rng.randint(1, 6) if count is None else count):
         kind = rng.randrange(7)
         if kind == 0:
             v = m
@@ -81,3 +86,72 @@ def test_examples(values, maximize, active, ties, borderline):
     info = ActiveSetInfo()
     assert active_members(values, 1e-9, maximize, info) == active
     assert (info.ties, info.borderline) == (ties, borderline)
+
+
+def _planted_columns(rng, rtol, maximize):
+    """``k`` members' columns over ``n`` directions, ``cols[i][j]`` member
+    ``i`` at direction ``j``: each direction's values are planted as above,
+    and about a third of the directions get +-inf or NaN entries."""
+    k, n = rng.randint(1, 6), rng.randint(1, 8)
+    directions = []
+    for _ in range(n):
+        values = _planted_values(rng, rtol, maximize, k)
+        if rng.random() < 1 / 3:
+            for i in rng.sample(range(k), rng.randint(1, k)):
+                values[i] = rng.choice([math.inf, -math.inf, math.nan])
+        directions.append(values)
+    return [list(col) for col in zip(*directions)], directions
+
+
+@pytest.mark.parametrize("rtol", [0.0, 1e-9, 1e-3, 0.25])
+@pytest.mark.parametrize("maximize", [True, False])
+def test_column_rule_matches_the_listed_rule_per_direction(rtol, maximize):
+    rng = get_rng(2025)
+    seen = {"non-finite": False, "k=1": False, "ties": False, "borderline": False}
+    for _ in range(400):
+        cols, directions = _planted_columns(rng, rtol, maximize)
+        # the flags are ORed into what ``info`` already holds
+        start = {"ties": rng.random() < 0.2, "borderline": rng.random() < 0.2}
+        got_info, want_info = ActiveSetInfo(**start), ActiveSetInfo(**start)
+        extremes, active = active_columns(cols, rtol, maximize, got_info)
+        assert len(extremes) == len(active) == len(directions)
+        for j, values in enumerate(directions):
+            want = two_pass_active_members(values, rtol, maximize, want_info)
+            assert active[j] == tuple(want), values
+            # bitwise, so a NaN equals a NaN and -0.0 differs from 0.0
+            assert repr(extremes[j]) == repr(max(values) if maximize else min(values)), values
+        assert got_info == want_info, directions
+        assert active_columns(cols, rtol, maximize, None)[1] == active
+        seen["non-finite"] |= not all(map(math.isfinite, sum(directions, [])))
+        seen["k=1"] |= len(cols) == 1
+        flags = ActiveSetInfo()
+        active_columns(cols, rtol, maximize, flags)
+        seen["ties"] |= flags.ties
+        seen["borderline"] |= flags.borderline
+    # the draws must reach the non-finite and one-member cases, or the
+    # test checks too little
+    assert seen["non-finite"] and seen["k=1"], seen
+    if rtol > 0.0:
+        assert seen["ties"] and seen["borderline"], seen
+
+
+@pytest.mark.parametrize("cols, maximize, extremes, active", [
+    ([[1.0, math.inf, math.nan]], True, [1.0, math.inf, math.nan], [(0,), (), ()]),
+    ([[math.inf, 1.0], [1.0, math.inf]], True, [math.inf, math.inf], [(1,), (0,)]),
+    ([[math.nan, 2.0], [1.0, math.nan]], False, [math.nan, 2.0], [(), (0,)]),
+    ([[-0.0], [0.0]], True, [-0.0], [(0, 1)]),
+])
+def test_column_examples_with_non_finite_entries(cols, maximize, extremes, active):
+    # the extreme keeps the first of incomparable values, as max and min do;
+    # a NaN gap (inf - inf, or any gap to or from NaN) keeps no member,
+    # while a finite member's gap to inf is within eps = inf
+    got = active_columns(cols, 1e-9, maximize, None)
+    assert list(map(repr, got[0])) == list(map(repr, extremes))
+    assert got[1] == active
+
+
+def test_column_rule_checks_its_tolerance_and_members():
+    with pytest.raises(ValueError, match="active_rtol must be finite"):
+        active_columns([[1.0]], math.nan, True, None)
+    with pytest.raises(ValueError, match="at least one member"):
+        active_columns([], 1e-9, True, None)

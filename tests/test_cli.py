@@ -1,6 +1,8 @@
 import argparse
 import hashlib
 import json
+import math
+import os
 import re
 from types import SimpleNamespace
 
@@ -131,6 +133,34 @@ def test_resolution_floor(capsys):
     rc, _, err = run(capsys, "subdiff", "-f", "abs(x1)", "-x", "0,0", "-M", "4")
     assert rc == 2
     assert "at least 8" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("subdiff", "-f", "abs(x1)", "-x", "0,0"),
+    ("verify", "--rule", "sum", "-f1", "abs(x1)", "-x", "0,0"),
+    ("verify", "--rule", "sum", "--random", "1"),
+    ("optcheck", "-f", "abs(x1)", "-x", "0,0"),
+    ("viz", "-f", "abs(x1)", "--csv", os.devnull),
+], ids=["subdiff", "verify", "verify-random", "optcheck", "viz"])
+@pytest.mark.parametrize("resolution", ["3", str(cli.MAX_RESOLUTION + 1), str(2**62)])
+def test_resolution_bounds_on_every_path(monkeypatch, capsys, argv, resolution):
+    # a circle past the cap must never be built: a broken check fails here
+    # instead of allocating without limit
+    circle = SphereGrid.circle
+
+    def guarded(cls, m=360):
+        assert 8 <= m <= cli.MAX_RESOLUTION, f"circle({m}) built past the -M check"
+        return circle(m)
+
+    monkeypatch.setattr(SphereGrid, "circle", classmethod(guarded))
+    rc, out, err = run(capsys, *argv, "-M", resolution)
+    message = f"resolution must be at least 8 and at most 65536, got {resolution}"
+    assert one_error_line(rc, out, err, message)
+
+
+def test_resolution_cap_is_accepted():
+    grid = cli._grid_for(2, cli.MAX_RESOLUTION)
+    assert len(grid) == cli.MAX_RESOLUTION == 65536
 
 
 @pytest.mark.parametrize("value", ["16", "many"])
@@ -496,6 +526,7 @@ def _plane_on(**grid_fields):
     return {**_plane(), "grid": {**_plane()["grid"], **grid_fields}}
 
 
+_NAN_DIRECTIONS = [[math.nan, 0.0]] + _plane()["grid"]["directions"][1:]
 _EMPTY_CIRCLE = {"id": _content_id(2, (1,), (), None), "dim": 2, "resolution": [1],
                  "directions": []}
 _EMPTY_SPHERE = {"id": _content_id(3, (1, 1), (), SimpleNamespace(id=_EMPTY_CIRCLE["id"])),
@@ -510,7 +541,10 @@ _EMPTY_SPHERE = {"id": _content_id(3, (1, 1), (), SimpleNamespace(id=_EMPTY_CIRC
     ({"dim": 2, "grid": _EMPTY_CIRCLE, "entries": []}, "a sphere grid needs at least one direction"),
     ({"format": 2, "dim": 3, "grid": _EMPTY_SPHERE, "entries": []},
      "a sphere grid needs at least one direction"),
-], ids=["resolution-float", "direction-string", "2-D-no-directions", "3-D-no-directions"])
+    (_plane_on(directions=_NAN_DIRECTIONS, id=_content_id(2, (4,), _NAN_DIRECTIONS, None)),
+     "grid directions must be unit vectors, got |l| = nan"),
+], ids=["resolution-float", "direction-string", "2-D-no-directions", "3-D-no-directions",
+        "nan-direction"])
 def test_grid_document_of_wrong_content_is_an_input_error(tmp_path, capsys, doc, message):
     # the ids match the content, so only the checks on the content can reject these
     with pytest.raises(ValueError, match=re.escape(message)):

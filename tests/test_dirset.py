@@ -313,6 +313,9 @@ def test_grid_validation():
         SphereGrid.sphere(0, 8, 8)
     with pytest.raises(ValueError, match="at least one direction"):
         SphereGrid._from_parts(3, (1, 1), [], SphereGrid.circle(4))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="must be unit vectors"):
+            SphereGrid._from_parts(2, (2,), [(bad, 0.0), (1.0, 0.0)], None)
 
 
 def _sweep_columns(grid):
