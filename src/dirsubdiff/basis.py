@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .expr import finite_floats
+
 _UNIT_TOL = 1e-12
 
 
@@ -44,7 +46,7 @@ def orthobasis(direction) -> Basis:
     (numerically) ``e_n`` or ``-e_n`` the reflection degenerates to the
     identity up to sign and the plain axis vectors are returned.
     """
-    l = tuple(float(v) for v in direction)
+    l = finite_floats(direction, "direction must be a unit vector, got {!r}")
     n = len(l)
     if n < 2:
         raise ValueError("orthobasis needs a direction in dimension >= 2")

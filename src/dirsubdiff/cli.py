@@ -45,8 +45,9 @@ from .viz import viz_segments, write_segments_csv, write_segments_svg
 
 RULES = ("sum", "product", "quotient", "max", "min", "fixpoint", "taylor", "chain1d")
 
-#: largest ``-M``: a circle of this many directions holds about 7 MB of floats
-MAX_RESOLUTION = 65536
+#: largest ``-M`` (a circle of this many directions holds about 7 MB of floats)
+#: and ``mvt --scan`` (the scan keeps one probe record per point)
+MAX_RESOLUTION = MAX_SCAN = 65536
 
 
 def _parse_point(text: str) -> tuple[float, ...]:
@@ -213,6 +214,8 @@ def cmd_optcheck(args) -> int:
 
 
 def cmd_mvt(args) -> int:
+    if args.scan > MAX_SCAN:
+        raise ValueError(f"--scan must be at most {MAX_SCAN}, got {args.scan}")
     e = parse(args.function)
     x0 = _parse_point(args.x0)
     x1 = _parse_point(args.x1)

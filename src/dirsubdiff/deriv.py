@@ -22,7 +22,6 @@ identities the verification layer checks.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 
 from .basis import Basis
@@ -42,6 +41,8 @@ from .expr import (
     checked_point,
     context_point,
     evaluate,
+    finite_float,
+    finite_floats,
     primitive,
     walk,
 )
@@ -126,18 +127,14 @@ def dirderiv_transform(
                          for h in node.inner)
             v = vals[sub][node.outer]
             d = Affine(ders[sub][node.outer], rows, (0.0,) * len(node.inner))
-        if not math.isfinite(v):
-            raise DomainError(f"value overflows to {v!r} at the base point")
-        memo[node] = v
+        memo[node] = finite_float(v, "value overflows to {!r} at the base point", DomainError)
         dmemo[node] = d
     return ders[0][e]
 
 
 def _coefficient(c: float) -> float:
     """A derivative coefficient of the transform, which must be finite."""
-    if not math.isfinite(c):
-        raise DomainError(f"derivative coefficient overflows to {c!r} at the base point")
-    return c
+    return finite_float(c, "derivative coefficient overflows to {!r} at the base point", DomainError)
 
 
 def dirderiv(e: Expr, x, l, active_rtol: float = ACTIVE_RTOL) -> float:
@@ -155,7 +152,7 @@ def restrict(g: Expr, l, basis: Basis) -> Expr:
 
     ``basis`` must belong to ``l``; the result reads ``n - 1`` coordinates.
     """
-    l = tuple(float(v) for v in l)
+    l = finite_floats(l, "basis does not belong to the given direction")
     if len(l) != len(basis.direction) or any(
         abs(a - b) > 1e-12 for a, b in zip(l, basis.direction)
     ):

@@ -46,9 +46,11 @@ from functools import cached_property
 from itertools import compress, repeat
 
 from .basis import orthobasis
+from .expr import finite_float, finite_floats
 
 #: relative scale of the active-set tolerance: eps = ACTIVE_RTOL * (1 + |extreme|)
 ACTIVE_RTOL = 1e-9
+_LEAF_ENTRIES = "directed interval entries must be finite"
 
 
 class GridMismatchError(ValueError):
@@ -70,10 +72,12 @@ class ActiveSetInfo:
     borderline: bool = False
 
 
-def check_tolerance(name: str, value: float) -> None:
-    """Raise :class:`ValueError` unless ``value`` is a finite number >= 0."""
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+def check_tolerance(name: str, value: float) -> float:
+    """``value`` as a float, which must be finite and >= 0 (else ``ValueError``)."""
+    message = name + " must be finite and >= 0, got {!r}"
+    if (v := finite_float(value, message)) < 0.0:
+        raise ValueError(message.format(value))
+    return v
 
 
 def _extremes(cols, maximize: bool) -> list:
@@ -110,7 +114,7 @@ def active_columns(cols, rtol: float, maximize: bool, info: ActiveSetInfo | None
     ``two_pass_active_members`` in ``tests/references.py`` applied to each
     direction.  ``rtol`` must be finite and >= 0.
     """
-    check_tolerance("active_rtol", rtol)
+    rtol = check_tolerance("active_rtol", rtol)
     if not cols:
         raise ValueError("the active-set rule needs at least one member")
     extremes = _extremes(cols, maximize)
@@ -177,8 +181,9 @@ class SphereGrid:
     """Deterministic unit-direction grid on the sphere of dimension ``dim``.
 
     ``id`` is a content hash over the directions, the resolution and the
-    nested sub-grid, so equal ids mean bitwise-identical grids.  Dimension 2
-    uses ``resolution[0]`` equally spaced angles starting at ``(1, 0)``;
+    nested sub-grid, so equal ids mean bitwise-identical grids; a given ``id``
+    that is not the hash raises :class:`GridMismatchError`.  Dimension 2 uses
+    ``resolution[0]`` equally spaced angles starting at ``(1, 0)``;
     dimension 3 uses a polar-azimuth lattice with midpoint polar angles (no
     poles, no duplicate directions) and carries the circle grid used by the
     recursion one level down.
@@ -191,6 +196,9 @@ class SphereGrid:
     id: str
 
     def __post_init__(self):
+        object.__setattr__(self, "resolution", tuple(int(r) for r in self.resolution))
+        object.__setattr__(self, "directions", tuple(tuple(map(float, d)) for d in self.directions))
+        gid = _content_id(self.dim, self.resolution, self.directions, self.subgrid)
         if self.dim < 2:
             raise ValueError("sphere grids exist for dimension >= 2")
         if not self.directions:
@@ -206,6 +214,8 @@ class SphereGrid:
             nrm = math.sqrt(sum(v * v for v in l))
             if not abs(nrm - 1.0) <= 1e-12:  # also true for a NaN norm
                 raise ValueError(f"grid directions must be unit vectors, got |l| = {nrm!r}")
+        if self.id != gid:
+            raise GridMismatchError(f"grid content hash mismatch: stored {self.id!r}, recomputed {gid!r}")
 
     def __len__(self) -> int:
         return len(self.directions)
@@ -235,10 +245,8 @@ class SphereGrid:
 
     @classmethod
     def _from_parts(cls, dim, resolution, directions, subgrid) -> "SphereGrid":
-        resolution = tuple(int(r) for r in resolution)
-        directions = tuple(tuple(float(v) for v in d) for d in directions)
-        gid = _content_id(dim, resolution, directions, subgrid)
-        return cls(dim, resolution, directions, subgrid, gid)
+        return cls(dim, resolution, directions, subgrid,
+                   _content_id(dim, resolution, directions, subgrid))
 
     @classmethod
     def circle(cls, resolution: int = 360) -> "SphereGrid":
@@ -311,11 +319,7 @@ class SphereGrid:
                 _typed([g["dim"]], _INT, "dim")
                 _typed(g["resolution"], _INT, "resolution entries")
                 _typed([v for dv in g["directions"] for v in dv], _NUMBER, "direction entries")
-                grid = cls._from_parts(g["dim"], g["resolution"], g["directions"], grid)
-                if grid.id != g["id"]:
-                    raise GridMismatchError(
-                        f"grid content hash mismatch: stored {g['id']!r}, recomputed {grid.id!r}"
-                    )
+                grid = cls(g["dim"], g["resolution"], g["directions"], grid, g["id"])
         except (KeyError, TypeError, OverflowError, struct.error) as exc:
             raise ValueError(f"malformed grid document: {exc!r}") from exc
         return grid
@@ -357,15 +361,6 @@ def _blocks(s: "DirectedSet") -> list:
     ]
 
 
-def _finite(values) -> bool:
-    """True when every entry of ``values`` is finite.  A non-finite entry
-    makes the sum non-finite, so a finite sum clears ``values`` without a
-    scan: summing in C is about twice as fast as scanning.  Only a sum that
-    is not finite, which finite entries can reach by overflow, is checked
-    entry by entry."""
-    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
-
-
 # ---------------------------------------------------------------------------
 # directed intervals and directed sets
 
@@ -378,11 +373,8 @@ class DirectedInterval:
     a_pos: float
 
     def __post_init__(self):
-        an, ap = float(self.a_neg), float(self.a_pos)
-        if not (math.isfinite(an) and math.isfinite(ap)):
-            raise ValueError("directed interval entries must be finite")
-        object.__setattr__(self, "a_neg", an)
-        object.__setattr__(self, "a_pos", ap)
+        object.__setattr__(self, "a_neg", finite_float(self.a_neg, _LEAF_ENTRIES))
+        object.__setattr__(self, "a_pos", finite_float(self.a_pos, _LEAF_ENTRIES))
 
     @property
     def lower_endpoint(self) -> float:
@@ -401,9 +393,7 @@ class DirectedInterval:
 
 def embed_interval(lo: float, hi: float) -> DirectedInterval:
     """Embed the proper interval ``[lo, hi]`` as the pair ``(-lo, hi)``."""
-    lo, hi = float(lo), float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError("interval endpoints must be finite")
+    lo, hi = (finite_float(v, "interval endpoints must be finite") for v in (lo, hi))
     if lo > hi:
         raise ValueError(f"embed_interval needs lo <= hi, got [{lo!r}, {hi!r}]")
     return DirectedInterval(-lo, hi)
@@ -429,18 +419,14 @@ class DirectedSet:
         lengths = _lengths(grid)
         if len(levels) != len(lengths) - 2:
             raise ValueError(f"expected {len(lengths) - 2} support levels, got {len(levels)}")
-        levels = tuple(tuple(map(float, lv)) for lv in levels)
-        a_neg, a_pos = tuple(map(float, a_neg)), tuple(map(float, a_pos))
+        levels = tuple(finite_floats(lv, "support values must be finite") for lv in levels)
+        a_neg, a_pos = finite_floats(a_neg, _LEAF_ENTRIES), finite_floats(a_pos, _LEAF_ENTRIES)
         for lv, n in zip(levels, lengths):
             if len(lv) != n:
                 raise ValueError(f"support level of length {len(lv)} does not match the grid ({n})")
         n = lengths[-1]
         if len(a_neg) != n or len(a_pos) != n:
             raise ValueError(f"leaf arrays must hold {n} pairs, got {len(a_neg)} and {len(a_pos)}")
-        if not all(map(_finite, levels)):
-            raise ValueError("support values must be finite")
-        if not (_finite(a_neg) and _finite(a_pos)):
-            raise ValueError("directed interval entries must be finite")
         set_ = object.__setattr__
         set_(self, "dim", grid.dim if grid is not None else 1)
         set_(self, "grid", grid)
@@ -603,7 +589,7 @@ class DirectedSet:
         """
         try:
             return cls._decode(d)
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed directed set document: {exc!r}") from exc
 
     @classmethod
@@ -715,7 +701,7 @@ def embed_point(point, grid: SphereGrid | None = None) -> DirectedSet:
     every supporting face is the point itself, projected into the tangent
     hyperplane through the fixed basis.
     """
-    p = tuple(float(v) for v in point)
+    p = tuple(point)  # converted below, by the interval or as the point of the first level
     n = len(p)
     if n == 0:
         raise ValueError("point must have at least one coordinate")
@@ -723,7 +709,7 @@ def embed_point(point, grid: SphereGrid | None = None) -> DirectedSet:
         return DirectedSet.from_interval(embed_interval(p[0], p[0]))
     if grid is None or grid.dim != n:
         raise ValueError(f"embedding a {n}-D point needs a grid of dimension {n}")
-    points = [p]  # the point as seen by each set of the current level
+    points = [finite_floats(p, "support values must be finite")]  # as each set of a level sees it
     levels = []
     g = grid
     while g is not None:
@@ -751,17 +737,14 @@ def embed_polygon(vertices, grid: SphereGrid) -> DirectedSet:
     onto the fixed tangent axis.  Degenerate inputs (single point, two
     points, collinear points) are fine.
     """
-    verts = [tuple(float(c) for c in v) for v in vertices]
+    verts = [tuple(v) for v in vertices]
     if not verts:
         raise ValueError("polygon needs at least one vertex")
-    for v in verts:
-        if len(v) != 2:
-            raise ValueError("polygon vertices must be 2-D")
-        if not all(math.isfinite(c) for c in v):
-            raise ValueError("polygon vertices must be finite")
+    if any(len(v) != 2 for v in verts):
+        raise ValueError("polygon vertices must be 2-D")
     if grid.dim != 2:
         raise ValueError("polygon embedding needs a 2-D grid")
-    return sup([embed_point(v, grid) for v in verts])
+    return sup([embed_point(finite_floats(v, "polygon vertices must be finite"), grid) for v in verts])
 
 
 # ---------------------------------------------------------------------------
@@ -784,9 +767,7 @@ def linear_combination(alpha: float, a: DirectedSet, beta: float, b: DirectedSet
     coefficients (no endpoint swapping), which is exactly what makes the
     space linear and inversion representable.
     """
-    alpha, beta = float(alpha), float(beta)
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise ValueError("coefficients must be finite")
+    alpha, beta = (finite_float(c, "coefficients must be finite") for c in (alpha, beta))
     _check_compatible(a, b)
     arrays = [
         [alpha * x + beta * y for x, y in zip(xs, ys)]
@@ -820,9 +801,7 @@ def distance(a: DirectedSet, b: DirectedSet) -> float:
     """Metric induced by the norm, ``norm(a - b)``, in one pass."""
     _check_compatible(a, b)
     d = max(max(map(abs, map(operator.sub, xs, ys))) for xs, ys in zip(a._arrays(), b._arrays()))
-    if not math.isfinite(d):
-        raise ValueError("support values must be finite")
-    return d
+    return finite_float(d, "support values must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +880,7 @@ def leq(a: DirectedSet, b: DirectedSet, eps: float = 1e-9) -> bool:
     plus ``eps``; where the two supports agree within ``eps`` (and dimension
     permits) the comparison recurses into the lower components.
     """
-    check_tolerance("eps", eps)
+    eps = check_tolerance("eps", eps)
     _check_compatible(a, b)
     tied = [0]  # entries of the current level whose supports agree within eps
     for j, m in enumerate(_sizes(a.grid)):

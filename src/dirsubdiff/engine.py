@@ -47,11 +47,12 @@ import math
 from functools import cache
 
 from .dirset import (
-    ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, _finite, active_columns, embed_point,
+    ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_columns, embed_point,
 )
 from .deriv import dirderiv_transform
 from .expr import (
-    Affine, Const, DomainError, Expr, ExprError, LinComb, Max, Min, Var, as_point, walk,
+    Affine, Const, DomainError, Expr, ExprError, LinComb, Max, Min, Var, _finite, as_point,
+    finite_float, walk,
 )
 
 
@@ -120,8 +121,8 @@ def directed_subdiffs(
     try:
         gs = [dirderiv_transform(e, xs, active_rtol, joint, shared) for e in exprs]
         if n == 1:
-            sets = [DirectedSet.leaf(_finite_leaf(g._eval((-1.0,))), _finite_leaf(g._eval((1.0,))))
-                    for g in gs]
+            sets = [DirectedSet.leaf(*(finite_float(g._eval((t,)), _OVERFLOW, DomainError)
+                                       for t in (-1.0, 1.0))) for g in gs]
         else:
             sweep = _Sweep(gs, active_rtol, joint, n)
             sweep.level(grid, (), None)
@@ -166,7 +167,7 @@ def _column(v, n: int):
 def _first_bad(col, stop: int) -> int:
     """Index of the first non-finite entry of ``col`` before ``stop``, else
     ``stop``; a finite column is cleared without a scan (see
-    :func:`dirsubdiff.dirset._finite`)."""
+    :func:`dirsubdiff.expr._finite`)."""
     if not _finite(col):
         for j in range(stop):
             if not math.isfinite(col[j]):
@@ -174,15 +175,7 @@ def _first_bad(col, stop: int) -> int:
     return stop
 
 
-def _overflow(v):
-    return DomainError(f"value overflows to {v!r} at the base point")
-
-
-def _finite_leaf(v: float) -> float:
-    """``v``, or :class:`DomainError` when a leaf value overflowed."""
-    if not math.isfinite(v):
-        raise _overflow(v)
-    return v
+_OVERFLOW = "value overflows to {!r} at the base point"
 
 
 class _Sweep:
@@ -353,7 +346,7 @@ class _Sweep:
                 neg, pos = out[n:2 * n], out[2 * n:]
                 j = min(_first_bad(neg, bad), _first_bad(pos, bad))
                 if j < bad:
-                    raise _overflow(neg[j] if not math.isfinite(neg[j]) else pos[j])
+                    raise DomainError(_OVERFLOW.format(pos[j] if math.isfinite(neg[j]) else neg[j]))
                 self.a_neg[k].extend(neg)
                 self.a_pos[k].extend(pos)
         if not leaf:
@@ -363,7 +356,7 @@ class _Sweep:
                     narrowed[s] = col[j]
                 self.level(grid.subgrid, frames + (grid.tangent_rows[j],), narrowed, depth + 1)
         if bad < n:
-            raise _overflow(bad_value)
+            raise DomainError(_OVERFLOW.format(bad_value))
 
     def _run(self, program, n: int, pts, leaf: bool) -> tuple:
         """Run ``program`` once over the points ``pts`` (per affine context)

@@ -43,6 +43,51 @@ class ArityError(ExprError, ValueError):
     """The evaluation point has fewer coordinates than the expression uses."""
 
 
+def _finite(values) -> bool:
+    """True when all entries are finite; a finite sum (fast, in C) clears them without a scan."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+def _wide(v) -> float:
+    """``float(v)``, a number too large for a float reading as +-inf."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
+def finite_float(v, message: str, error=ValueError) -> float:
+    """``float(v)`` when finite, else ``error(message)`` with ``{!r}`` in it
+    standing for :func:`_wide` of ``v``.  With :func:`finite_floats` this is
+    the one door for numbers: entry points take theirs through it, so a NaN,
+    an infinity or an int too large for a float ends in the entry point's
+    ``ValueError`` or :class:`DomainError`, never in ``OverflowError``."""
+    try:
+        f = float(v)
+        if math.isfinite(f):
+            return f
+    except OverflowError:
+        pass
+    raise error(message.format(_wide(v)))
+
+
+def finite_floats(values, message: str, error=ValueError) -> tuple:
+    """:func:`finite_float` of a sequence, as a tuple, with no Python step per entry."""
+    try:
+        xs = tuple(map(float, values))
+        if _finite(xs):
+            return xs
+    except OverflowError:
+        pass
+    raise error(message.format(tuple(map(_wide, values))))
+
+
+def as_point(x) -> tuple:
+    """A scalar or a number sequence as a tuple of finite floats, else :class:`DomainError`."""
+    return finite_floats((x,) if isinstance(x, (int, float)) else x,
+                         "point coordinates must be finite, got {!r}", DomainError)
+
+
 def _exp(v, k):
     try:
         return math.exp(v)
@@ -92,7 +137,7 @@ def _coerce(value) -> "Expr":
     if isinstance(value, Expr):
         return value
     if isinstance(value, (int, float)):
-        return Const(float(value))
+        return Const(value)
     raise TypeError(f"cannot use {type(value).__name__} as an expression")
 
 
@@ -243,10 +288,8 @@ class Const(Expr):
     arity: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        v = float(self.value)
-        if not math.isfinite(v):
-            raise ValueError(f"constant must be finite, got {v!r}")
-        object.__setattr__(self, "value", v)
+        value = finite_float(self.value, "constant must be finite, got {!r}")
+        object.__setattr__(self, "value", value)
         object.__setattr__(self, "arity", 0)
 
     children = ()
@@ -295,8 +338,8 @@ class Affine(Expr):
     arity: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(float(w) for w in row) for row in self.matrix)
-        off = tuple(float(c) for c in self.offset)
+        rows = tuple(finite_floats(r, "affine matrix entries must be finite") for r in self.matrix)
+        off = finite_floats(self.offset, "affine offsets must be finite")
         if len(rows) != len(off):
             raise ValueError("matrix row count must match offset length")
         if not rows:
@@ -304,13 +347,6 @@ class Affine(Expr):
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("matrix rows must have equal length")
-        for row in rows:
-            for w in row:
-                if not math.isfinite(w):
-                    raise ValueError("affine matrix entries must be finite")
-        for c in off:
-            if not math.isfinite(c):
-                raise ValueError("affine offsets must be finite")
         if self.child.arity > len(off):
             raise ValueError(
                 f"child reads {self.child.arity} coordinates but the substitution "
@@ -345,11 +381,9 @@ class LinComb(Expr):
     arity: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        a, b = float(self.alpha), float(self.beta)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("linear combination coefficients must be finite")
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
+        message = "linear combination coefficients must be finite"
+        object.__setattr__(self, "alpha", finite_float(self.alpha, message))
+        object.__setattr__(self, "beta", finite_float(self.beta, message))
         object.__setattr__(self, "arity", max(self.left.arity, self.right.arity))
 
     @property
@@ -623,17 +657,6 @@ def has_kinks(e: Expr) -> bool:
         seen.update(fresh)
         stack += fresh
     return False
-
-
-def as_point(x) -> tuple:
-    """Normalize a scalar or a float sequence to a tuple of finite floats.
-
-    Raises :class:`DomainError` on a NaN or infinite coordinate.
-    """
-    xs = (float(x),) if isinstance(x, (int, float)) else tuple(map(float, x))
-    if not all(map(math.isfinite, xs)):
-        raise DomainError(f"point coordinates must be finite, got {xs!r}")
-    return xs
 
 
 def checked_point(e: Expr, point) -> tuple:

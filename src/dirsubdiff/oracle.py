@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import Expr, evaluate
+from .expr import Expr, as_point, evaluate
 
 
 @dataclass(frozen=True)
@@ -47,8 +47,7 @@ def dini_fd(e: Expr, x, l, schedule: FdSchedule = FdSchedule()) -> float:
     term on the smooth piece eventually selected by small steps.  Accuracy
     is of the order of the squared smallest step plus rounding noise.
     """
-    xs = tuple(float(v) for v in x)
-    ls = tuple(float(v) for v in l)
+    xs, ls = as_point(x), as_point(l)
     f0 = evaluate(e, xs)
     quotients = []
     t = schedule.t0

@@ -52,6 +52,7 @@ from .expr import (
     as_point,
     compose,
     evaluate,
+    finite_float,
 )
 
 logger = logging.getLogger(__name__)
@@ -158,15 +159,14 @@ def verify_sum_rule(
 ) -> VerificationReport:
     """``D(alpha f1 + beta f2) = alpha D(f1) + beta D(f2)`` at ``x``."""
     xs = as_point(x)
-    alpha, beta = float(alpha), float(beta)
+    combined = LinComb(alpha, f1, beta, f2)  # alpha and beta as finite floats
 
     def compute(rtol, info):
-        s1, s2, lhs = directed_subdiffs(
-            (f1, f2, LinComb(alpha, f1, beta, f2)), xs, grid, rtol, info)
-        return lhs, linear_combination(alpha, s1, beta, s2)
+        s1, s2, lhs = directed_subdiffs((f1, f2, combined), xs, grid, rtol, info)
+        return lhs, linear_combination(combined.alpha, s1, combined.beta, s2)
 
     return _guarded_report(
-        "sum", compute, xs, metadata={"alpha": alpha, "beta": beta},
+        "sum", compute, xs, metadata={"alpha": combined.alpha, "beta": combined.beta},
         active_rtol=active_rtol, guard=guard,
     )
 
@@ -351,7 +351,7 @@ def verify_chain_rule_1d(
     """Chain-rule formula against the engine on the composite expression."""
     composite = compose(g, phi)
     phi = composite.inner
-    t0 = float(t0)
+    t0 = as_point((t0,))[0]
     values = tuple(evaluate(p, (t0,)) for p in phi)
     rates = tuple(smooth_gradient(p, (t0,))[0] for p in phi)
     neg_rates = tuple(-r for r in rates)
@@ -371,6 +371,13 @@ def verify_chain_rule_1d(
     )
 
 
+def _segment(x0, x1) -> tuple:
+    a, b = as_point(x0), as_point(x1)
+    if len(a) != len(b):
+        raise ValueError("segment endpoints must share a dimension")
+    return a, b
+
+
 def segment_subdiff(
     g: Expr,
     x0,
@@ -379,12 +386,10 @@ def segment_subdiff(
     active_rtol: float = ACTIVE_RTOL,
 ) -> DirectedInterval:
     """Subdifferential pair of ``t -> g(x0 + t (x1 - x0))`` at parameter ``t``."""
-    a = as_point(x0)
-    b = as_point(x1)
-    if len(a) != len(b):
-        raise ValueError("segment endpoints must share a dimension")
+    a, b = _segment(x0, x1)
+    t = finite_float(t, "segment parameter must be finite, got {!r}", DomainError)
     d = tuple(bv - av for av, bv in zip(a, b))
-    xt = tuple(av + float(t) * dv for av, dv in zip(a, d))
+    xt = tuple(av + t * dv for av, dv in zip(a, d))
     transform = dirderiv_transform(g, xt, active_rtol)
     neg_d = tuple(-dv for dv in d)
     return DirectedInterval(evaluate(transform, neg_d), evaluate(transform, d))
@@ -458,17 +463,14 @@ def mvt_witness(
     ``c = g(x1) - g(x0)`` and ``d = x1 - x0``; the two conditions say the
     embedded increment lies below the segment subdifferential at ``t_hat``.
     A uniform interior scan is tried first, then bisection refines every
-    sign change of ``u`` down to ``refine_width``, which lands inside the
-    active-set snap window of a kink.  Each parameter is probed once, with
-    u and v read off its :func:`segment_subdiff` pair.  Raises
+    sign change of ``u`` down to ``refine_width`` or to adjacent floats,
+    inside the active-set snap window of a kink.  Each parameter is probed
+    once, with u and v read off its :func:`segment_subdiff` pair.  Raises
     :class:`ValueError` unless ``eps`` is finite and >= 0, and
     :class:`WitnessNotFoundError` when both stages fail.
     """
-    check_tolerance("eps", eps)
-    a = as_point(x0)
-    b = as_point(x1)
-    if len(a) != len(b):
-        raise ValueError("segment endpoints must share a dimension")
+    eps = check_tolerance("eps", eps)
+    a, b = _segment(x0, x1)
     if all(av == bv for av, bv in zip(a, b)):
         raise ValueError("segment endpoints coincide")
     c = evaluate(g, b) - evaluate(g, a)
@@ -492,8 +494,9 @@ def mvt_witness(
     for lo, hi in zip(scan, scan[1:]):
         if (lo[1] < 0.0) == (hi[1] < 0.0):
             continue
-        while hi[0] - lo[0] > refine_width:
-            mid = probe(0.5 * (lo[0] + hi[0]))
+        # stop where the midpoint is an endpoint: between adjacent floats
+        while hi[0] - lo[0] > refine_width and lo[0] < (t := 0.5 * (lo[0] + hi[0])) < hi[0]:
+            mid = probe(t)
             if (mid[1] < 0.0) == (lo[1] < 0.0):
                 lo = mid
             else:

@@ -333,6 +333,18 @@ def test_mvt_validation(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("scan", [str(cli.MAX_SCAN + 1), str(10**9)])
+def test_mvt_scan_is_bounded(monkeypatch, capsys, scan):
+    # the scan holds one probe per point: a value past the cap must not reach
+    # mvt_witness, so a broken check fails here instead of allocating
+    def unreachable(*args, **kwargs):
+        pytest.fail(f"mvt_witness ran with --scan {scan}")
+
+    monkeypatch.setattr(cli, "mvt_witness", unreachable)
+    rc, out, err = run(capsys, "mvt", "-f", "abs(x1)", "--x0=-1", "--x1", "2", "--scan", scan)
+    assert one_error_line(rc, out, err, f"--scan must be at most 65536, got {scan}")
+
+
 # ---------------------------------------------------------------------------
 # viz
 
@@ -495,15 +507,19 @@ _MALFORMED_DOCUMENTS = {
 }
 
 
-@pytest.mark.parametrize("doc", _MALFORMED_DOCUMENTS.values(), ids=_MALFORMED_DOCUMENTS)
-def test_malformed_document_is_an_input_error(tmp_path, capsys, doc):
-    with pytest.raises(ValueError, match="malformed directed set document"):
+@pytest.mark.parametrize("name", _MALFORMED_DOCUMENTS)
+def test_malformed_document_is_an_input_error(tmp_path, capsys, name):
+    doc = _MALFORMED_DOCUMENTS[name]
+    # a number too large for a float is turned away as a non-finite entry
+    message = ("directed interval entries must be finite" if name == "huge-integer"
+               else "malformed directed set document")
+    with pytest.raises(ValueError, match=message):
         DirectedSet.from_json_dict(doc)
     stored = tmp_path / "doc.json"
     stored.write_text(json.dumps(doc))
     csv_path = tmp_path / "x.csv"
     rc, out, err = run(capsys, "viz", "--in", str(stored), "--csv", str(csv_path))
-    assert one_error_line(rc, out, err, "malformed directed set document")
+    assert one_error_line(rc, out, err, message)
     assert not csv_path.exists()
 
 

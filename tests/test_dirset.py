@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ from dirsubdiff.dirset import (
     DirectedSet,
     GridMismatchError,
     SphereGrid,
+    _content_id,
     directed_zero,
     distance,
     embed_interval,
@@ -124,8 +126,17 @@ _PLANE = SphereGrid.circle(4)
      "coefficients must be finite"),
     (lambda: directed_zero(0), "dimension must be >= 1"),
     (lambda: distance(leaf(1e308, 0.0), leaf(-1e308, 0.0)), "support values must be finite"),
+    # an int too large for a float is a non-finite number, not an OverflowError
+    (lambda: DirectedSet.leaf(0.0, 10**400), "directed interval entries must be finite"),
+    (lambda: embed_interval(-10**400, 0.0), "interval endpoints must be finite"),
+    (lambda: embed_point((10**400,)), "interval endpoints must be finite"),
+    (lambda: embed_point((0.0, 10**400), _PLANE), "support values must be finite"),
+    (lambda: embed_polygon([(0.0, 0.0), (10**400, 0.0)], _PLANE), "polygon vertices must be finite"),
+    (lambda: linear_combination(1.0, leaf(0.0, 0.0), 10**400, leaf(0.0, 0.0)),
+     "coefficients must be finite"),
 ], ids=["polygon-empty", "polygon-3d-vertex", "polygon-nan", "polygon-3d-grid", "point-empty",
-        "point-grid-dim", "lincomb-inf", "zero-dim-0", "distance-overflow"])
+        "point-grid-dim", "lincomb-inf", "zero-dim-0", "distance-overflow", "leaf-huge",
+        "interval-huge", "point-1d-huge", "point-2d-huge", "polygon-huge", "lincomb-huge"])
 def test_bad_arguments_are_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -384,6 +395,18 @@ def test_json_tamper_detected():
     d["grid"]["id"] = "0" * 16
     with pytest.raises(GridMismatchError):
         DirectedSet.from_json_dict(d)
+
+
+def test_grid_constructor_checks_the_id():
+    # the negated directions of circle(8) under circle(8)'s id: a set on such a
+    # grid must not combine with sets on the real circle
+    g = SphereGrid.circle(8)
+    flipped = tuple((-a, -b) for a, b in g.directions)
+    message = (f"grid content hash mismatch: stored {g.id!r}, "
+               f"recomputed {_content_id(2, (8,), flipped, None)!r}")
+    with pytest.raises(GridMismatchError, match=re.escape(message)):
+        SphereGrid(2, (8,), flipped, None, g.id)
+    assert SphereGrid(2, [8], [list(d) for d in g.directions], None, g.id) == g
 
 
 # ---------------------------------------------------------------------------

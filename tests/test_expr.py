@@ -157,8 +157,17 @@ def test_constructor_validation():
     (lambda: compose(var(1), [var(0)]), ValueError,
      "outer reads 2 coordinates but only 1 inner components were given"),
     (lambda: var(0) + "x2", TypeError, "cannot use str as an expression"),
+    # an int too large for a float is a non-finite number, not an OverflowError
+    (lambda: Const(10**400), ValueError, "constant must be finite, got inf"),
+    (lambda: var(0) - 10**400, ValueError, "constant must be finite, got inf"),
+    (lambda: LinComb(1.0, var(0), -10**400, var(0)), ValueError,
+     "linear combination coefficients must be finite"),
+    (lambda: Affine(var(0), ((10**400,),), (0.0,)), ValueError,
+     "affine matrix entries must be finite"),
+    (lambda: Affine(var(0), ((1.0,),), (10**400,)), ValueError, "affine offsets must be finite"),
 ], ids=["affine-rows", "affine-empty", "affine-matrix-inf", "affine-offset-nan", "lincomb-inf",
-        "compose-empty", "compose-outer-arity", "coerce-str"])
+        "compose-empty", "compose-outer-arity", "coerce-str", "const-huge", "coerce-huge",
+        "lincomb-huge", "affine-matrix-huge", "affine-offset-huge"])
 def test_constructor_checks(build, error, message):
     with pytest.raises(error, match=message):
         build()

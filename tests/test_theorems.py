@@ -1,9 +1,11 @@
 import logging
 import math
+import re
 
 import pytest
 
 from dirsubdiff import theorems
+from dirsubdiff.basis import orthobasis
 from dirsubdiff.dirset import (
     ACTIVE_RTOL,
     DirectedInterval,
@@ -16,8 +18,10 @@ from dirsubdiff.dirset import (
     leq,
     sup,
 )
+from dirsubdiff.deriv import restrict
 from dirsubdiff.engine import directed_subdiff
-from dirsubdiff.expr import DomainError
+from dirsubdiff.expr import DomainError, as_point, evaluate
+from dirsubdiff.oracle import dini_fd
 from dirsubdiff.parser import parse
 from dirsubdiff.theorems import (
     MvtWitness,
@@ -331,6 +335,28 @@ def test_mvt_validation():
         mvt_witness(parse("abs(x1)"), (0.0,), (1.0,), scan_points=0)
 
 
+def test_mvt_bisection_ends_at_adjacent_floats(monkeypatch):
+    # with refine_width 0 the bisection narrows the sign change of u, at the
+    # edge of the active-set window around the kink of |x1| at t = 1/3, to two
+    # adjacent floats, whose midpoint is one of them; a budget on the probes
+    # makes a bisection that never ends fail here instead of hanging
+    probes = []
+    segment = theorems.segment_subdiff
+
+    def counted(*args):
+        probes.append(args[3])
+        if len(probes) > 400:
+            pytest.fail("the bisection did not end")
+        return segment(*args)
+
+    monkeypatch.setattr(theorems, "segment_subdiff", counted)
+    w = mvt_witness(parse("abs(x1)"), (-1.0,), (2.0,), refine_width=0.0)
+    assert abs(w.t_hat - 1.0 / 3.0) <= 1e-9
+    assert w.residual == 0.0
+    assert max(t for t in probes if t < w.t_hat) == math.nextafter(w.t_hat, 0.0)
+    assert len(probes) == len(set(probes))  # no parameter is probed twice
+
+
 def test_mvt_no_witness_for_concave_kink():
     # -|x| on [-1, 2]: the increment can never sit below the
     # subdifferential, the theorem needs the opposite containment here
@@ -425,6 +451,40 @@ def test_bad_active_rtol_is_rejected(entry, bad):
 def test_bad_eps_is_rejected(entry, bad):
     with pytest.raises(ValueError, match="eps must be finite and >= 0"):
         EPS_CALLS[entry](bad)
+
+
+#: entry point -> (call, error, message) for a number that is not a finite float
+NUMBER_CALLS = {
+    "as_point": (lambda: as_point((0.0, 10**400)), DomainError,
+                 "point coordinates must be finite, got (0.0, inf)"),
+    "evaluate": (lambda: evaluate(KINK, (-10**400, 0.0)), DomainError,
+                 "point coordinates must be finite, got (-inf, 0.0)"),
+    "directed_subdiff": (lambda: directed_subdiff(KINK, (10**400, 0.0), G8), DomainError,
+                         "point coordinates must be finite, got (inf, 0.0)"),
+    "orthobasis": (lambda: orthobasis((math.nan, 0.0)), ValueError,
+                   "direction must be a unit vector, got (nan, 0.0)"),
+    "leq": (lambda: leq(directed_zero(2, G8), directed_zero(2, G8), 10**400), ValueError,
+            "eps must be finite and >= 0, got inf"),
+    "verify_sum_rule": (lambda: verify_sum_rule(KINK, KINK, 10**400, 1.0, ORIGIN, G8),
+                        ValueError, "linear combination coefficients must be finite"),
+    "verify_chain_rule_1d": (lambda: verify_chain_rule_1d(KINK, [parse("x1"), parse("x1")], 10**400),
+                             DomainError, "point coordinates must be finite, got (inf,)"),
+    "restrict": (lambda: restrict(KINK, (10**400, 0.0), orthobasis((1.0, 0.0))), ValueError,
+                 "basis does not belong to the given direction"),
+    "segment_subdiff": (lambda: segment_subdiff(parse("abs(x1)"), (-1.0,), (2.0,), 10**400),
+                        DomainError, "segment parameter must be finite, got inf"),
+    "dini_fd": (lambda: dini_fd(KINK, ORIGIN, (0.0, 10**400)), DomainError,
+                "point coordinates must be finite, got (0.0, inf)"),
+}
+
+
+@pytest.mark.parametrize("entry", NUMBER_CALLS)
+def test_numbers_enter_through_one_door(entry):
+    call, error, message = NUMBER_CALLS[entry]
+    with pytest.raises(error, match=re.escape(message)) as caught:
+        call()
+    # raised by the door itself, not while an OverflowError was being handled
+    assert caught.value.__context__ is None
 
 
 def test_zero_tolerances_are_accepted():
