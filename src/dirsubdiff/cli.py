@@ -26,7 +26,7 @@ from .corpus import (
 )
 from .dirset import ACTIVE_RTOL, DirectedSet, SphereGrid, norm, write_json
 from .engine import default_grid, directed_subdiff
-from .expr import ArityError, DomainError, evaluate
+from .expr import DomainError, evaluate
 from .parser import parse
 from .theorems import (
     WitnessNotFoundError,
@@ -85,33 +85,16 @@ def _write_viz(segments, args) -> None:
             write_segments_svg(segments, fp)
 
 
-def _at_point(x, resolution: int, e=None) -> tuple:
-    """``(x, grid)`` for a parsed point: ``x`` must be given and cover the
-    coordinates ``e`` reads; the grid follows the point's dimension."""
-    if x is None:
-        raise ValueError("this rule needs -x/--point")
-    if e is not None and e.arity > len(x):
-        raise ArityError(f"function uses x{e.arity} but the point has {len(x)} coordinates")
-    return x, _grid_for(len(x), resolution)
-
-
 def cmd_subdiff(args) -> int:
-    e = parse(args.function)
-    x, grid = _at_point(_parse_point(args.point), args.resolution, e)
-    s = directed_subdiff(e, x, grid, active_rtol=args.eps_active)
+    e, x = parse(args.function), _parse_point(args.point)
+    s = directed_subdiff(e, x, _grid_for(len(x), args.resolution), active_rtol=args.eps_active)
     _emit_json(s.to_json_dict(), args.json)
     if s.is_leaf:
         iv = s.interval
-        print(
-            f"interval: [{iv.lower_endpoint!r}, {iv.upper_endpoint!r}]"
-            f"{' (inverted)' if iv.is_inverted else ''}",
-            file=sys.stderr,
-        )
+        print(f"interval: [{iv.lower_endpoint!r}, {iv.upper_endpoint!r}]"
+              f"{' (inverted)' if iv.is_inverted else ''}", file=sys.stderr)
     else:
-        print(
-            f"support range: [{min(s.supports)!r}, {max(s.supports)!r}]",
-            file=sys.stderr,
-        )
+        print(f"support range: [{min(s.supports)!r}, {max(s.supports)!r}]", file=sys.stderr)
         if s.dim == 2 and (args.csv or args.svg):
             _write_viz(viz_segments(s), args)
     print(f"norm: {norm(s)!r}", file=sys.stderr)
@@ -153,7 +136,12 @@ def _explicit_instances(args, rules):
             if f1 is None or not phi:
                 raise ValueError(f"rule {rule} needs -f1 (outer) and --phi (inner components)")
             head = (f1, phi)
-        yield rule, head + ((args.t0,) if rule == "chain1d" else _at_point(x, args.resolution))
+        if rule == "chain1d":
+            yield rule, head + (args.t0,)
+        elif x is None:
+            raise ValueError("this rule needs -x/--point")
+        else:
+            yield rule, head + (x, _grid_for(len(x), args.resolution))
 
 
 def _random_instances(args, rules):
@@ -191,22 +179,16 @@ def cmd_verify(args) -> int:
     reports = [_verifier(rule)(*inst, active_rtol=args.eps_active) for rule, inst in instances]
     _emit_json([r.to_json_dict() for r in reports], args.json)
     failed = [r for r in reports if not r.passed]
-    print(
-        f"{len(reports) - len(failed)}/{len(reports)} checks passed",
-        file=sys.stderr,
-    )
+    print(f"{len(reports) - len(failed)}/{len(reports)} checks passed", file=sys.stderr)
     for r in failed:
-        print(
-            f"FAIL {r.rule} at {r.point}: distance {r.distance!r} > {r.tolerance!r}",
-            file=sys.stderr,
-        )
+        print(f"FAIL {r.rule} at {r.point}: distance {r.distance!r} > {r.tolerance!r}",
+              file=sys.stderr)
     return 1 if failed else 0
 
 
 def cmd_optcheck(args) -> int:
-    e = parse(args.function)
-    x, grid = _at_point(_parse_point(args.point), args.resolution, e)
-    s = directed_subdiff(e, x, grid, active_rtol=args.eps_active)
+    e, x = parse(args.function), _parse_point(args.point)
+    s = directed_subdiff(e, x, _grid_for(len(x), args.resolution), active_rtol=args.eps_active)
     is_min, is_max = (order_condition(s, args.eps_order, maximize) for maximize in (False, True))
     print(f"min-candidate: {'yes' if is_min else 'no'}")
     print(f"max-candidate: {'yes' if is_max else 'no'}")

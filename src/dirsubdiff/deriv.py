@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .basis import Basis
-from .dirset import ACTIVE_RTOL, ActiveSetInfo, active_members
+from .dirset import ACTIVE_RTOL, ActiveSetInfo, active_members, check_tolerance
 from .expr import (
     Affine,
     Const,
@@ -61,17 +61,19 @@ def dirderiv_transform(
 
     ``info``, when given, collects whether any max/min active set had a tie
     (a kink sits exactly at ``x``) or a borderline member that a tenfold
-    larger tolerance would classify differently.  Raises
-    :class:`ArityError` on a point with fewer coordinates than ``e`` reads,
-    and :class:`DomainError` on a non-finite base point or when a node value
-    overflows there, or when a derivative coefficient does.  Node by node
-    in the order of :func:`walk`, each value and derivative is formed from
-    those of the children and the value is checked finite.
+    larger tolerance would classify differently.  Raises ``ValueError``
+    unless ``active_rtol`` is finite and >= 0, :class:`ArityError` on a point
+    with fewer coordinates than ``e`` reads, and :class:`DomainError` on a
+    non-finite base point or when a node value or a derivative coefficient
+    overflows there.  Node by node in the order of :func:`walk`, each value
+    and derivative is formed from those of the children and the value is
+    checked finite.
 
     ``_shared``, a dict only :mod:`dirsubdiff.engine` passes, keeps the walk
     state across the transforms of several roots at one point: a subtree
     they share is transformed once and is one node of their results.
     """
+    active_rtol = check_tolerance("active_rtol", active_rtol)
     xs = checked_point(e, x)
     state = ([{}], defaultdict(dict), [None], {0: xs})
     if _shared is not None:

@@ -46,7 +46,7 @@ from functools import cached_property
 from itertools import compress, repeat
 
 from .basis import orthobasis
-from .expr import finite_float, finite_floats
+from .expr import finite_float, finite_floats, int_at_least, number_sequence
 
 #: relative scale of the active-set tolerance: eps = ACTIVE_RTOL * (1 + |extreme|)
 ACTIVE_RTOL = 1e-9
@@ -196,11 +196,13 @@ class SphereGrid:
     id: str
 
     def __post_init__(self):
-        object.__setattr__(self, "resolution", tuple(int(r) for r in self.resolution))
-        object.__setattr__(self, "directions", tuple(tuple(map(float, d)) for d in self.directions))
+        object.__setattr__(self, "dim", int_at_least(self.dim, 2, "grid dimension"))
+        object.__setattr__(self, "resolution", tuple(
+            [int_at_least(r, 1, "a grid resolution entry") for r in self.resolution]))
+        message = "grid directions must be unit vectors, got {!r}"
+        object.__setattr__(self, "directions", tuple(
+            [finite_floats(d, message) for d in self.directions]))
         gid = _content_id(self.dim, self.resolution, self.directions, self.subgrid)
-        if self.dim < 2:
-            raise ValueError("sphere grids exist for dimension >= 2")
         if not self.directions:
             raise ValueError("a sphere grid needs at least one direction")
         if self.dim == 2 and self.subgrid is not None:
@@ -212,7 +214,7 @@ class SphereGrid:
             if len(l) != self.dim:
                 raise ValueError("direction length does not match grid dimension")
             nrm = math.sqrt(sum(v * v for v in l))
-            if not abs(nrm - 1.0) <= 1e-12:  # also true for a NaN norm
+            if abs(nrm - 1.0) > 1e-12:
                 raise ValueError(f"grid directions must be unit vectors, got |l| = {nrm!r}")
         if self.id != gid:
             raise GridMismatchError(f"grid content hash mismatch: stored {self.id!r}, recomputed {gid!r}")
@@ -251,9 +253,7 @@ class SphereGrid:
     @classmethod
     def circle(cls, resolution: int = 360) -> "SphereGrid":
         """Equally spaced directions ``(cos(2 pi k / M), sin(2 pi k / M))``."""
-        m = int(resolution)
-        if m < 1:
-            raise ValueError("circle resolution must be >= 1")
+        m = int_at_least(resolution, 1, "circle resolution")
         dirs = []
         for k in range(m):
             a = 2.0 * math.pi * k / m
@@ -268,9 +268,7 @@ class SphereGrid:
         circle_resolution: int = 64,
     ) -> "SphereGrid":
         """Polar-azimuth lattice on the 2-sphere with a nested circle grid."""
-        np_, na = int(n_polar), int(n_azimuth)
-        if np_ < 1 or na < 1:
-            raise ValueError("sphere lattice sizes must be >= 1")
+        np_, na = (int_at_least(k, 1, "a sphere lattice size") for k in (n_polar, n_azimuth))
         dirs = []
         for i in range(np_):
             theta = math.pi * (i + 0.5) / np_
@@ -320,7 +318,7 @@ class SphereGrid:
                 _typed(g["resolution"], _INT, "resolution entries")
                 _typed([v for dv in g["directions"] for v in dv], _NUMBER, "direction entries")
                 grid = cls(g["dim"], g["resolution"], g["directions"], grid, g["id"])
-        except (KeyError, TypeError, OverflowError, struct.error) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed grid document: {exc!r}") from exc
         return grid
 
@@ -701,7 +699,7 @@ def embed_point(point, grid: SphereGrid | None = None) -> DirectedSet:
     every supporting face is the point itself, projected into the tangent
     hyperplane through the fixed basis.
     """
-    p = tuple(point)  # converted below, by the interval or as the point of the first level
+    p = tuple(number_sequence(point))  # converted below: by the interval or as level 0's point
     n = len(p)
     if n == 0:
         raise ValueError("point must have at least one coordinate")
@@ -737,7 +735,7 @@ def embed_polygon(vertices, grid: SphereGrid) -> DirectedSet:
     onto the fixed tangent axis.  Degenerate inputs (single point, two
     points, collinear points) are fine.
     """
-    verts = [tuple(v) for v in vertices]
+    verts = [tuple(number_sequence(v)) for v in vertices]
     if not verts:
         raise ValueError("polygon needs at least one vertex")
     if any(len(v) != 2 for v in verts):
@@ -782,8 +780,7 @@ def scale(alpha: float, a: DirectedSet) -> DirectedSet:
 
 def directed_zero(dim: int, grid: SphereGrid | None = None) -> DirectedSet:
     """The neutral element: all support values and lower components zero."""
-    if dim < 1:
-        raise ValueError("dimension must be >= 1")
+    dim = int_at_least(dim, 1, "dimension")
     if dim == 1:
         return DirectedSet.leaf(0.0, 0.0)
     if grid is None or grid.dim != dim:
@@ -819,6 +816,7 @@ def _extreme(sets, rtol, info, maximize):
     the componentwise extreme over the members still active, one leaf array
     and one set of active members at a time.
     """
+    rtol = check_tolerance("active_rtol", rtol)
     family = list(sets)
     if not family:
         raise ValueError("sup/inf of an empty family")

@@ -24,6 +24,7 @@ a tree, so neither a long chain nor a deep nesting takes Python frames.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
 
 
@@ -71,8 +72,20 @@ def finite_float(v, message: str, error=ValueError) -> float:
     raise error(message.format(_wide(v)))
 
 
+_TEXT = (str, bytes, bytearray)
+
+
+def number_sequence(values, error=ValueError):
+    """``values``, unless it is text, which iterates as characters, not numbers."""
+    if isinstance(values, _TEXT):
+        raise error(f"expected a sequence of numbers, got a {type(values).__name__}")
+    return values
+
+
 def finite_floats(values, message: str, error=ValueError) -> tuple:
-    """:func:`finite_float` of a sequence, as a tuple, with no Python step per entry."""
+    """:func:`finite_float` of a sequence (not text), as a tuple, with no Python step per entry."""
+    if isinstance(values, _TEXT):  # inline: sets call this per level, a call each would show
+        number_sequence(values, error)
     try:
         xs = tuple(map(float, values))
         if _finite(xs):
@@ -80,6 +93,21 @@ def finite_floats(values, message: str, error=ValueError) -> tuple:
     except OverflowError:
         pass
     raise error(message.format(tuple(map(_wide, values))))
+
+
+def int_at_least(v, least: int, what: str) -> int:
+    """The door for counts, sizes, indices and exponents: ``v`` as an ``int``
+    when it is an ``int`` or has ``__index__``, is not a ``bool`` and lies in
+    ``[least, 2**63)``, the range a grid's content hash packs; else a
+    ``ValueError`` that names ``what`` and that range."""
+    if type(v) is not int:
+        try:
+            v = None if isinstance(v, bool) else operator.index(v)
+        except TypeError:
+            v = None
+    if v is None or not least <= v < 2**63:
+        raise ValueError(f"{what} must be >= {least}, an integer below 2**63")
+    return v
 
 
 def as_point(x) -> tuple:
@@ -275,9 +303,10 @@ class Var(Expr):
     arity: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.index, int) or self.index < 0:
-            raise ValueError(f"variable index must be a nonnegative int, got {self.index!r}")
-        object.__setattr__(self, "arity", self.index + 1)
+        index = int_at_least(self.index, 0, "variable index")
+        if index is not self.index:  # an __index__ object, stored as its int
+            object.__setattr__(self, "index", index)
+        object.__setattr__(self, "arity", index + 1)
 
     children = ()
 
@@ -315,8 +344,7 @@ class SmoothUnary(Expr):
         if self.kind not in SMOOTH_KINDS:
             raise ValueError(f"unknown smooth primitive {self.kind!r}")
         if self.kind == "pow":
-            if not isinstance(self.exponent, int) or self.exponent < 2:
-                raise ValueError("pow exponent must be an integer >= 2")
+            object.__setattr__(self, "exponent", int_at_least(self.exponent, 2, "pow exponent"))
         object.__setattr__(self, "arity", self.child.arity)
 
     @property
@@ -420,33 +448,28 @@ class Quotient(Expr):
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
-class Max(Expr):
+class _Extremum(Expr):
+    """Pointwise maximum or minimum of two or more subexpressions."""
+
+    children: tuple
+    arity: int = field(init=False, repr=False)
+
+    def __post_init__(self):
+        kids = tuple(self.children)
+        if len(kids) < 2:
+            raise ValueError(f"{type(self).__name__.lower()} needs at least two children")
+        object.__setattr__(self, "children", kids)
+        object.__setattr__(self, "arity", max(c.arity for c in kids))
+
+
+class Max(_Extremum):
     """Pointwise maximum of two or more subexpressions."""
-
-    children: tuple
-    arity: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        kids = tuple(self.children)
-        if len(kids) < 2:
-            raise ValueError("max needs at least two children")
-        object.__setattr__(self, "children", kids)
-        object.__setattr__(self, "arity", max(c.arity for c in kids))
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, slots=True, repr=False)
-class Min(Expr):
+class Min(_Extremum):
     """Pointwise minimum of two or more subexpressions."""
-
-    children: tuple
-    arity: int = field(init=False, repr=False)
-
-    def __post_init__(self):
-        kids = tuple(self.children)
-        if len(kids) < 2:
-            raise ValueError("min needs at least two children")
-        object.__setattr__(self, "children", kids)
-        object.__setattr__(self, "arity", max(c.arity for c in kids))
+    __slots__ = ()
 
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
@@ -651,7 +674,7 @@ def has_kinks(e: Expr) -> bool:
     stack = [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, (Max, Min)):
+        if isinstance(node, _Extremum):
             return True
         fresh = [c for c in node.children if c not in seen]
         seen.update(fresh)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import Expr, as_point, evaluate
+from .expr import Expr, as_point, evaluate, finite_float, int_at_least
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,11 @@ class FdSchedule:
     extrapolate: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "t0", finite_float(self.t0, "t0 must be finite, got {!r}"))
+        object.__setattr__(self, "factor", finite_float(self.factor, "factor must lie in (0, 1)"))
+        object.__setattr__(self, "steps", int_at_least(self.steps, 2, "schedule steps"))
         if not (0.0 < self.factor < 1.0):
             raise ValueError("factor must lie in (0, 1)")
-        if self.steps < 2:
-            raise ValueError("schedule needs at least two steps")
         if self.t0 * self.factor ** self.steps <= 1e-14:
             raise ValueError("schedule descends below the 1e-14 noise floor")
 

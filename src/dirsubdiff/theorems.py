@@ -53,6 +53,7 @@ from .expr import (
     compose,
     evaluate,
     finite_float,
+    int_at_least,
 )
 
 logger = logging.getLogger(__name__)
@@ -181,8 +182,7 @@ def verify_product_rule(
 ) -> VerificationReport:
     """``D(f1 f2) = f1(x) D(f2) + f2(x) D(f1)`` at ``x``."""
     xs = as_point(x)
-    v1 = evaluate(f1, xs)
-    v2 = evaluate(f2, xs)
+    v1, v2 = evaluate(f1, xs), evaluate(f2, xs)
 
     def compute(rtol, info):
         s1, s2, lhs = directed_subdiffs((f1, f2, Product(f1, f2)), xs, grid, rtol, info)
@@ -201,8 +201,7 @@ def verify_quotient_rule(
 ) -> VerificationReport:
     """``D(f1/f2) = -(f1(x) D(f2) - f2(x) D(f1)) / f2(x)^2`` at ``x``."""
     xs = as_point(x)
-    v1 = evaluate(f1, xs)
-    v2 = evaluate(f2, xs)
+    v1, v2 = evaluate(f1, xs), evaluate(f2, xs)
     if v2 == 0.0:
         raise DomainError("quotient rule needs f2(x) != 0")
 
@@ -358,9 +357,7 @@ def verify_chain_rule_1d(
 
     def compute(rtol, info):
         transform = dirderiv_transform(g, values, rtol, info)
-        formula = DirectedSet.leaf(
-            evaluate(transform, neg_rates), evaluate(transform, rates)
-        )
+        formula = DirectedSet.leaf(evaluate(transform, neg_rates), evaluate(transform, rates))
         direct = directed_subdiff(composite, (t0,), None, rtol, info)
         return direct, formula
 
@@ -415,9 +412,7 @@ def verify_taylor_invariance(
     n = len(xs)
     values = [evaluate(p, xs) for p in phi]
     jac = [smooth_gradient(p, xs) for p in phi]
-    offsets = tuple(
-        v - sum(jrow[j] * xs[j] for j in range(n)) for v, jrow in zip(values, jac)
-    )
+    offsets = tuple(v - sum(jrow[j] * xs[j] for j in range(n)) for v, jrow in zip(values, jac))
     linearized = Affine(g, tuple(tuple(jrow) for jrow in jac), offsets)
 
     def compute(rtol, info):
@@ -470,12 +465,11 @@ def mvt_witness(
     :class:`WitnessNotFoundError` when both stages fail.
     """
     eps = check_tolerance("eps", eps)
+    scan_points = int_at_least(scan_points, 1, "scan_points")
     a, b = _segment(x0, x1)
     if all(av == bv for av, bv in zip(a, b)):
         raise ValueError("segment endpoints coincide")
     c = evaluate(g, b) - evaluate(g, a)
-    if scan_points < 1:
-        raise ValueError("scan_points must be >= 1")
 
     def probe(t: float):
         """``(t, u, v, pair)``: u and v read off the segment pair at ``t``."""

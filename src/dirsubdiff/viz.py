@@ -35,11 +35,9 @@ def viz_segments(a: DirectedSet) -> list[Segment]:
     for l, rows, s, c_neg, c_pos in zip(a.grid.directions, a.grid.tangent_rows,
                                         a.supports, a.a_neg, a.a_pos):
         r = (rows[0][0], rows[1][0])
-        s0 = -c_neg
-        s1 = c_pos
-        p = (s * l[0] + s0 * r[0], s * l[1] + s0 * r[1])
-        q = (s * l[0] + s1 * r[0], s * l[1] + s1 * r[1])
-        segments.append(Segment(p, q, s0 > s1))
+        p = (s * l[0] - c_neg * r[0], s * l[1] - c_neg * r[1])
+        q = (s * l[0] + c_pos * r[0], s * l[1] + c_pos * r[1])
+        segments.append(Segment(p, q, -c_neg > c_pos))
     return segments
 
 

@@ -412,7 +412,13 @@ def test_subdiff_leaf_overflow(capsys, f, point):
      "--eps-active"),
     ("optcheck", "-f", "x1", "-x", "0,0", "-M", "8", "--eps-order"),
     ("mvt", "-f", "abs(x1)", "--x0=-1", "--x1", "2", "--eps-order"),
-], ids=["subdiff", "verify", "optcheck", "mvt"])
+    # smooth functions reach no max/min, so the transform checks the tolerance itself
+    ("subdiff", "-f", "x1*x2", "-x", "1,2", "-M", "8", "--eps-active"),
+    ("mvt", "-f", "x1*x1+x1", "--x0=-1", "--x1", "2", "--eps-active"),
+    ("viz", "-f", "x1+x2", "-x", "1,1", "-M", "8", "--csv", os.devnull, "--eps-active"),
+    ("verify", "--rule", "sum", "-f1", "x1", "-f2", "x2", "-x", "0,0", "-M", "8", "--eps-active"),
+], ids=["subdiff", "verify", "optcheck", "mvt", "subdiff-smooth", "mvt-smooth", "viz-smooth",
+        "verify-smooth"])
 def test_bad_tolerance_is_an_input_error(capsys, argv, bad):
     rc, out, err = run(capsys, *argv[:-1], f"{argv[-1]}={bad}")
     assert rc == 2 and out == ""
@@ -462,6 +468,13 @@ def one_error_line(rc, out, err, message):
 ])
 def test_subdiff_non_ascii_is_a_parse_error(capsys, function, message):
     assert one_error_line(*run(capsys, "subdiff", "-f", function, "-x", "0"), message)
+
+
+@pytest.mark.parametrize("argv", [("subdiff", "-f", "x3", "-x", "0,0"),
+                                  ("optcheck", "-f", "x1+x3", "-x", "0,0", "-M", "8")])
+def test_point_too_short_is_an_input_error(capsys, argv):
+    # the engine's arity check, the only one
+    assert one_error_line(*run(capsys, *argv), "expression reads 3 coordinates, point has 2")
 
 
 def test_subdiff_4d_point_has_no_default_grid(capsys):
@@ -523,19 +536,21 @@ def test_malformed_document_is_an_input_error(tmp_path, capsys, name):
     assert not csv_path.exists()
 
 
-@pytest.mark.parametrize("field, value", [
-    ("resolution", [2**70]), ("dim", 2**70), ("directions", [[2**1100, 0]]),
+@pytest.mark.parametrize("field, value, message", [
+    ("resolution", [2**70], "a grid resolution entry must be >= 1, an integer below 2**63"),
+    ("dim", 2**70, "grid dimension must be >= 2, an integer below 2**63"),
+    ("directions", [[2**1100, 0]], "grid directions must be unit vectors, got (inf, 0.0)"),
 ], ids=["resolution", "dim", "directions-past-float"])
-def test_grid_integer_past_64_bits_is_an_input_error(tmp_path, capsys, field, value):
+def test_grid_integer_past_64_bits_is_an_input_error(tmp_path, capsys, field, value, message):
     # the grid's content hash packs its dimension and resolution as 64-bit integers
     # and its directions as doubles
     doc = {**_plane(), "grid": {**_plane()["grid"], field: value}}
-    with pytest.raises(ValueError, match="malformed grid document"):
+    with pytest.raises(ValueError, match=re.escape(message)):
         DirectedSet.from_json_dict(doc)
     stored = tmp_path / "doc.json"
     stored.write_text(json.dumps(doc))
     rc, out, err = run(capsys, "viz", "--in", str(stored), "--csv", str(tmp_path / "x.csv"))
-    assert one_error_line(rc, out, err, "malformed grid document")
+    assert one_error_line(rc, out, err, message)
 
 
 def _plane_on(**grid_fields):
@@ -558,7 +573,7 @@ _EMPTY_SPHERE = {"id": _content_id(3, (1, 1), (), SimpleNamespace(id=_EMPTY_CIRC
     ({"format": 2, "dim": 3, "grid": _EMPTY_SPHERE, "entries": []},
      "a sphere grid needs at least one direction"),
     (_plane_on(directions=_NAN_DIRECTIONS, id=_content_id(2, (4,), _NAN_DIRECTIONS, None)),
-     "grid directions must be unit vectors, got |l| = nan"),
+     "grid directions must be unit vectors, got (nan, 0.0)"),
 ], ids=["resolution-float", "direction-string", "2-D-no-directions", "3-D-no-directions",
         "nan-direction"])
 def test_grid_document_of_wrong_content_is_an_input_error(tmp_path, capsys, doc, message):

@@ -134,9 +134,15 @@ _PLANE = SphereGrid.circle(4)
     (lambda: embed_polygon([(0.0, 0.0), (10**400, 0.0)], _PLANE), "polygon vertices must be finite"),
     (lambda: linear_combination(1.0, leaf(0.0, 0.0), 10**400, leaf(0.0, 0.0)),
      "coefficients must be finite"),
+    (lambda: DirectedSet("circle", (), (0.0,), (0.0,)),
+     "a directed set's grid must be a SphereGrid or None"),
+    (lambda: DirectedSet.node(_PLANE, [0.0] * 4, [leaf(0.0, 0.0)] * 3),
+     "supports/lowers length must match the grid"),
+    (lambda: random_directed_set(get_rng(0), 3, _PLANE), "dim >= 2 needs a grid of matching dim"),
 ], ids=["polygon-empty", "polygon-3d-vertex", "polygon-nan", "polygon-3d-grid", "point-empty",
         "point-grid-dim", "lincomb-inf", "zero-dim-0", "distance-overflow", "leaf-huge",
-        "interval-huge", "point-1d-huge", "point-2d-huge", "polygon-huge", "lincomb-huge"])
+        "interval-huge", "point-1d-huge", "point-2d-huge", "polygon-huge", "lincomb-huge",
+        "set-grid-type", "node-lowers", "random-set-grid-dim"])
 def test_bad_arguments_are_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -174,6 +180,21 @@ def test_operator_sugar_on_sets():
     assert (-a).interval == DirectedInterval(-1.0, -2.0)
     assert (2.0 * a).interval == DirectedInterval(2.0, 4.0)
     assert (a * 2.0) == 2.0 * a
+
+
+def test_set_value_semantics():
+    a = leaf(1.0, 2.0)
+    assert repr(a) == "DirectedSet.leaf(1.0, 2.0)" and a.lowers is None
+    s = embed_point((3.0, -4.0), _PLANE)
+    assert repr(s) == f"<DirectedSet dim=2 grid={_PLANE.id} norm={norm(s)!r}>"
+    assert hash(s) == hash(embed_point((3.0, -4.0), _PLANE)) and len({a, leaf(1.0, 2.0)}) == 1
+    with pytest.raises(AttributeError, match="DirectedSet is immutable"):
+        del a.dim
+    # operators against a non-set return NotImplemented, so Python decides
+    assert a != (1.0, 2.0) and not a == 1.0
+    for op in (lambda: a + 1.0, lambda: a - 1.0, lambda: a * "2", lambda: "2" * a):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_dim_mismatch_rejected():
@@ -327,6 +348,12 @@ def test_grid_validation():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="must be unit vectors"):
             SphereGrid._from_parts(2, (2,), [(bad, 0.0), (1.0, 0.0)], None)
+    with pytest.raises(ValueError, match="grid dimension must be >= 2, an integer below"):
+        SphereGrid._from_parts(1, (2,), [(1.0,), (-1.0,)], None)
+    with pytest.raises(ValueError, match="a circle grid has no sub-grid"):
+        SphereGrid._from_parts(2, (4,), SphereGrid.circle(4).directions, SphereGrid.circle(4))
+    with pytest.raises(ValueError, match="direction length does not match grid dimension"):
+        SphereGrid._from_parts(2, (1,), [(1.0, 0.0, 0.0)], None)
 
 
 def _sweep_columns(grid):

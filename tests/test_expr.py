@@ -73,6 +73,7 @@ def test_short_point_rejected():
 def test_operator_sugar():
     x = var(0)
     assert evaluate(x + 1.0, (2.0,)) == 3.0
+    assert evaluate(1 + x, (2.0,)) == 3.0
     assert evaluate(1.0 - x, (2.0,)) == -1.0
     assert evaluate(-x, (2.0,)) == -2.0
     assert evaluate(x * x, (3.0,)) == 9.0
@@ -165,9 +166,12 @@ def test_constructor_validation():
     (lambda: Affine(var(0), ((10**400,),), (0.0,)), ValueError,
      "affine matrix entries must be finite"),
     (lambda: Affine(var(0), ((1.0,),), (10**400,)), ValueError, "affine offsets must be finite"),
+    (lambda: Max((var(0),)), ValueError, "^max needs at least two children$"),
+    (lambda: Min(iter([var(0)])), ValueError, "^min needs at least two children$"),
 ], ids=["affine-rows", "affine-empty", "affine-matrix-inf", "affine-offset-nan", "lincomb-inf",
         "compose-empty", "compose-outer-arity", "coerce-str", "const-huge", "coerce-huge",
-        "lincomb-huge", "affine-matrix-huge", "affine-offset-huge"])
+        "lincomb-huge", "affine-matrix-huge", "affine-offset-huge", "max-one-child",
+        "min-one-child"])
 def test_constructor_checks(build, error, message):
     with pytest.raises(error, match=message):
         build()
@@ -205,6 +209,14 @@ def test_abs_desugars_to_max():
     e = vabs(var(0))
     assert isinstance(e, Max)
     assert len(e.children) == 2
+
+
+@pytest.mark.parametrize("node", [Max, Min])
+def test_max_and_min_take_any_iterable_of_children(node):
+    kids = (var(0), var(2))
+    e = node(c for c in kids)
+    assert type(e) is node and e.children == kids and e.arity == 3
+    assert repr(e) == f"{node.__name__}(children=(Var(index=0), Var(index=2)))"
 
 
 def test_const_coercion_in_helpers():

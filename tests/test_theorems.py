@@ -13,15 +13,16 @@ from dirsubdiff.dirset import (
     SphereGrid,
     directed_zero,
     distance,
+    embed_point,
     embed_polygon,
     inf,
     leq,
     sup,
 )
 from dirsubdiff.deriv import restrict
-from dirsubdiff.engine import directed_subdiff
-from dirsubdiff.expr import DomainError, as_point, evaluate
-from dirsubdiff.oracle import dini_fd
+from dirsubdiff.engine import directed_subdiff, smooth_gradient
+from dirsubdiff.expr import DomainError, Var, as_point, evaluate, int_at_least, powk, var
+from dirsubdiff.oracle import FdSchedule, dini_fd
 from dirsubdiff.parser import parse
 from dirsubdiff.theorems import (
     MvtWitness,
@@ -229,6 +230,15 @@ def test_chain_rule_zero_inner_rate():
     assert got == DirectedInterval(0.0, 0.0)
 
 
+def test_chain_rule_raises_on_a_failed_check(monkeypatch):
+    report = verify_chain_rule_1d(parse("abs(x1)"), [parse("x1")], 0.0)
+    failed = theorems.VerificationReport("chain1d", False, 1.0, 0.5, (0.0,), report.lhs, report.rhs)
+    monkeypatch.setattr(theorems, "verify_chain_rule_1d", lambda *args, **kwargs: failed)
+    with pytest.raises(theorems.VerificationError, match="chain rule mismatch at t0=0.0"):
+        chain_rule_1d(parse("abs(x1)"), [parse("x1")], 0.0)
+    assert chain_rule_1d(parse("abs(x1)"), [parse("x1")], 0.0, check=False) == report.rhs.interval
+
+
 def test_chain_rule_smooth_matches_calculus():
     got = chain_rule_1d(parse("sin(x1)"), [parse("x1*x1")], 0.7)
     rate = math.cos(0.49) * 1.4
@@ -428,6 +438,15 @@ ACTIVE_RTOL_CALLS = {
         [parse("x1"), parse("x2")], ORIGIN, G8, active_rtol=bad),
     "check_min_condition": lambda bad: check_min_condition(KINK, ORIGIN, G8, active_rtol=bad),
     "mvt_witness": lambda bad: mvt_witness(parse("abs(x1)"), (-1.0,), (2.0,), active_rtol=bad),
+    # no max/min is reached on these: the computation checks the tolerance where it starts
+    "directed_subdiff-smooth": lambda bad: directed_subdiff(parse("x1*x1"), (1.0,), None, bad),
+    "smooth_gradient": lambda bad: smooth_gradient(parse("x1*x2"), ORIGIN, active_rtol=bad),
+    "sup-1d": lambda bad: sup([DirectedSet.leaf(0.0, 1.0), DirectedSet.leaf(1.0, 0.0)], bad),
+    "inf-1d": lambda bad: inf([DirectedSet.leaf(0.0, 1.0), DirectedSet.leaf(1.0, 0.0)], bad),
+    "verify_sum_rule-smooth": lambda bad: verify_sum_rule(
+        parse("x1"), parse("x2"), 1.0, 1.0, ORIGIN, G8, active_rtol=bad),
+    "segment_subdiff-smooth": lambda bad: segment_subdiff(
+        parse("x1*x1"), (-1.0,), (2.0,), 0.5, active_rtol=bad),
 }
 
 #: entry point -> call with a bad order or witness tolerance
@@ -475,6 +494,28 @@ NUMBER_CALLS = {
                         DomainError, "segment parameter must be finite, got inf"),
     "dini_fd": (lambda: dini_fd(KINK, ORIGIN, (0.0, 10**400)), DomainError,
                 "point coordinates must be finite, got (0.0, inf)"),
+    # text is not a sequence of numbers, though it iterates and each character converts
+    "evaluate-str": (lambda: evaluate(parse("x1+x2"), "12"), DomainError,
+                     "expected a sequence of numbers, got a str"),
+    "evaluate-bytes": (lambda: evaluate(parse("x1"), b"1"), DomainError,
+                       "expected a sequence of numbers, got a bytes"),
+    "directed_subdiff-bytearray": (lambda: directed_subdiff(KINK, bytearray(b"12"), G8),
+                                   DomainError, "expected a sequence of numbers, got a bytearray"),
+    "embed_point-str": (lambda: embed_point("34", G8), ValueError,
+                        "expected a sequence of numbers, got a str"),
+    "embed_point-1d-bytes": (lambda: embed_point(b"1"), ValueError,
+                             "expected a sequence of numbers, got a bytes"),
+    "embed_polygon-str": (lambda: embed_polygon(["12", "34"], G8), ValueError,
+                          "expected a sequence of numbers, got a str"),
+    "FdSchedule-t0-huge": (lambda: FdSchedule(t0=10**400), ValueError,
+                           "t0 must be finite, got inf"),
+    "FdSchedule-t0-nan": (lambda: FdSchedule(t0=math.nan), ValueError,
+                          "t0 must be finite, got nan"),
+    "FdSchedule-factor-huge": (lambda: FdSchedule(factor=-10**400), ValueError,
+                               "factor must lie in (0, 1)"),
+    "SphereGrid-direction-huge": (
+        lambda: SphereGrid(2, (1,), [(2**1100, 0.0)], None, "x"), ValueError,
+        "grid directions must be unit vectors, got (inf, 0.0)"),
 }
 
 
@@ -485,6 +526,71 @@ def test_numbers_enter_through_one_door(entry):
         call()
     # raised by the door itself, not while an OverflowError was being handled
     assert caught.value.__context__ is None
+
+
+def _bound(what, least):
+    return f"{what} must be >= {least}, an integer below 2**63"
+
+
+#: entry point -> (call, message) for a count, size, index or exponent that
+#: is not an integer in the entry point's range
+INTEGER_CALLS = {
+    "Var-bool": (lambda: Var(True), _bound("variable index", 0)),
+    "Var-negative": (lambda: var(-1), _bound("variable index", 0)),
+    "Var-float": (lambda: Var(2.0), _bound("variable index", 0)),
+    "Var-past-64-bits": (lambda: Var(2**63), _bound("variable index", 0)),
+    "pow-float": (lambda: powk(var(0), 2.5), _bound("pow exponent", 2)),
+    "pow-one": (lambda: powk(var(0), 1), _bound("pow exponent", 2)),
+    "circle-str": (lambda: SphereGrid.circle("8"), _bound("circle resolution", 1)),
+    "circle-float": (lambda: SphereGrid.circle(8.7), _bound("circle resolution", 1)),
+    "circle-bool": (lambda: SphereGrid.circle(True), _bound("circle resolution", 1)),
+    "sphere-float": (lambda: SphereGrid.sphere(2.5, 3, 4), _bound("a sphere lattice size", 1)),
+    "sphere-circle-zero": (lambda: SphereGrid.sphere(2, 3, 0), _bound("circle resolution", 1)),
+    "SphereGrid-dim-float": (lambda: SphereGrid(2.0, (8,), G8.directions, None, G8.id),
+                             _bound("grid dimension", 2)),
+    "SphereGrid-dim-1": (lambda: SphereGrid(1, (8,), G8.directions, None, G8.id),
+                         _bound("grid dimension", 2)),
+    "SphereGrid-resolution-past-64-bits": (
+        lambda: SphereGrid(2, (2**70,), G8.directions, None, G8.id),
+        _bound("a grid resolution entry", 1)),
+    "FdSchedule-steps-float": (lambda: FdSchedule(steps=2.5), _bound("schedule steps", 2)),
+    "FdSchedule-steps-one": (lambda: FdSchedule(steps=1), _bound("schedule steps", 2)),
+    "mvt_witness-float": (lambda: mvt_witness(parse("abs(x1)"), (-1.0,), (2.0,), scan_points=2.5),
+                          _bound("scan_points", 1)),
+    "directed_zero-bool": (lambda: directed_zero(True), _bound("dimension", 1)),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_CALLS)
+def test_integers_enter_through_one_door(entry):
+    call, message = INTEGER_CALLS[entry]
+    with pytest.raises(ValueError, match=re.escape(message)) as caught:
+        call()
+    assert type(caught.value) is ValueError
+    # raised by the door itself, not while a TypeError was being handled
+    assert caught.value.__context__ is None
+
+
+class Size:
+    """An integer that is not an ``int``, as numpy's integers are not."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_an_index_object_is_an_integer():
+    assert type(int_at_least(Size(8), 1, "")) is int
+    assert SphereGrid.circle(Size(8)).id == G8.id
+    assert SphereGrid.sphere(Size(2), Size(3), Size(4)).id == SphereGrid.sphere(2, 3, 4).id
+    v = Var(Size(2))
+    assert (type(v.index), v.arity) == (int, 3)
+    assert evaluate(powk(var(0), Size(3)), (2.0,)) == 8.0
+    assert FdSchedule(steps=Size(4)) == FdSchedule(steps=4)
+    assert mvt_witness(parse("abs(x1)"), (-1.0,), (2.0,), scan_points=Size(9)) == mvt_witness(
+        parse("abs(x1)"), (-1.0,), (2.0,), scan_points=9)
 
 
 def test_zero_tolerances_are_accepted():
