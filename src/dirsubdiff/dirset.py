@@ -181,8 +181,9 @@ class SphereGrid:
     """Deterministic unit-direction grid on the sphere of dimension ``dim``.
 
     ``id`` is a content hash over the directions, the resolution and the
-    nested sub-grid, so equal ids mean bitwise-identical grids; a given ``id``
-    that is not the hash raises :class:`GridMismatchError`.  Dimension 2 uses
+    nested sub-grid, so equal ids mean bitwise-identical grids; it is
+    computed when omitted, and a given ``id`` that is not the hash raises
+    :class:`GridMismatchError`.  Dimension 2 uses
     ``resolution[0]`` equally spaced angles starting at ``(1, 0)``;
     dimension 3 uses a polar-azimuth lattice with midpoint polar angles (no
     poles, no duplicate directions) and carries the circle grid used by the
@@ -193,7 +194,7 @@ class SphereGrid:
     resolution: tuple
     directions: tuple
     subgrid: "SphereGrid | None"
-    id: str
+    id: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dim", int_at_least(self.dim, 2, "grid dimension"))
@@ -216,7 +217,9 @@ class SphereGrid:
             nrm = math.sqrt(sum(v * v for v in l))
             if abs(nrm - 1.0) > 1e-12:
                 raise ValueError(f"grid directions must be unit vectors, got |l| = {nrm!r}")
-        if self.id != gid:
+        if self.id is None:
+            object.__setattr__(self, "id", gid)
+        elif self.id != gid:
             raise GridMismatchError(f"grid content hash mismatch: stored {self.id!r}, recomputed {gid!r}")
 
     def __len__(self) -> int:
@@ -246,11 +249,6 @@ class SphereGrid:
         return tuple(map(tuple, cols))
 
     @classmethod
-    def _from_parts(cls, dim, resolution, directions, subgrid) -> "SphereGrid":
-        return cls(dim, resolution, directions, subgrid,
-                   _content_id(dim, resolution, directions, subgrid))
-
-    @classmethod
     def circle(cls, resolution: int = 360) -> "SphereGrid":
         """Equally spaced directions ``(cos(2 pi k / M), sin(2 pi k / M))``."""
         m = int_at_least(resolution, 1, "circle resolution")
@@ -258,7 +256,7 @@ class SphereGrid:
         for k in range(m):
             a = 2.0 * math.pi * k / m
             dirs.append((math.cos(a), math.sin(a)))
-        return cls._from_parts(2, (m,), dirs, None)
+        return cls(2, (m,), dirs, None)
 
     @classmethod
     def sphere(
@@ -276,7 +274,7 @@ class SphereGrid:
             for j in range(na):
                 phi = 2.0 * math.pi * j / na
                 dirs.append((st * math.cos(phi), st * math.sin(phi), ct))
-        return cls._from_parts(3, (np_, na), dirs, cls.circle(circle_resolution))
+        return cls(3, (np_, na), dirs, cls.circle(circle_resolution))
 
     def to_json_dict(self) -> dict:
         """The grid as a dict; a sub-grid nests under ``"subgrid"``."""

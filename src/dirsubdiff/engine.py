@@ -52,7 +52,7 @@ from .dirset import (
 from .deriv import dirderiv_transform
 from .expr import (
     Affine, Const, DomainError, Expr, ExprError, LinComb, Max, Min, Var, _finite, as_point,
-    finite_float, walk,
+    finite_float, int_at_least, walk,
 )
 
 
@@ -60,13 +60,19 @@ class KinkError(ValueError):
     """Gradient embedding was asked for at a point with an active kink."""
 
 
-@cache
 def default_grid(dim: int) -> SphereGrid | None:
     """Default grids: none for 1-D, 360 directions for 2-D, a cost-controlled
     16 x 32 lattice with a 64-direction inner circle for 3-D.
 
     Built once per dimension and process: grids are frozen, so every caller
-    shares one grid and the tangent bases it caches."""
+    shares one grid and the tangent bases it caches.  ``dim`` passes the
+    integer door before the cache, whose key would equate ``True`` and
+    ``2.0`` with 1 and 2."""
+    return _default_grid(int_at_least(dim, 1, "dimension"))
+
+
+@cache
+def _default_grid(dim: int) -> SphereGrid | None:
     if dim == 1:
         return None
     if dim == 2:

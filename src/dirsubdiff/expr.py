@@ -57,12 +57,18 @@ def _wide(v) -> float:
         return math.inf if v > 0 else -math.inf
 
 
+_TEXT = (str, bytes, bytearray)
+
+
 def finite_float(v, message: str, error=ValueError) -> float:
     """``float(v)`` when finite, else ``error(message)`` with ``{!r}`` in it
     standing for :func:`_wide` of ``v``.  With :func:`finite_floats` this is
     the one door for numbers: entry points take theirs through it, so a NaN,
     an infinity or an int too large for a float ends in the entry point's
-    ``ValueError`` or :class:`DomainError`, never in ``OverflowError``."""
+    ``ValueError`` or :class:`DomainError`, never in ``OverflowError``.
+    Text is refused, though ``float`` would read it."""
+    if type(v) is not float and isinstance(v, _TEXT):  # floats skip the text check
+        raise error(f"expected a number, got a {type(v).__name__}")
     try:
         f = float(v)
         if math.isfinite(f):
@@ -70,9 +76,6 @@ def finite_float(v, message: str, error=ValueError) -> float:
     except OverflowError:
         pass
     raise error(message.format(_wide(v)))
-
-
-_TEXT = (str, bytes, bytearray)
 
 
 def number_sequence(values, error=ValueError):

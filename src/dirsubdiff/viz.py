@@ -12,6 +12,7 @@ import csv
 from typing import IO, NamedTuple
 
 from .dirset import DirectedSet
+from .expr import int_at_least
 
 
 class Segment(NamedTuple):
@@ -64,6 +65,7 @@ def write_segments_svg(segments, fp: IO[str], size: int = 640) -> None:
     y axis is flipped so the drawing matches mathematical orientation.
     Degenerate segments stay visible through round line caps.
     """
+    size = int_at_least(size, 1, "svg size")
     segments = list(segments)
     if segments:
         x0, y0, x1, y1 = _bounds(segments)

@@ -11,13 +11,15 @@ import time
 from dirsubdiff.corpus import (
     get_rng,
     random_chain_instance,
+    random_rule_pair,
+    random_taylor_instance,
+)
+from generators import (
     random_max_affine,
     random_minimum_instance,
     random_probe,
-    random_rule_pair,
     random_segment_instance,
     random_smooth_poly,
-    random_taylor_instance,
 )
 from dirsubdiff.deriv import dirderiv
 from dirsubdiff.dirset import (

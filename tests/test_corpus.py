@@ -6,16 +6,18 @@ from dirsubdiff.corpus import (
     random_chain_instance,
     random_directed_set,
     random_expr,
+    random_rule_pair,
+)
+from generators import (
+    _exp_arguments_bounded,
     random_max_affine,
     random_minimum_instance,
     random_polygon,
     random_probe,
-    random_rule_pair,
     random_segment_instance,
     random_unit,
 )
 from dirsubdiff.expr import Max, evaluate, has_kinks
-from dirsubdiff.corpus import _exp_arguments_bounded
 from dirsubdiff.expr import Affine, Quotient, compose, const, exp, var
 
 

@@ -4,7 +4,8 @@ import pytest
 
 import dirsubdiff
 from dirsubdiff.basis import orthobasis
-from dirsubdiff.corpus import get_rng, random_probe, random_smooth_poly
+from dirsubdiff.corpus import get_rng
+from generators import random_probe, random_smooth_poly
 from dirsubdiff.deriv import dirderiv, dirderiv_transform, restrict
 from dirsubdiff.dirset import ActiveSetInfo
 from dirsubdiff.expr import ArityError, DomainError, Max, evaluate, neg, var

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from dirsubdiff.corpus import get_rng, random_directed_set, random_interval
+from dirsubdiff.corpus import get_rng, random_directed_set
+from generators import random_interval
 from dirsubdiff.dirset import (
     ActiveSetInfo,
     DirectedInterval,
@@ -344,16 +345,16 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         SphereGrid.sphere(0, 8, 8)
     with pytest.raises(ValueError, match="at least one direction"):
-        SphereGrid._from_parts(3, (1, 1), [], SphereGrid.circle(4))
+        SphereGrid(3, (1, 1), [], SphereGrid.circle(4))
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="must be unit vectors"):
-            SphereGrid._from_parts(2, (2,), [(bad, 0.0), (1.0, 0.0)], None)
+            SphereGrid(2, (2,), [(bad, 0.0), (1.0, 0.0)], None)
     with pytest.raises(ValueError, match="grid dimension must be >= 2, an integer below"):
-        SphereGrid._from_parts(1, (2,), [(1.0,), (-1.0,)], None)
+        SphereGrid(1, (2,), [(1.0,), (-1.0,)], None)
     with pytest.raises(ValueError, match="a circle grid has no sub-grid"):
-        SphereGrid._from_parts(2, (4,), SphereGrid.circle(4).directions, SphereGrid.circle(4))
+        SphereGrid(2, (4,), SphereGrid.circle(4).directions, SphereGrid.circle(4))
     with pytest.raises(ValueError, match="direction length does not match grid dimension"):
-        SphereGrid._from_parts(2, (1,), [(1.0, 0.0, 0.0)], None)
+        SphereGrid(2, (1,), [(1.0, 0.0, 0.0)], None)
 
 
 def _sweep_columns(grid):
@@ -491,7 +492,7 @@ def test_1d_order_matches_sup():
 def test_embedding_monotone_under_inclusion():
     rng = get_rng(41)
     g = SphereGrid.circle(16)
-    from dirsubdiff.corpus import random_polygon
+    from generators import random_polygon
     from references import convex_hull
 
     for _ in range(20):

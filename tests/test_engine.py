@@ -8,7 +8,8 @@ import pytest
 
 import dirsubdiff
 from dirsubdiff.basis import orthobasis
-from dirsubdiff.corpus import get_rng, random_smooth_poly
+from dirsubdiff.corpus import get_rng
+from generators import random_smooth_poly
 from dirsubdiff.deriv import dirderiv, dirderiv_transform, restrict
 from dirsubdiff.dirset import (
     DirectedInterval,

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from dirsubdiff.corpus import _exp_arguments_bounded
+from generators import _exp_arguments_bounded
 from dirsubdiff.deriv import dirderiv, dirderiv_transform
 from dirsubdiff.expr import (
     Affine,

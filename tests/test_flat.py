@@ -43,7 +43,7 @@ def _unit(*v):
     return tuple(c / r for c in v)
 
 
-GRID_4D = SphereGrid._from_parts(
+GRID_4D = SphereGrid(
     4, (4,),
     [_unit(1.0, 2.0, -1.0, 0.5), (0.0, 0.0, 0.0, 1.0), _unit(-0.5, 0.5, 0.5, 0.5), (1.0, 0.0, 0.0, 0.0)],
     SphereGrid.sphere(2, 3, 5),

@@ -10,7 +10,8 @@ an error must be the one the separate calls raise first, in root order.
 import pytest
 
 import dirsubdiff.engine as engine
-from dirsubdiff.corpus import get_rng, random_max_affine, random_rule_pair
+from dirsubdiff.corpus import get_rng, random_rule_pair
+from generators import random_max_affine
 from dirsubdiff.dirset import ActiveSetInfo, SphereGrid
 from dirsubdiff.engine import directed_subdiff, directed_subdiffs
 from dirsubdiff.expr import (

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from dirsubdiff.corpus import get_rng, random_interval, random_probe
+from dirsubdiff.corpus import get_rng
+from generators import random_interval, random_probe
 from dirsubdiff.deriv import dirderiv
 from dirsubdiff.dirset import DirectedInterval, DirectedSet, inf, sup
 from dirsubdiff.expr import DomainError

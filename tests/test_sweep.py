@@ -12,7 +12,8 @@ import pytest
 
 import dirsubdiff.dirset as dirset
 import dirsubdiff.engine as engine
-from dirsubdiff.corpus import get_rng, random_max_affine, random_rule_pair
+from dirsubdiff.corpus import get_rng, random_rule_pair
+from generators import random_max_affine
 from dirsubdiff.dirset import ActiveSetInfo, SphereGrid
 from dirsubdiff.engine import directed_subdiff
 from dirsubdiff.expr import (
@@ -30,7 +31,7 @@ def _unit(*v):
 
 
 # a few directions over the 3-D lattice: covers the levels below 3-D
-GRID_4D = SphereGrid._from_parts(
+GRID_4D = SphereGrid(
     4, (5,),
     [_unit(1.0, 2.0, -1.0, 0.5), (0.0, 0.0, 0.0, 1.0), _unit(-0.5, 0.5, 0.5, 0.5),
      _unit(0.3, -0.1, 0.0, -0.9), (1.0, 0.0, 0.0, 0.0)],
@@ -144,9 +145,9 @@ def test_borderline_members_below_the_top_level():
     # directions 3.5e-9 off the tie of two members: the transform at x sees
     # an exact tie, only the narrowing at the direction sees the borderline gap
     near = _unit(1.0 + 5e-9, 1.0)
-    circle = SphereGrid._from_parts(2, (3,), [near, (0.0, 1.0), (-1.0, 0.0)], None)
-    sphere = SphereGrid._from_parts(3, (2,), [_unit(1.0 + 5e-9, 1.0, 0.5), (0.0, 0.0, 1.0)],
-                                    SphereGrid.circle(8))
+    circle = SphereGrid(2, (3,), [near, (0.0, 1.0), (-1.0, 0.0)], None)
+    sphere = SphereGrid(3, (2,), [_unit(1.0 + 5e-9, 1.0, 0.5), (0.0, 0.0, 1.0)],
+                        SphereGrid.circle(8))
     for e, x, grid in ((parse("max(x1, x2)"), (0.0, 0.0), circle),
                        (parse("max(x1, x2) + abs(x3)"), (0.0, 0.0, 0.0), sphere)):
         top = ActiveSetInfo()
@@ -192,8 +193,7 @@ def test_overflow_before_a_direction_where_every_member_overflows():
                  SphereGrid.circle(8))
     # the same on the circle below a sphere direction: at (0, 0, 1) the
     # supports are finite, and its tangent circle lies in the x1-x2 plane
-    sphere = SphereGrid._from_parts(3, (2,), [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)],
-                                    SphereGrid.circle(8))
+    sphere = SphereGrid(3, (2,), [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)], SphereGrid.circle(8))
     e3 = parse("max(1e300*(1e300*x1), 1e300*(1e300*x2)) + x3")
     with pytest.raises(DomainError):
         directed_subdiff(e3, (0.0, 0.0, 0.0), sphere)

@@ -1,3 +1,4 @@
+import io
 import logging
 import math
 import re
@@ -20,8 +21,8 @@ from dirsubdiff.dirset import (
     sup,
 )
 from dirsubdiff.deriv import restrict
-from dirsubdiff.engine import directed_subdiff, smooth_gradient
-from dirsubdiff.expr import DomainError, Var, as_point, evaluate, int_at_least, powk, var
+from dirsubdiff.engine import default_grid, directed_subdiff, smooth_gradient
+from dirsubdiff.expr import Const, DomainError, Var, as_point, evaluate, int_at_least, powk, var
 from dirsubdiff.oracle import FdSchedule, dini_fd
 from dirsubdiff.parser import parse
 from dirsubdiff.theorems import (
@@ -41,6 +42,7 @@ from dirsubdiff.theorems import (
     verify_sum_rule,
     verify_taylor_invariance,
 )
+from dirsubdiff.viz import write_segments_svg
 
 G16 = SphereGrid.circle(16)
 
@@ -516,6 +518,12 @@ NUMBER_CALLS = {
     "SphereGrid-direction-huge": (
         lambda: SphereGrid(2, (1,), [(2**1100, 0.0)], None, "x"), ValueError,
         "grid directions must be unit vectors, got (inf, 0.0)"),
+    # text is not a number, though float() reads it
+    "Const-str": (lambda: Const("1.5"), ValueError, "expected a number, got a str"),
+    "FdSchedule-t0-str": (lambda: FdSchedule(t0="0.01"), ValueError,
+                          "expected a number, got a str"),
+    "leq-eps-str": (lambda: leq(directed_zero(2, G8), directed_zero(2, G8), "1e-9"), ValueError,
+                    "expected a number, got a str"),
 }
 
 
@@ -558,6 +566,10 @@ INTEGER_CALLS = {
     "mvt_witness-float": (lambda: mvt_witness(parse("abs(x1)"), (-1.0,), (2.0,), scan_points=2.5),
                           _bound("scan_points", 1)),
     "directed_zero-bool": (lambda: directed_zero(True), _bound("dimension", 1)),
+    "default_grid-bool": (lambda: default_grid(True), _bound("dimension", 1)),
+    "default_grid-float": (lambda: default_grid(2.0), _bound("dimension", 1)),
+    "write_segments_svg-bool": (lambda: write_segments_svg([], io.StringIO(), size=True),
+                                _bound("svg size", 1)),
 }
 
 

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from dirsubdiff.corpus import get_rng, random_polygon
+from dirsubdiff.corpus import get_rng
+from generators import random_polygon
 from dirsubdiff.dirset import DirectedSet, SphereGrid, embed_point, embed_polygon
 from dirsubdiff.engine import directed_subdiff
 from dirsubdiff.parser import parse
