@@ -24,10 +24,13 @@ a fixed shape, so a set stores one flat float tuple per level:
   level (a single entry in dimension 1).
 
 At the default 3-D grid that is 512 supports, 512 x 64 lower supports and
-32,768 leaf pairs.  A set is validated once, on these arrays; linear
-combinations, norms and distances are one pass over them, and sup/inf/leq
-walk them level by level.  :attr:`DirectedSet.lowers` rebuilds the tuple of
-lower sets on first use.
+32,768 leaf pairs.  A set is validated once, on these arrays.  Only numbers
+given from outside pass the number door of :mod:`dirsubdiff.expr` (the
+public constructor); arrays the package built itself (combinations, sup/inf,
+decoded documents, the engine's sets) are checked for finiteness only.
+Linear combinations, norms and distances are one pass over the arrays, and
+sup/inf/leq walk them level by level.  :attr:`DirectedSet.lowers` rebuilds
+the tuple of lower sets on first use.
 
 Two grids interoperate only when their content ids are equal; mixing
 resolutions raises :class:`GridMismatchError` instead of resampling silently.
@@ -46,10 +49,11 @@ from functools import cached_property
 from itertools import compress, repeat
 
 from .basis import orthobasis
-from .expr import finite_float, finite_floats, int_at_least, number_sequence
+from .expr import _finite, _wide, finite_float, finite_floats, int_at_least, number_sequence
 
 #: relative scale of the active-set tolerance: eps = ACTIVE_RTOL * (1 + |extreme|)
 ACTIVE_RTOL = 1e-9
+_SUPPORTS = "support values must be finite"
 _LEAF_ENTRIES = "directed interval entries must be finite"
 
 
@@ -162,7 +166,7 @@ def _content_id(dim, resolution, directions, subgrid) -> str:
     return h.hexdigest()[:16]
 
 
-_NUMBER, _INT = frozenset((int, float)), frozenset((int,))
+_NUMBER, _INT, _FLOAT = frozenset((int, float)), frozenset((int,)), frozenset((float,))
 
 
 def _typed(values, types: frozenset, what: str):
@@ -174,6 +178,20 @@ def _typed(values, types: frozenset, what: str):
         raise TypeError(f"{what} must be {' or '.join(sorted(t.__name__ for t in types))}, "
                         f"not {' or '.join(sorted(t.__name__ for t in wrong))}")
     return values
+
+
+def _floats(values, what: str):
+    """JSON numbers ``values`` as floats, from one scan of the entries'
+    types: the list itself when every entry is a float, else each entry
+    through ``float``, so an ``int`` is written back as a float.  An ``int``
+    too large for a float reads as inf, which the set's finiteness check
+    turns away; any other type raises :func:`_typed`'s ``TypeError``."""
+    types = set(map(type, values))
+    if types <= _FLOAT:
+        return values
+    if not types <= _NUMBER:
+        _typed(values, _NUMBER, what)
+    return list(map(_wide, values))
 
 
 @dataclass(frozen=True)
@@ -400,7 +418,10 @@ class DirectedSet:
 
     ``DirectedSet(grid, levels, a_neg, a_pos)`` checks the array lengths
     against ``grid`` (``None`` for a 1-D set, which has no levels and one
-    leaf pair) and that every value is finite.  :meth:`leaf`,
+    leaf pair) and passes every value through the number door
+    (:func:`dirsubdiff.expr.finite_floats`): only numbers given from outside
+    take it.  Arrays the package built itself go through :meth:`_built`,
+    which checks their finiteness only.  :meth:`leaf`,
     :meth:`from_interval` and :meth:`node` build sets from the recursive
     view.  Instances are immutable; arithmetic goes through
     :func:`linear_combination` (also exposed as ``+``, ``-`` and scalar
@@ -415,7 +436,7 @@ class DirectedSet:
         lengths = _lengths(grid)
         if len(levels) != len(lengths) - 2:
             raise ValueError(f"expected {len(lengths) - 2} support levels, got {len(levels)}")
-        levels = tuple(finite_floats(lv, "support values must be finite") for lv in levels)
+        levels = tuple(finite_floats(lv, _SUPPORTS) for lv in levels)
         a_neg, a_pos = finite_floats(a_neg, _LEAF_ENTRIES), finite_floats(a_pos, _LEAF_ENTRIES)
         for lv, n in zip(levels, lengths):
             if len(lv) != n:
@@ -423,6 +444,25 @@ class DirectedSet:
         n = lengths[-1]
         if len(a_neg) != n or len(a_pos) != n:
             raise ValueError(f"leaf arrays must hold {n} pairs, got {len(a_neg)} and {len(a_pos)}")
+        self._store(grid, levels, a_neg, a_pos)
+
+    @classmethod
+    def _built(cls, grid: SphereGrid | None, levels, a_neg, a_pos) -> "DirectedSet":
+        """The set on arrays the package built itself: sequences of floats
+        whose lengths fit ``grid`` by construction.  They are kept as tuples
+        with no conversion and no length check; only their finiteness is
+        checked, with the public constructor's messages, since a linear
+        combination can overflow to inf."""
+        levels = tuple(map(tuple, levels))
+        a_neg, a_pos = tuple(a_neg), tuple(a_pos)
+        for arrays, message in ((levels, _SUPPORTS), ((a_neg, a_pos), _LEAF_ENTRIES)):
+            if not all(map(_finite, arrays)):
+                raise ValueError(message)
+        self = object.__new__(cls)
+        self._store(grid, levels, a_neg, a_pos)
+        return self
+
+    def _store(self, grid, levels: tuple, a_neg: tuple, a_pos: tuple) -> None:
         set_ = object.__setattr__
         set_(self, "dim", grid.dim if grid is not None else 1)
         set_(self, "grid", grid)
@@ -489,7 +529,7 @@ class DirectedSet:
             return None
         if self._lowers is None:
             sub = self.grid.subgrid
-            lowers = tuple(DirectedSet(sub, b[:-2], b[-2], b[-1]) for b in _blocks(self))
+            lowers = tuple(DirectedSet._built(sub, b[:-2], b[-2], b[-1]) for b in _blocks(self))
             object.__setattr__(self, "_lowers", lowers)
         return self._lowers
 
@@ -602,14 +642,14 @@ class DirectedSet:
         entries = d["entries"]
         if len(entries) != len(grid):
             raise ValueError(f"{len(entries)} entries for a grid of {len(grid)} directions")
-        supports = _typed([e["support"] for e in entries], _NUMBER, "supports")
+        supports = _floats([e["support"] for e in entries], "supports")
         if dim == 2:
             lowers = [e["lower"] for e in entries]
             if set(_typed([low["dim"] for low in lowers], _INT, "dim")) != {1}:
                 raise ValueError("lower components of a 2-D set must be 1-D")
-            a_neg = _typed([low["a_neg"] for low in lowers], _NUMBER, "a_neg")
-            a_pos = _typed([low["a_pos"] for low in lowers], _NUMBER, "a_pos")
-            return cls(grid, (supports,), a_neg, a_pos)
+            a_neg = _floats([low["a_neg"] for low in lowers], "a_neg")
+            a_pos = _floats([low["a_pos"] for low in lowers], "a_pos")
+            return cls._built(grid, (supports,), a_neg, a_pos)
         widths = _widths(_lengths(grid))
         total = sum(widths)
         arrays = [[] for _ in widths]
@@ -621,9 +661,8 @@ class DirectedSet:
             for a, w in zip(arrays, widths):
                 a += lower[start:start + w]
                 start += w
-        for a in arrays:
-            _typed(a, _NUMBER, "lower entries")
-        return cls(grid, [supports] + arrays[:-2], arrays[-2], arrays[-1])
+        arrays = [_floats(a, "lower entries") for a in arrays]
+        return cls._built(grid, [supports] + arrays[:-2], arrays[-2], arrays[-1])
 
     @classmethod
     def from_json(cls, text: str) -> "DirectedSet":
@@ -705,7 +744,7 @@ def embed_point(point, grid: SphereGrid | None = None) -> DirectedSet:
         return DirectedSet.from_interval(embed_interval(p[0], p[0]))
     if grid is None or grid.dim != n:
         raise ValueError(f"embedding a {n}-D point needs a grid of dimension {n}")
-    points = [finite_floats(p, "support values must be finite")]  # as each set of a level sees it
+    points = [finite_floats(p, _SUPPORTS)]  # as each set of a level sees it
     levels = []
     g = grid
     while g is not None:
@@ -720,7 +759,7 @@ def embed_point(point, grid: SphereGrid | None = None) -> DirectedSet:
         levels.append(supports)
         points = projections
         g = g.subgrid
-    return DirectedSet(grid, levels, [-q[0] for q in points], [q[0] for q in points])
+    return DirectedSet._built(grid, levels, [-q[0] for q in points], [q[0] for q in points])
 
 
 def embed_polygon(vertices, grid: SphereGrid) -> DirectedSet:
@@ -769,7 +808,7 @@ def linear_combination(alpha: float, a: DirectedSet, beta: float, b: DirectedSet
         [alpha * x + beta * y for x, y in zip(xs, ys)]
         for xs, ys in zip(a._arrays(), b._arrays())
     ]
-    return DirectedSet(a.grid, arrays[:-2], arrays[-2], arrays[-1])
+    return DirectedSet._built(a.grid, arrays[:-2], arrays[-2], arrays[-1])
 
 
 def scale(alpha: float, a: DirectedSet) -> DirectedSet:
@@ -784,7 +823,7 @@ def directed_zero(dim: int, grid: SphereGrid | None = None) -> DirectedSet:
     if grid is None or grid.dim != dim:
         raise ValueError(f"directed zero of dimension {dim} needs a grid of dimension {dim}")
     zeros = [(0.0,) * n for n in _lengths(grid)]
-    return DirectedSet(grid, zeros[:-2], zeros[-2], zeros[-1])
+    return DirectedSet._built(grid, zeros[:-2], zeros[-2], zeros[-1])
 
 
 def norm(a: DirectedSet) -> float:
@@ -796,7 +835,7 @@ def distance(a: DirectedSet, b: DirectedSet) -> float:
     """Metric induced by the norm, ``norm(a - b)``, in one pass."""
     _check_compatible(a, b)
     d = max(max(map(abs, map(operator.sub, xs, ys))) for xs, ys in zip(a._arrays(), b._arrays()))
-    return finite_float(d, "support values must be finite")
+    return finite_float(d, _SUPPORTS)
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +867,7 @@ def _extreme(sets, rtol, info, maximize):
     pending = {tuple(range(len(family))): [0]}  # active members -> entries to resolve
     for j, m in enumerate(_sizes(first.grid)):
         below = _widths(lengths, j)
+        last = j + 1 == depth  # only the leaf pairs lie below, one per entry
         row = out[j]
         carried: dict = {}
         for active, parents in pending.items():
@@ -840,10 +880,18 @@ def _extreme(sets, rtol, info, maximize):
                 for idx, kept in compress(enumerate(keep, lo), map(operator.ne, keep, repeat(stay))):
                     if len(kept) > 1:
                         carried.setdefault(tuple([active[k] for k in kept]), []).append(idx)
-                    else:
+                    elif not last:
                         source = members[active[kept[0]]]
                         for jj, w in enumerate(below, j + 1):
                             out[jj][idx * w:(idx + 1) * w] = source[jj][idx * w:(idx + 1) * w]
+                if last:
+                    # one gather per leaf array: each entry's leaf from its first
+                    # active member; the leaves step below overwrites the tied ones
+                    sources = [active[kept[0]] for kept in keep]
+                    for jj in (depth, depth + 1):
+                        out[jj][lo:lo + m] = map(
+                            operator.getitem, [members[i][jj] for i in sources], range(lo, lo + m)
+                        )
         pending = carried
     for active, entries in pending.items():
         for jj in (depth, depth + 1):
@@ -851,7 +899,7 @@ def _extreme(sets, rtol, info, maximize):
             cols = [list(map(members[i][jj].__getitem__, entries)) for i in active]
             for idx, v in zip(entries, _extremes(cols, maximize)):
                 leaf[idx] = v
-    return DirectedSet(first.grid, out[:depth], out[depth], out[depth + 1])
+    return DirectedSet._built(first.grid, out[:depth], out[depth], out[depth + 1])
 
 
 def sup(sets, active_rtol: float = ACTIVE_RTOL, info: ActiveSetInfo | None = None) -> DirectedSet:

@@ -133,7 +133,7 @@ def directed_subdiffs(
             sweep = _Sweep(gs, active_rtol, joint, n)
             sweep.level(grid, (), None)
             parts = zip(sweep.levels, sweep.a_neg, sweep.a_pos)
-            sets = [DirectedSet(grid, levels, neg, pos) for levels, neg, pos in parts]
+            sets = [DirectedSet._built(grid, levels, neg, pos) for levels, neg, pos in parts]
     except ExprError:
         if joint is info:
             raise
@@ -155,7 +155,12 @@ _VAR, _CONST, _LIN, _SHIFT, _ALIAS, _MAX, _MIN = range(7)
 
 def _apply(rows, cols) -> list:
     """``rows @ y`` for every point ``y`` of ``cols`` (one list per
-    coordinate), accumulated from 0.0 in the order of ``Affine._inner_point``."""
+    coordinate), accumulated from 0.0 in the order of ``Affine._inner_point``.
+    Rows of two entries, through which a default 3-D grid lifts its circle's
+    points, take one comprehension per row, which adds in the same order."""
+    if len(rows[0]) == 2:
+        c0, c1 = cols[0], cols[1]
+        return [[0.0 + w0 * y0 + w1 * y1 for y0, y1 in zip(c0, c1)] for w0, w1 in rows]
     out = []
     for row in rows:
         acc = [0.0 + row[0] * y for y in cols[0]]
@@ -407,10 +412,12 @@ class _Sweep:
                 if leaf:
                     # no member is active where the direction's values are
                     # not finite; that direction is past ``bad``, so its
-                    # filler leaf value is never stored
+                    # filler leaf value is never stored; ``max([v])`` is
+                    # ``v``, so one active member is read directly
                     pick = max if maximize else min
                     for start in (n, 2 * n):
-                        col += [pick([members[i][start + j] for i in idx]) if idx else math.nan
+                        col += [members[idx[0]][start + j] if len(idx) == 1
+                                else pick([members[i][start + j] for i in idx]) if idx else math.nan
                                 for j, idx in enumerate(picked)]
                 else:
                     acts[s] = [tuple([ins[2][i] for i in idx]) for idx in picked]

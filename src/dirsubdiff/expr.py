@@ -58,6 +58,7 @@ def _wide(v) -> float:
 
 
 _TEXT = (str, bytes, bytearray)
+_PLAIN = frozenset((float, int))
 
 
 def finite_float(v, message: str, error=ValueError) -> float:
@@ -86,9 +87,17 @@ def number_sequence(values, error=ValueError):
 
 
 def finite_floats(values, message: str, error=ValueError) -> tuple:
-    """:func:`finite_float` of a sequence (not text), as a tuple, with no Python step per entry."""
+    """:func:`finite_float` of a sequence (not text), as a tuple, with no Python
+    step per entry: one scan of the entries' types refuses text entries,
+    which ``float`` would read, and one ``map`` converts them all."""
     if isinstance(values, _TEXT):  # inline: sets call this per level, a call each would show
         number_sequence(values, error)
+    if not isinstance(values, (list, tuple)):
+        values = list(values)  # read twice
+    if not _PLAIN.issuperset(map(type, values)):
+        text = next((type(v).__name__ for v in values if isinstance(v, _TEXT)), None)
+        if text:
+            raise error(f"expected a number, got a {text}")
     try:
         xs = tuple(map(float, values))
         if _finite(xs):

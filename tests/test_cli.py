@@ -517,15 +517,27 @@ _MALFORMED_DOCUMENTS = {
         {**e, "lower": {**e["lower"], "dim": True}} for e in _plane()["entries"]]},
     "3-D-lower-string": {**_space(), "entries": [
         {**e, "lower": ["0"] + e["lower"][1:]} for e in _space()["entries"]]},
+    "3-D-lower-true": {**_space(), "entries": [
+        {**e, "lower": e["lower"][:-1] + [True]} for e in _space()["entries"]]},
+    # a lower list starts with the lower set's supports
+    "3-D-lower-huge-integer": {**_space(), "entries": [
+        {**e, "lower": [2**1100] + e["lower"][1:]} for e in _space()["entries"]]},
+    "3-D-lower-nan": {**_space(), "entries": [
+        {**e, "lower": [math.nan] + e["lower"][1:]} for e in _space()["entries"]]},
+}
+
+# a number too large for a float, or NaN, is turned away as a non-finite entry
+_NON_FINITE_MESSAGES = {
+    "huge-integer": "directed interval entries must be finite",
+    "3-D-lower-huge-integer": "support values must be finite",
+    "3-D-lower-nan": "support values must be finite",
 }
 
 
 @pytest.mark.parametrize("name", _MALFORMED_DOCUMENTS)
 def test_malformed_document_is_an_input_error(tmp_path, capsys, name):
     doc = _MALFORMED_DOCUMENTS[name]
-    # a number too large for a float is turned away as a non-finite entry
-    message = ("directed interval entries must be finite" if name == "huge-integer"
-               else "malformed directed set document")
+    message = _NON_FINITE_MESSAGES.get(name, "malformed directed set document")
     with pytest.raises(ValueError, match=message):
         DirectedSet.from_json_dict(doc)
     stored = tmp_path / "doc.json"

@@ -135,6 +135,13 @@ _PLANE = SphereGrid.circle(4)
     (lambda: embed_polygon([(0.0, 0.0), (10**400, 0.0)], _PLANE), "polygon vertices must be finite"),
     (lambda: linear_combination(1.0, leaf(0.0, 0.0), 10**400, leaf(0.0, 0.0)),
      "coefficients must be finite"),
+    # a combination of finite sets can overflow to inf
+    (lambda: linear_combination(1e308, embed_point((1.0, 0.0), _PLANE), 1e308,
+                                embed_point((1.0, 0.0), _PLANE)),
+     "support values must be finite"),
+    (lambda: linear_combination(1e308, DirectedSet(_PLANE, ((0.0,) * 4,), (0.0,) * 4, (1.0,) * 4),
+                                1e308, DirectedSet(_PLANE, ((0.0,) * 4,), (0.0,) * 4, (1.0,) * 4)),
+     "directed interval entries must be finite"),
     (lambda: DirectedSet("circle", (), (0.0,), (0.0,)),
      "a directed set's grid must be a SphereGrid or None"),
     (lambda: DirectedSet.node(_PLANE, [0.0] * 4, [leaf(0.0, 0.0)] * 3),
@@ -143,6 +150,7 @@ _PLANE = SphereGrid.circle(4)
 ], ids=["polygon-empty", "polygon-3d-vertex", "polygon-nan", "polygon-3d-grid", "point-empty",
         "point-grid-dim", "lincomb-inf", "zero-dim-0", "distance-overflow", "leaf-huge",
         "interval-huge", "point-1d-huge", "point-2d-huge", "polygon-huge", "lincomb-huge",
+        "lincomb-overflow-supports", "lincomb-overflow-leaves",
         "set-grid-type", "node-lowers", "random-set-grid-dim"])
 def test_bad_arguments_are_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
@@ -399,6 +407,73 @@ def test_json_roundtrip_three_dims():
     g = SphereGrid.sphere(2, 4, 8)
     a = random_directed_set(get_rng(6), 3, g)
     assert DirectedSet.from_json(a.to_json()) == a
+
+
+def _with_ints(doc):
+    """``doc`` with every integral float but -0.0 written as an ``int``, as
+    a JSON writer other than this package's may write it."""
+    if isinstance(doc, dict):
+        return {k: _with_ints(v) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [_with_ints(v) for v in doc]
+    return int(doc) if type(doc) is float and doc.is_integer() and repr(doc) != "-0.0" else doc
+
+
+def _integral(s):
+    """``s`` with every other value rounded to an integer."""
+    def half(values):
+        return [round(v) if k % 2 else v for k, v in enumerate(values)]
+    return DirectedSet(s.grid, [half(lv) for lv in s.levels], half(s.a_neg), half(s.a_pos))
+
+
+def _exact_floats(s) -> bool:
+    arrays = s.levels + (s.a_neg, s.a_pos)
+    return type(s.levels) is tuple and all(type(a) is tuple and set(map(type, a)) <= {float}
+                                           for a in arrays)
+
+
+_SPACE = SphereGrid.sphere(2, 3, 5)
+
+
+@pytest.mark.parametrize("grid", [_PLANE, _SPACE], ids=["2-D", "3-D"])
+def test_json_int_entries_decode_to_floats(grid):
+    s = _integral(random_directed_set(get_rng(8), grid.dim, grid))
+    floats = s.to_json_dict()
+    ints = _with_ints(floats)
+    assert json.dumps(ints) != json.dumps(floats)  # some entries are written as ints
+    for t in (DirectedSet.from_json_dict(ints), DirectedSet.from_json(json.dumps(ints))):
+        assert _exact_floats(t)
+        assert t == s
+        assert t.to_json() == s.to_json()
+
+
+_INT_PLANE = _integral(random_directed_set(get_rng(9), 2, _PLANE))
+_INT_SPACE = _integral(random_directed_set(get_rng(10), 3, _SPACE))
+
+#: every way the package builds a set from arrays of its own, on inputs with ints
+_BUILT_SETS = {
+    "linear_combination-2d": lambda: [linear_combination(2, _INT_PLANE, -1, _INT_PLANE)],
+    "linear_combination-3d": lambda: [linear_combination(1, _INT_SPACE, 3, _INT_SPACE)],
+    "sup": lambda: [sup([_INT_PLANE, -_INT_PLANE]), sup([_INT_SPACE, -_INT_SPACE, _INT_SPACE])],
+    "inf": lambda: [inf([_INT_PLANE, -_INT_PLANE]), inf([_INT_SPACE, -_INT_SPACE, _INT_SPACE])],
+    "from_json_dict": lambda: [DirectedSet.from_json_dict(_with_ints(s.to_json_dict()))
+                               for s in (_INT_PLANE, _INT_SPACE)],
+    "directed_subdiff-2d": lambda: [
+        directed_subdiff(parse("max(x1, 2*x2) + 3 + abs(x1)"), (0, 0), _PLANE)],
+    "directed_subdiff-3d": lambda: [
+        directed_subdiff(parse("max(x1, x2, 2) + x3 - abs(x1)"), (2, 2, 0), _SPACE)],
+    "embed_point": lambda: [embed_point((1, -2), _PLANE), embed_point((1, 0, 3), _SPACE)],
+    "directed_zero": lambda: [directed_zero(2, _PLANE), directed_zero(3, _SPACE)],
+    "lowers": lambda: list(_INT_SPACE.lowers) + list(sup([_INT_SPACE, -_INT_SPACE]).lowers),
+}
+
+
+@pytest.mark.parametrize("name", _BUILT_SETS)
+def test_built_sets_hold_tuples_of_floats(name):
+    # what the private constructor relies on: the package's own arrays skip
+    # the float conversion of the public one
+    for s in _BUILT_SETS[name]():
+        assert _exact_floats(s)
 
 
 def test_json_schema_keys():

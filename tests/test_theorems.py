@@ -524,6 +524,20 @@ NUMBER_CALLS = {
                           "expected a number, got a str"),
     "leq-eps-str": (lambda: leq(directed_zero(2, G8), directed_zero(2, G8), "1e-9"), ValueError,
                     "expected a number, got a str"),
+    # nor is a text entry of a sequence of numbers
+    "evaluate-str-entries": (lambda: evaluate(parse("x1+x2"), ["1", b"2"]), DomainError,
+                             "expected a number, got a str"),
+    "as_point-str-entries": (lambda: as_point(["1", "2"]), DomainError,
+                             "expected a number, got a str"),
+    "directed_subdiff-bytearray-entry": (
+        lambda: directed_subdiff(KINK, (0.0, bytearray(b"1")), G8), DomainError,
+        "expected a number, got a bytearray"),
+    "embed_point-str-entry": (lambda: embed_point((0.0, "1"), G8), ValueError,
+                              "expected a number, got a str"),
+    "orthobasis-str-entry": (lambda: orthobasis(("1", 0.0)), ValueError,
+                             "expected a number, got a str"),
+    "DirectedSet-str-entry": (lambda: DirectedSet(G8, (("0",) * 8,), (0.0,) * 8, (0.0,) * 8),
+                              ValueError, "expected a number, got a str"),
 }
 
 
