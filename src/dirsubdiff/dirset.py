@@ -24,10 +24,11 @@ a fixed shape, so a set stores one flat float tuple per level:
   level (a single entry in dimension 1).
 
 At the default 3-D grid that is 512 supports, 512 x 64 lower supports and
-32,768 leaf pairs.  A set is validated once, on these arrays.  Only numbers
-given from outside pass the number door of :mod:`dirsubdiff.expr` (the
-public constructor); arrays the package built itself (combinations, sup/inf,
-decoded documents, the engine's sets) are checked for finiteness only.
+32,768 leaf pairs.  A set is validated once, on these arrays.  Numbers
+given from outside, by a caller or a decoded document, pass the number door
+of :mod:`dirsubdiff.expr` (the public constructor); arrays the package built
+itself (combinations, sup/inf, the engine's sets) are checked for finiteness
+only.
 Linear combinations, norms and distances are one pass over the arrays, and
 sup/inf/leq walk them level by level.  :attr:`DirectedSet.lowers` rebuilds
 the tuple of lower sets on first use.
@@ -49,7 +50,7 @@ from functools import cached_property
 from itertools import compress, repeat
 
 from .basis import orthobasis
-from .expr import _finite, _wide, finite_float, finite_floats, int_at_least, number_sequence
+from .expr import _finite, finite_float, finite_floats, int_at_least, number_sequence
 
 #: relative scale of the active-set tolerance: eps = ACTIVE_RTOL * (1 + |extreme|)
 ACTIVE_RTOL = 1e-9
@@ -166,34 +167,6 @@ def _content_id(dim, resolution, directions, subgrid) -> str:
     return h.hexdigest()[:16]
 
 
-_NUMBER, _INT, _FLOAT = frozenset((int, float)), frozenset((int,)), frozenset((float,))
-
-
-def _typed(values, types: frozenset, what: str):
-    """``values``, after a check that the exact type of every entry is in
-    ``types``: the decoders take JSON numbers as they are, so a string or a
-    ``bool`` raises ``TypeError`` instead of being coerced."""
-    wrong = set(map(type, values)) - types
-    if wrong:
-        raise TypeError(f"{what} must be {' or '.join(sorted(t.__name__ for t in types))}, "
-                        f"not {' or '.join(sorted(t.__name__ for t in wrong))}")
-    return values
-
-
-def _floats(values, what: str):
-    """JSON numbers ``values`` as floats, from one scan of the entries'
-    types: the list itself when every entry is a float, else each entry
-    through ``float``, so an ``int`` is written back as a float.  An ``int``
-    too large for a float reads as inf, which the set's finiteness check
-    turns away; any other type raises :func:`_typed`'s ``TypeError``."""
-    types = set(map(type, values))
-    if types <= _FLOAT:
-        return values
-    if not types <= _NUMBER:
-        _typed(values, _NUMBER, what)
-    return list(map(_wide, values))
-
-
 @dataclass(frozen=True)
 class SphereGrid:
     """Deterministic unit-direction grid on the sphere of dimension ``dim``.
@@ -215,6 +188,7 @@ class SphereGrid:
     id: str | None = None
 
     def __post_init__(self):
+        check_grid(self.subgrid)
         object.__setattr__(self, "dim", int_at_least(self.dim, 2, "grid dimension"))
         object.__setattr__(self, "resolution", tuple(
             [int_at_least(r, 1, "a grid resolution entry") for r in self.resolution]))
@@ -312,12 +286,11 @@ class SphereGrid:
 
         Raises :class:`GridMismatchError` when a stored id does not match the
         recomputed content hash, and ``ValueError`` on a document of the
-        wrong shape, including a dimension or resolution that is not an
-        ``int`` or does not fit the 64-bit integers of the content hash, a
-        direction entry that is not an ``int`` or ``float``, and a grid
-        without directions.  The ``"subgrid"`` chain is
-        walked in a loop, one dimension down per step, so a chain of any
-        length ends in ``ValueError``.
+        wrong shape or content: the constructor takes the dimension and
+        resolution through :func:`dirsubdiff.expr.int_at_least` and the
+        directions through :func:`dirsubdiff.expr.finite_floats`.  The
+        ``"subgrid"`` chain is walked in a loop, one dimension down per
+        step, so a chain of any length ends in ``ValueError``.
         """
         try:
             chain = [d]  # grid documents, outermost first
@@ -330,13 +303,23 @@ class SphereGrid:
                 chain.append(sub)
             grid = None
             for g in reversed(chain):
-                _typed([g["dim"]], _INT, "dim")
-                _typed(g["resolution"], _INT, "resolution entries")
-                _typed([v for dv in g["directions"] for v in dv], _NUMBER, "direction entries")
                 grid = cls(g["dim"], g["resolution"], g["directions"], grid, g["id"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed grid document: {exc!r}") from exc
         return grid
+
+
+def check_grid(grid, dim: int | None = None, what: str = "point") -> SphereGrid | None:
+    """``grid`` when it is a :class:`SphereGrid` or ``None`` and, given
+    ``dim``, fits a ``what`` of that dimension: no grid in 1-D, a grid of
+    dimension ``dim`` above; else ``ValueError``."""
+    if grid is not None and not isinstance(grid, SphereGrid):
+        raise ValueError("a directed set's grid must be a SphereGrid or None")
+    if dim is not None and (1 if grid is None else grid.dim) != dim:
+        if dim == 1:
+            raise ValueError(f"a 1-D {what} takes no grid")
+        raise ValueError(f"a {dim}-D {what} needs a grid of dimension {dim}")
+    return grid
 
 
 def _sizes(grid: SphereGrid | None) -> list:
@@ -419,9 +402,10 @@ class DirectedSet:
     ``DirectedSet(grid, levels, a_neg, a_pos)`` checks the array lengths
     against ``grid`` (``None`` for a 1-D set, which has no levels and one
     leaf pair) and passes every value through the number door
-    (:func:`dirsubdiff.expr.finite_floats`): only numbers given from outside
-    take it.  Arrays the package built itself go through :meth:`_built`,
-    which checks their finiteness only.  :meth:`leaf`,
+    (:func:`dirsubdiff.expr.finite_floats`): numbers given from outside, by
+    a caller or by :meth:`from_json_dict`, take it.  Arrays the package
+    built itself go through :meth:`_built`, which checks their finiteness
+    only.  :meth:`leaf`,
     :meth:`from_interval` and :meth:`node` build sets from the recursive
     view.  Instances are immutable; arithmetic goes through
     :func:`linear_combination` (also exposed as ``+``, ``-`` and scalar
@@ -431,12 +415,10 @@ class DirectedSet:
     __slots__ = ("dim", "grid", "levels", "a_neg", "a_pos", "_lowers")
 
     def __init__(self, grid: SphereGrid | None, levels, a_neg, a_pos):
-        if grid is not None and not isinstance(grid, SphereGrid):
-            raise ValueError("a directed set's grid must be a SphereGrid or None")
-        lengths = _lengths(grid)
+        lengths = _lengths(check_grid(grid))
+        levels = tuple([finite_floats(lv, _SUPPORTS) for lv in number_sequence(levels)])
         if len(levels) != len(lengths) - 2:
             raise ValueError(f"expected {len(lengths) - 2} support levels, got {len(levels)}")
-        levels = tuple(finite_floats(lv, _SUPPORTS) for lv in levels)
         a_neg, a_pos = finite_floats(a_neg, _LEAF_ENTRIES), finite_floats(a_pos, _LEAF_ENTRIES)
         for lv, n in zip(levels, lengths):
             if len(lv) != n:
@@ -489,6 +471,8 @@ class DirectedSet:
     def node(cls, grid: SphereGrid, supports, lowers) -> "DirectedSet":
         """The set with ``supports`` and lower sets ``lowers`` over ``grid``."""
         lowers = tuple(lowers)
+        if check_grid(grid) is None:
+            raise ValueError("a directed set node needs a grid")
         if len(lowers) != len(grid.directions):
             raise ValueError("supports/lowers length must match the grid")
         for low in lowers:
@@ -496,7 +480,7 @@ class DirectedSet:
                 raise ValueError("lower components must be directed sets of dimension n - 1")
             if low.grid is not None and low.grid.id != grid.subgrid.id:
                 raise GridMismatchError("lower component grid differs from the declared sub-grid")
-        levels = (tuple(supports),) + tuple(
+        levels = (supports,) + tuple(
             [v for low in lowers for v in low.levels[j]] for j in range(grid.dim - 2)
         )
         a_neg = [v for low in lowers for v in low.a_neg]
@@ -615,13 +599,17 @@ class DirectedSet:
     def from_json_dict(cls, d: dict) -> "DirectedSet":
         """Inverse of :meth:`to_json_dict`.
 
-        Raises :class:`GridMismatchError` when a stored grid id does not match
-        its content, and ``ValueError`` on a wrong format tag (a dimension
-        n >= 3 document must carry ``"format": 2``), a wrong array length or
-        a non-finite value.  A document of the wrong shape, a missing key, a
-        value of the wrong type (numbers must be ``int`` or ``float``, and
-        ``dim`` an ``int``; a string or ``bool`` is not coerced) or an
-        integer too large for a float, raises ``ValueError`` too.
+        The document's numbers enter through the package's doors: its
+        dimension and format through :func:`dirsubdiff.expr.int_at_least`,
+        its grid through :meth:`SphereGrid.from_json_dict` and its values
+        through the public constructor.  So a ``bool``, a string, ``null``
+        or an integer too large for a float is refused as it would be from
+        a caller, with that door's ``ValueError``.  Raises
+        :class:`GridMismatchError` when a stored grid id does not match its
+        content, and ``ValueError`` on a wrong format tag (a dimension
+        n >= 3 document must carry ``"format": 2``), a wrong array length,
+        a non-finite value, or a document of the wrong shape or with a
+        missing key.
         """
         try:
             return cls._decode(d)
@@ -630,26 +618,26 @@ class DirectedSet:
 
     @classmethod
     def _decode(cls, d) -> "DirectedSet":
-        dim = _typed([d["dim"]], _INT, "dim")[0]
-        fmt, want = _typed([d.get("format", 1)], _INT, "format")[0], (2 if dim >= 3 else 1)
+        dim = int_at_least(d["dim"], 1, "a directed set document's dim")
+        fmt, want = int_at_least(d.get("format", 1), 1, "a document format"), (2 if dim >= 3 else 1)
         if fmt != want:
             raise ValueError(f"a {dim}-D directed set document must be format {want}, got {fmt!r}")
         if dim == 1:
-            return cls.leaf(*_typed([d["a_neg"], d["a_pos"]], _NUMBER, "a_neg and a_pos"))
+            return cls.leaf(d["a_neg"], d["a_pos"])
         grid = SphereGrid.from_json_dict(d["grid"])
         if grid.dim != dim:
             raise ValueError(f"document of dimension {dim} carries a {grid.dim}-D grid")
         entries = d["entries"]
         if len(entries) != len(grid):
             raise ValueError(f"{len(entries)} entries for a grid of {len(grid)} directions")
-        supports = _floats([e["support"] for e in entries], "supports")
+        supports = [e["support"] for e in entries]
         if dim == 2:
             lowers = [e["lower"] for e in entries]
-            if set(_typed([low["dim"] for low in lowers], _INT, "dim")) != {1}:
+            if {int_at_least(low["dim"], 1, "a lower set's dim") for low in lowers} != {1}:
                 raise ValueError("lower components of a 2-D set must be 1-D")
-            a_neg = _floats([low["a_neg"] for low in lowers], "a_neg")
-            a_pos = _floats([low["a_pos"] for low in lowers], "a_pos")
-            return cls._built(grid, (supports,), a_neg, a_pos)
+            a_neg = [low["a_neg"] for low in lowers]
+            a_pos = [low["a_pos"] for low in lowers]
+            return cls(grid, (supports,), a_neg, a_pos)
         widths = _widths(_lengths(grid))
         total = sum(widths)
         arrays = [[] for _ in widths]
@@ -661,8 +649,7 @@ class DirectedSet:
             for a, w in zip(arrays, widths):
                 a += lower[start:start + w]
                 start += w
-        arrays = [_floats(a, "lower entries") for a in arrays]
-        return cls._built(grid, [supports] + arrays[:-2], arrays[-2], arrays[-1])
+        return cls(grid, [supports] + arrays[:-2], arrays[-2], arrays[-1])
 
     @classmethod
     def from_json(cls, text: str) -> "DirectedSet":
@@ -736,14 +723,12 @@ def embed_point(point, grid: SphereGrid | None = None) -> DirectedSet:
     every supporting face is the point itself, projected into the tangent
     hyperplane through the fixed basis.
     """
-    p = tuple(number_sequence(point))  # converted below: by the interval or as level 0's point
+    p = number_sequence(point)  # converted below: by the interval or as level 0's point
     n = len(p)
     if n == 0:
         raise ValueError("point must have at least one coordinate")
-    if n == 1:
+    if check_grid(grid, n) is None:
         return DirectedSet.from_interval(embed_interval(p[0], p[0]))
-    if grid is None or grid.dim != n:
-        raise ValueError(f"embedding a {n}-D point needs a grid of dimension {n}")
     points = [finite_floats(p, _SUPPORTS)]  # as each set of a level sees it
     levels = []
     g = grid
@@ -772,12 +757,12 @@ def embed_polygon(vertices, grid: SphereGrid) -> DirectedSet:
     onto the fixed tangent axis.  Degenerate inputs (single point, two
     points, collinear points) are fine.
     """
-    verts = [tuple(number_sequence(v)) for v in vertices]
+    verts = [number_sequence(v) for v in vertices]
     if not verts:
         raise ValueError("polygon needs at least one vertex")
     if any(len(v) != 2 for v in verts):
         raise ValueError("polygon vertices must be 2-D")
-    if grid.dim != 2:
+    if check_grid(grid) is None or grid.dim != 2:
         raise ValueError("polygon embedding needs a 2-D grid")
     return sup([embed_point(finite_floats(v, "polygon vertices must be finite"), grid) for v in verts])
 
@@ -817,11 +802,8 @@ def scale(alpha: float, a: DirectedSet) -> DirectedSet:
 
 def directed_zero(dim: int, grid: SphereGrid | None = None) -> DirectedSet:
     """The neutral element: all support values and lower components zero."""
-    dim = int_at_least(dim, 1, "dimension")
-    if dim == 1:
+    if check_grid(grid, int_at_least(dim, 1, "dimension"), "directed zero") is None:
         return DirectedSet.leaf(0.0, 0.0)
-    if grid is None or grid.dim != dim:
-        raise ValueError(f"directed zero of dimension {dim} needs a grid of dimension {dim}")
     zeros = [(0.0,) * n for n in _lengths(grid)]
     return DirectedSet._built(grid, zeros[:-2], zeros[-2], zeros[-1])
 

@@ -47,7 +47,7 @@ import math
 from functools import cache
 
 from .dirset import (
-    ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_columns, embed_point,
+    ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_columns, check_grid, embed_point,
 )
 from .deriv import dirderiv_transform
 from .expr import (
@@ -117,11 +117,7 @@ def directed_subdiffs(
     """
     xs = as_point(x)
     n = len(xs)
-    if n == 1:
-        if grid is not None:
-            raise ValueError("1-D subdifferentials take no grid")
-    elif grid is None or grid.dim != n:
-        raise ValueError(f"point of dimension {n} needs a grid of dimension {n}")
+    check_grid(grid, n)
     joint = info if len(exprs) == 1 else ActiveSetInfo()
     shared: dict = {}
     try:
@@ -452,7 +448,5 @@ def embed_gradient(e: Expr, x, grid: SphereGrid | None = None) -> DirectedSet:
     differentiable functions.
     """
     xs = as_point(x)
-    if len(xs) >= 2 and (grid is None or grid.dim != len(xs)):
-        raise ValueError(f"point of dimension {len(xs)} needs a grid of dimension {len(xs)}")
-    grad = smooth_gradient(e, xs)
-    return embed_point(grad, grid if len(xs) >= 2 else None)
+    check_grid(grid, len(xs))
+    return embed_point(smooth_gradient(e, xs), grid)

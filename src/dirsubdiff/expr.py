@@ -49,62 +49,67 @@ def _finite(values) -> bool:
     return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
-def _wide(v) -> float:
-    """``float(v)``, a number too large for a float reading as +-inf."""
-    try:
-        return float(v)
-    except OverflowError:
-        return math.inf if v > 0 else -math.inf
-
-
 _TEXT = (str, bytes, bytearray)
-_PLAIN = frozenset((float, int))
+#: what ``float`` reads that is not a number: text, and ``bool``
+_NON_NUMERIC = (*_TEXT, bool)
+_FLOAT = frozenset((float,))
+
+
+def _number(v, error) -> float:
+    """``float(v)``, an int too large for a float reading as +-inf; text, a
+    ``bool`` and anything ``float`` cannot read (``None``, a list) raise
+    ``error``, outside any ``except`` so the error has no context."""
+    if not isinstance(v, _NON_NUMERIC):
+        try:
+            return float(v)
+        except OverflowError:
+            return math.inf if v > 0 else -math.inf
+        except (TypeError, ValueError):
+            pass
+    raise error(f"expected a number, got a {type(v).__name__}")
 
 
 def finite_float(v, message: str, error=ValueError) -> float:
     """``float(v)`` when finite, else ``error(message)`` with ``{!r}`` in it
-    standing for :func:`_wide` of ``v``.  With :func:`finite_floats` this is
-    the one door for numbers: entry points take theirs through it, so a NaN,
-    an infinity or an int too large for a float ends in the entry point's
-    ``ValueError`` or :class:`DomainError`, never in ``OverflowError``.
-    Text is refused, though ``float`` would read it."""
-    if type(v) is not float and isinstance(v, _TEXT):  # floats skip the text check
-        raise error(f"expected a number, got a {type(v).__name__}")
+    standing for that float, an int too large for a float reading as +-inf.
+    With :func:`finite_floats` this is the one door for numbers: every value
+    that enters the package, from a caller or a document, passes it, so a
+    NaN, an infinity, an int too large for a float, text, a ``bool`` or a
+    non-number ends in the entry point's ``ValueError`` or
+    :class:`DomainError`, never in ``OverflowError`` or ``TypeError``."""
+    f = v if type(v) is float else _number(v, error)
+    if math.isfinite(f):
+        return f
+    raise error(message.format(f))
+
+
+def number_sequence(values, error=ValueError) -> list:
+    """The entries of ``values`` as a list; ``error`` when ``values`` is not
+    iterable or is text, which iterates as characters, not numbers."""
     try:
-        f = float(v)
-        if math.isfinite(f):
-            return f
-    except OverflowError:
-        pass
-    raise error(message.format(_wide(v)))
-
-
-def number_sequence(values, error=ValueError):
-    """``values``, unless it is text, which iterates as characters, not numbers."""
-    if isinstance(values, _TEXT):
+        entries = None if isinstance(values, _TEXT) else iter(values)
+    except TypeError:
+        entries = None
+    if entries is None:
         raise error(f"expected a sequence of numbers, got a {type(values).__name__}")
-    return values
+    return list(entries)
 
 
 def finite_floats(values, message: str, error=ValueError) -> tuple:
-    """:func:`finite_float` of a sequence (not text), as a tuple, with no Python
-    step per entry: one scan of the entries' types refuses text entries,
-    which ``float`` would read, and one ``map`` converts them all."""
-    if isinstance(values, _TEXT):  # inline: sets call this per level, a call each would show
-        number_sequence(values, error)
-    if not isinstance(values, (list, tuple)):
-        values = list(values)  # read twice
-    if not _PLAIN.issuperset(map(type, values)):
-        text = next((type(v).__name__ for v in values if isinstance(v, _TEXT)), None)
-        if text:
-            raise error(f"expected a number, got a {text}")
-    try:
-        xs = tuple(map(float, values))
-        if _finite(xs):
-            return xs
-    except OverflowError:
-        pass
-    raise error(message.format(tuple(map(_wide, values))))
+    """:func:`finite_float` of every entry of a sequence (see
+    :func:`number_sequence`), as a tuple, from one scan of the entries'
+    types: a sequence of exact floats is taken as it is, with no ``float``
+    call per entry; any other is read entry by entry through
+    :func:`_number`, which names the first non-number."""
+    if type(values) is not list and type(values) is not tuple:
+        values = number_sequence(values, error)
+    if set(map(type, values)) <= _FLOAT:
+        xs = tuple(values)
+    else:
+        xs = tuple([_number(v, error) for v in values])
+    if _finite(xs):
+        return xs
+    raise error(message.format(xs))
 
 
 def int_at_least(v, least: int, what: str) -> int:
@@ -547,14 +552,6 @@ def vabs(e) -> Max:
     """Absolute value, desugared to ``max(e, -e)``."""
     e = _coerce(e)
     return Max((e, neg(e)))
-
-
-def sin(e) -> SmoothUnary:
-    return SmoothUnary("sin", _coerce(e))
-
-
-def exp(e) -> SmoothUnary:
-    return SmoothUnary("exp", _coerce(e))
 
 
 def sqr(e) -> SmoothUnary:

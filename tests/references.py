@@ -32,10 +32,9 @@ import math
 from dirsubdiff.basis import orthobasis
 from dirsubdiff.deriv import dirderiv_transform, restrict
 from dirsubdiff.dirset import (
-    ACTIVE_RTOL, ActiveSetInfo, DirectedInterval, DirectedSet, SphereGrid,
+    ACTIVE_RTOL, ActiveSetInfo, DirectedInterval, DirectedSet, SphereGrid, check_grid,
 )
-from dirsubdiff.engine import directed_subdiff
-from dirsubdiff.expr import Expr, as_point
+from dirsubdiff.expr import DomainError, Expr, as_point, finite_float
 
 # ---------------------------------------------------------------------------
 # the defining recursion of the directed subdifferential
@@ -53,17 +52,20 @@ def recursive_subdiff(
     Transforms ``e`` into ``g = f'(x; .)``, reads the support ``g(l)`` per
     grid direction and recurses on ``g`` restricted to the slice through
     ``l``, at the origin one dimension down: a fresh transform and a fresh
-    :func:`restrict` per direction.  Same arguments and result as
+    :func:`restrict` per direction.  In 1-D the leaf pair is the transform
+    read at -1 and +1.  Same arguments and result as
     :func:`dirsubdiff.engine.directed_subdiff`, which reads the same levels
     off one transform; this slow form is its test reference.
     """
     xs = as_point(x)
     n = len(xs)
-    if n == 1:  # one transform read at -1 and +1: no sweep to check
-        return directed_subdiff(e, xs, grid, active_rtol, info)
-    if grid is None or grid.dim != n:
-        raise ValueError(f"point of dimension {n} needs a grid of dimension {n}")
+    check_grid(grid, n)
     g = dirderiv_transform(e, xs, active_rtol, info)
+    if n == 1:
+        return DirectedSet.leaf(*(
+            finite_float(g._eval((t,)), "value overflows to {!r} at the base point",
+                         DomainError)
+            for t in (-1.0, 1.0)))
     origin = (0.0,) * (n - 1)
     supports = []
     lowers = []

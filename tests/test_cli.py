@@ -508,7 +508,8 @@ _MALFORMED_DOCUMENTS = {
     "list": [_plane()],
     "dim-string": {**_plane(), "dim": "2"},
     "huge-integer": {"dim": 1, "a_neg": 2**1100, "a_pos": 0},
-    # numbers are taken as JSON gives them: no string or bool is coerced
+    # numbers are taken as JSON gives them: no string or bool is coerced, and each is
+    # refused by the door a caller's number passes
     "1-D-a_neg-string": {"dim": 1, "a_neg": "3", "a_pos": 0},
     "1-D-dim-true": {"dim": True, "a_neg": 3, "a_pos": 0},
     "2-D-format-true": {**_plane(), "format": True},
@@ -526,9 +527,23 @@ _MALFORMED_DOCUMENTS = {
         {**e, "lower": [math.nan] + e["lower"][1:]} for e in _space()["entries"]]},
 }
 
-# a number too large for a float, or NaN, is turned away as a non-finite entry
-_NON_FINITE_MESSAGES = {
+def _integer_message(what):
+    return f"{what} must be >= 1, an integer below 2**63"
+
+
+# the message of the door that refuses the document's number, where it has one
+_DOOR_MESSAGES = {
+    "null-support": "expected a number, got a NoneType",
+    "dim-string": _integer_message("a directed set document's dim"),
+    # a number too large for a float, or NaN, is turned away as a non-finite entry
     "huge-integer": "directed interval entries must be finite",
+    "1-D-a_neg-string": "expected a number, got a str",
+    "1-D-dim-true": _integer_message("a directed set document's dim"),
+    "2-D-format-true": _integer_message("a document format"),
+    "2-D-support-true": "expected a number, got a bool",
+    "2-D-lower-dim-true": _integer_message("a lower set's dim"),
+    "3-D-lower-string": "expected a number, got a str",
+    "3-D-lower-true": "expected a number, got a bool",
     "3-D-lower-huge-integer": "support values must be finite",
     "3-D-lower-nan": "support values must be finite",
 }
@@ -537,8 +552,8 @@ _NON_FINITE_MESSAGES = {
 @pytest.mark.parametrize("name", _MALFORMED_DOCUMENTS)
 def test_malformed_document_is_an_input_error(tmp_path, capsys, name):
     doc = _MALFORMED_DOCUMENTS[name]
-    message = _NON_FINITE_MESSAGES.get(name, "malformed directed set document")
-    with pytest.raises(ValueError, match=message):
+    message = _DOOR_MESSAGES.get(name, "malformed directed set document")
+    with pytest.raises(ValueError, match=re.escape(message)):
         DirectedSet.from_json_dict(doc)
     stored = tmp_path / "doc.json"
     stored.write_text(json.dumps(doc))
@@ -577,10 +592,9 @@ _EMPTY_SPHERE = {"id": _content_id(3, (1, 1), (), SimpleNamespace(id=_EMPTY_CIRC
 
 
 @pytest.mark.parametrize("doc, message", [
-    (_plane_on(resolution=[4.0]),
-     "malformed grid document: TypeError('resolution entries must be int, not float')"),
+    (_plane_on(resolution=[4.0]), _integer_message("a grid resolution entry")),
     (_plane_on(directions=[["1", "0"]] + _plane()["grid"]["directions"][1:]),
-     "malformed grid document: TypeError('direction entries must be float or int, not str')"),
+     "expected a number, got a str"),
     ({"dim": 2, "grid": _EMPTY_CIRCLE, "entries": []}, "a sphere grid needs at least one direction"),
     ({"format": 2, "dim": 3, "grid": _EMPTY_SPHERE, "entries": []},
      "a sphere grid needs at least one direction"),

@@ -18,7 +18,7 @@ from generators import (
     random_unit,
 )
 from dirsubdiff.expr import Max, evaluate, has_kinks
-from dirsubdiff.expr import Affine, Quotient, compose, const, exp, var
+from dirsubdiff.expr import Affine, Quotient, SmoothUnary, compose, const, var
 
 
 def test_get_rng():
@@ -132,6 +132,10 @@ def test_random_polygon_and_sets():
     assert s.dim == 2 and len(s.supports) == 8
     leaf = random_directed_set(rng, 1)
     assert leaf.dim == 1
+
+
+def exp(e):
+    return SmoothUnary("exp", e)
 
 
 def test_exp_bound_sees_through_every_node_kind():

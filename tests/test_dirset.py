@@ -25,7 +25,7 @@ from dirsubdiff.dirset import (
     scale,
     sup,
 )
-from dirsubdiff.engine import directed_subdiff
+from dirsubdiff.engine import directed_subdiff, embed_gradient
 from dirsubdiff.expr import vmax, vmin
 from dirsubdiff.parser import parse
 
@@ -112,6 +112,7 @@ def test_polygon_faces_use_the_active_set_rule():
 
 
 _PLANE = SphereGrid.circle(4)
+_NOT_A_GRID = "a directed set's grid must be a SphereGrid or None"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -122,7 +123,7 @@ _PLANE = SphereGrid.circle(4)
      "polygon embedding needs a 2-D grid"),
     (lambda: embed_point((), _PLANE), "point must have at least one coordinate"),
     (lambda: embed_point((1.0, 2.0, 3.0), _PLANE),
-     "embedding a 3-D point needs a grid of dimension 3"),
+     "a 3-D point needs a grid of dimension 3"),
     (lambda: linear_combination(math.inf, leaf(0.0, 0.0), 1.0, leaf(0.0, 0.0)),
      "coefficients must be finite"),
     (lambda: directed_zero(0), "dimension must be >= 1"),
@@ -142,19 +143,35 @@ _PLANE = SphereGrid.circle(4)
     (lambda: linear_combination(1e308, DirectedSet(_PLANE, ((0.0,) * 4,), (0.0,) * 4, (1.0,) * 4),
                                 1e308, DirectedSet(_PLANE, ((0.0,) * 4,), (0.0,) * 4, (1.0,) * 4)),
      "directed interval entries must be finite"),
-    (lambda: DirectedSet("circle", (), (0.0,), (0.0,)),
-     "a directed set's grid must be a SphereGrid or None"),
+    (lambda: DirectedSet("circle", (), (0.0,), (0.0,)), _NOT_A_GRID),
     (lambda: DirectedSet.node(_PLANE, [0.0] * 4, [leaf(0.0, 0.0)] * 3),
      "supports/lowers length must match the grid"),
     (lambda: random_directed_set(get_rng(0), 3, _PLANE), "dim >= 2 needs a grid of matching dim"),
+    # a grid that is not a grid, on every path
+    (lambda: directed_subdiff(parse("abs(x1)"), (0.0, 0.0), "ab"), _NOT_A_GRID),
+    (lambda: embed_point((1.0, 2.0), "ab"), _NOT_A_GRID),
+    (lambda: directed_zero(2, "ab"), _NOT_A_GRID),
+    (lambda: embed_polygon(SQUARE, None), "polygon embedding needs a 2-D grid"),
+    (lambda: DirectedSet.node("ab", [0.0] * 4, [leaf(0.0, 0.0)] * 4), _NOT_A_GRID),
+    (lambda: DirectedSet.node(None, [], []), "a directed set node needs a grid"),
+    (lambda: SphereGrid(3, (1, 1), [(0.0, 0.0, 1.0)], "x"), _NOT_A_GRID),
+    # a 1-D point takes no grid, on every path
+    (lambda: directed_subdiff(parse("abs(x1)"), (0.0,), _PLANE), "a 1-D point takes no grid"),
+    (lambda: embed_point((1.0,), _PLANE), "a 1-D point takes no grid"),
+    (lambda: embed_gradient(parse("x1*x1"), (1.0,), _PLANE), "a 1-D point takes no grid"),
+    (lambda: directed_zero(1, _PLANE), "a 1-D directed zero takes no grid"),
 ], ids=["polygon-empty", "polygon-3d-vertex", "polygon-nan", "polygon-3d-grid", "point-empty",
         "point-grid-dim", "lincomb-inf", "zero-dim-0", "distance-overflow", "leaf-huge",
         "interval-huge", "point-1d-huge", "point-2d-huge", "polygon-huge", "lincomb-huge",
         "lincomb-overflow-supports", "lincomb-overflow-leaves",
-        "set-grid-type", "node-lowers", "random-set-grid-dim"])
+        "set-grid-type", "node-lowers", "random-set-grid-dim",
+        "subdiff-grid-str", "point-grid-str", "zero-grid-str", "polygon-grid-none",
+        "node-grid-str", "node-grid-none", "subgrid-str", "subdiff-1d-grid", "point-1d-grid",
+        "gradient-1d-grid", "zero-1d-grid"])
 def test_bad_arguments_are_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
 
 
 # ---------------------------------------------------------------------------

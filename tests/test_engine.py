@@ -27,7 +27,7 @@ from dirsubdiff.engine import (
     smooth_gradient,
 )
 from dirsubdiff.parser import parse
-from dirsubdiff.expr import DomainError, LinComb, Var, evaluate, has_kinks, sin
+from dirsubdiff.expr import DomainError, LinComb, SmoothUnary, Var, evaluate, has_kinks
 
 
 def test_as_point():
@@ -264,7 +264,7 @@ def _deep(shape: str, n: int, depth: int):
         return parse("+".join(f"x{1 + i % n}" for i in range(depth)))
     e = Var(0)
     for i in range(depth):
-        e = LinComb(1.0, e, 0.5, Var(i % n)) if shape == "lincomb" else sin(e + Var(i % n))
+        e = LinComb(1.0, e, 0.5, Var(i % n)) if shape == "lincomb" else SmoothUnary("sin", e + Var(i % n))
     return e
 
 

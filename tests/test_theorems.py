@@ -2,6 +2,7 @@ import io
 import logging
 import math
 import re
+from functools import partial
 
 import pytest
 
@@ -18,11 +19,14 @@ from dirsubdiff.dirset import (
     embed_polygon,
     inf,
     leq,
+    linear_combination,
     sup,
 )
 from dirsubdiff.deriv import restrict
 from dirsubdiff.engine import default_grid, directed_subdiff, smooth_gradient
-from dirsubdiff.expr import Const, DomainError, Var, as_point, evaluate, int_at_least, powk, var
+from dirsubdiff.expr import (
+    Const, DomainError, LinComb, Var, as_point, evaluate, int_at_least, powk, var,
+)
 from dirsubdiff.oracle import FdSchedule, dini_fd
 from dirsubdiff.parser import parse
 from dirsubdiff.theorems import (
@@ -538,7 +542,45 @@ NUMBER_CALLS = {
                              "expected a number, got a str"),
     "DirectedSet-str-entry": (lambda: DirectedSet(G8, (("0",) * 8,), (0.0,) * 8, (0.0,) * 8),
                               ValueError, "expected a number, got a str"),
+    # nor is a bool, though float() reads it as well
+    "evaluate-bool": (lambda: evaluate(KINK, True), DomainError, "expected a number, got a bool"),
+    "directed_subdiff-bools": (lambda: directed_subdiff(KINK, [True, False], G8), DomainError,
+                               "expected a number, got a bool"),
 }
+
+#: values that are not numbers: float() reads the bool, and none of the others
+NOT_NUMBERS = {"None": None, "list": [1.0], "bool": True, "object": object()}
+_ZERO_2D = directed_zero(2, G8)
+
+#: entry point -> (call with one number, error)
+NUMBER_SITES = {
+    "Const": (Const, ValueError),
+    "LinComb": (lambda v: LinComb(v, KINK, 1.0, KINK), ValueError),
+    "linear_combination": (lambda v: linear_combination(v, _ZERO_2D, 1.0, _ZERO_2D), ValueError),
+    "DirectedSet.leaf": (lambda v: DirectedSet.leaf(v, 0.0), ValueError),
+    "leq-eps": (lambda v: leq(_ZERO_2D, _ZERO_2D, v), ValueError),
+    "FdSchedule-t0": (lambda v: FdSchedule(t0=v), ValueError),
+}
+
+#: entry point -> (call with a sequence of two numbers, error)
+SEQUENCE_SITES = {
+    "DirectedSet": (lambda seq: DirectedSet(G8, (seq,), (0.0,) * 8, (0.0,) * 8), ValueError),
+    "embed_point": (lambda seq: embed_point(seq, G8), ValueError),
+    "evaluate": (lambda seq: evaluate(KINK, seq), DomainError),
+    "directed_subdiff": (lambda seq: directed_subdiff(KINK, seq, G8), DomainError),
+    "SphereGrid-direction": (lambda seq: SphereGrid(2, (1,), [seq], None, "x"), ValueError),
+}
+
+for _site, (_call, _error) in NUMBER_SITES.items():
+    for _name, _v in NOT_NUMBERS.items():
+        NUMBER_CALLS[f"{_site}-{_name}"] = (
+            partial(_call, _v), _error, f"expected a number, got a {type(_v).__name__}")
+for _site, (_call, _error) in SEQUENCE_SITES.items():
+    for _name, _v in NOT_NUMBERS.items():
+        NUMBER_CALLS[f"{_site}-{_name}-entry"] = (
+            partial(_call, (_v, 0.0)), _error, f"expected a number, got a {type(_v).__name__}")
+    NUMBER_CALLS[f"{_site}-not-iterable"] = (
+        partial(_call, object()), _error, "expected a sequence of numbers, got a object")
 
 
 @pytest.mark.parametrize("entry", NUMBER_CALLS)
