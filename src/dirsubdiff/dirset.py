@@ -50,7 +50,7 @@ from functools import cached_property
 from itertools import compress, repeat
 
 from .basis import orthobasis
-from .expr import _finite, finite_float, finite_floats, int_at_least, number_sequence
+from .expr import _finite, finite_float, finite_floats, int_at_least, sequence
 
 #: relative scale of the active-set tolerance: eps = ACTIVE_RTOL * (1 + |extreme|)
 ACTIVE_RTOL = 1e-9
@@ -416,7 +416,7 @@ class DirectedSet:
 
     def __init__(self, grid: SphereGrid | None, levels, a_neg, a_pos):
         lengths = _lengths(check_grid(grid))
-        levels = tuple([finite_floats(lv, _SUPPORTS) for lv in number_sequence(levels)])
+        levels = tuple([finite_floats(lv, _SUPPORTS) for lv in sequence(levels, "levels")])
         if len(levels) != len(lengths) - 2:
             raise ValueError(f"expected {len(lengths) - 2} support levels, got {len(levels)}")
         a_neg, a_pos = finite_floats(a_neg, _LEAF_ENTRIES), finite_floats(a_pos, _LEAF_ENTRIES)
@@ -470,7 +470,7 @@ class DirectedSet:
     @classmethod
     def node(cls, grid: SphereGrid, supports, lowers) -> "DirectedSet":
         """The set with ``supports`` and lower sets ``lowers`` over ``grid``."""
-        lowers = tuple(lowers)
+        lowers = sequence(lowers, "directed sets")
         if check_grid(grid) is None:
             raise ValueError("a directed set node needs a grid")
         if len(lowers) != len(grid.directions):
@@ -723,7 +723,7 @@ def embed_point(point, grid: SphereGrid | None = None) -> DirectedSet:
     every supporting face is the point itself, projected into the tangent
     hyperplane through the fixed basis.
     """
-    p = number_sequence(point)  # converted below: by the interval or as level 0's point
+    p = sequence(point)  # converted below: by the interval or as level 0's point
     n = len(p)
     if n == 0:
         raise ValueError("point must have at least one coordinate")
@@ -757,7 +757,7 @@ def embed_polygon(vertices, grid: SphereGrid) -> DirectedSet:
     onto the fixed tangent axis.  Degenerate inputs (single point, two
     points, collinear points) are fine.
     """
-    verts = [number_sequence(v) for v in vertices]
+    verts = [sequence(v) for v in sequence(vertices, "vertices")]
     if not verts:
         raise ValueError("polygon needs at least one vertex")
     if any(len(v) != 2 for v in verts):
@@ -836,7 +836,7 @@ def _extreme(sets, rtol, info, maximize):
     and one set of active members at a time.
     """
     rtol = check_tolerance("active_rtol", rtol)
-    family = list(sets)
+    family = sequence(sets, "directed sets")
     if not family:
         raise ValueError("sup/inf of an empty family")
     first = family[0]

@@ -29,6 +29,15 @@ transform it again and recurse one dimension down (``recursive_subdiff``
 in ``tests/references.py``).  No expression is built per direction, and
 the program of a narrowing is built once per call.
 
+A narrowing below the top level runs once per parent direction, so its
+program is fused before it runs: each chain of linear combinations whose
+intermediate values nothing else reads becomes one column kernel, a
+comprehension compiled once per narrowing that computes the chain per
+point with the same products and sums nested in program order, so every
+value keeps its bits.  A kernel's column shows the first direction where
+its chain goes non-finite, but not which intermediate did so first; a fused
+level that fails reruns its plain program for the exact error.
+
 Several expressions at one point take one pass (:func:`directed_subdiffs`):
 their transforms share the walk, so the operands inside a combination are
 one subtree of the combination's transform, and the sweep runs the program
@@ -146,7 +155,13 @@ def directed_subdiffs(
 # slot records: (_VAR, context, index), (_CONST, value),
 # (_LIN, alpha, left, beta, right), (_MAX | _MIN, children), (_ALIAS, child);
 # programs add (_SHIFT, slot, a, x, k) for ``a * x + k`` with a constant ``k``
-_VAR, _CONST, _LIN, _SHIFT, _ALIAS, _MAX, _MIN = range(7)
+# and (_KERNEL, slot, kernel, inputs) for a fused linear chain (:func:`_fuse`)
+_VAR, _CONST, _LIN, _SHIFT, _ALIAS, _MAX, _MIN, _KERNEL = range(8)
+
+#: the deepest nesting of linear operations one kernel evaluates; a deeper
+#: chain is cut into kernels that read each other's columns, which keeps
+#: the compiler's recursion short on deeply nested expressions
+_KERNEL_DEPTH = 32
 
 
 def _apply(rows, cols) -> list:
@@ -180,6 +195,84 @@ def _first_bad(col, stop: int) -> int:
             if not math.isfinite(col[j]):
                 return j
     return stop
+
+
+def _fuse(program, roots) -> list:
+    """``program`` with its linear chains fused into column kernels.
+
+    A ``_SHIFT`` or ``_LIN`` slot that only one other ``_SHIFT`` or ``_LIN``
+    reads goes inline into its reader.  Every other linear slot becomes a
+    ``(_KERNEL, slot, kernel, inputs)`` instruction: ``kernel`` takes the
+    columns of the ``inputs`` slots (variables, max/min members, slots read
+    twice) and evaluates the slot's whole chain per point in one
+    comprehension, with the same products and sums nested in program order,
+    so its column keeps the bits of the instructions it replaces.  A chain
+    nests at most ``_KERNEL_DEPTH`` operations.  All kernels of ``program``
+    come from one ``exec`` of generated source that holds only generated
+    names; the coefficients enter as closure values, never as text.
+    """
+    kept = set(roots)  # roots and max/min members keep their columns
+    reads: dict = {}  # linear reads per slot
+    linear: dict = {}  # linear slot -> its (coefficient, operand) terms, constant term
+    for ins in program:
+        op, s = ins[0], ins[1]
+        if op >= _MAX:
+            kept.update(ins[2])
+            continue
+        if op == _SHIFT:
+            linear[s] = ((ins[2], ins[3]),), ins[4]
+        elif op == _LIN:
+            linear[s] = ((ins[2], ins[3]), (ins[4], ins[5])), None
+        else:
+            continue
+        for _, x in linear[s][0]:
+            reads[x] = reads.get(x, 0) + 1
+    consts: list = []
+    chains: dict = {}  # inlined slot -> (source, depth, input slots)
+    kernels = []
+    fused = []
+    for ins in program:
+        s = ins[1]
+        if s not in linear:
+            fused.append(ins)
+            continue
+        pairs, k = linear[s]
+        terms = []
+        depth = 0
+        inputs: dict = {}
+        for a, x in pairs:
+            if x in chains:
+                src, d, below = chains.pop(x)
+                src = f"({src})"
+                depth = max(depth, d)
+                inputs.update(below)
+            else:
+                src = f"v{x}"
+                inputs[x] = None
+            terms.append(f"k{len(consts)} * {src}")
+            consts.append(a)
+        if k is not None:
+            terms.append(f"k{len(consts)}")
+            consts.append(k)
+        src = " + ".join(terms)
+        if reads.get(s) == 1 and s not in kept and depth + 1 < _KERNEL_DEPTH:
+            chains[s] = (src, depth + 1, inputs)
+        else:
+            kernels.append((src, tuple(inputs)))
+            fused.append((_KERNEL, s, len(kernels) - 1, tuple(inputs)))
+    if not kernels:
+        return program
+    lines = ["def make(k):", f" {''.join(f'k{i}, ' for i in range(len(consts)))}= k"]
+    for i, (src, inputs) in enumerate(kernels):
+        cols = ", ".join(f"c{x}" for x in inputs)
+        loop = (f"v{inputs[0]} in c{inputs[0]}" if len(inputs) == 1 else
+                f"{', '.join(f'v{x}' for x in inputs)} in zip({cols})")
+        lines += [f" def f{i}({cols}):", f"  return [{src} for {loop}]"]
+    lines.append(f" return [{', '.join(f'f{i}' for i in range(len(kernels)))}]")
+    scope: dict = {}
+    exec("\n".join(lines), scope)
+    made = scope["make"](consts)
+    return [ins if ins[0] != _KERNEL else ins[:2] + (made[ins[2]],) + ins[3:] for ins in fused]
 
 
 _OVERFLOW = "value overflows to {!r} at the base point"
@@ -254,14 +347,20 @@ class _Sweep:
         """Instructions evaluating the roots under ``act``, each in ``_eval``
         order after the slots of the roots before it.
 
-        Returns ``(program, root slots, singles)``, built once per distinct
-        narrowing.  A max/min left with one active child, and an affine
-        node, emit nothing: their slot resolves to the child's, as the
-        transform returns the child's derivative there.  ``singles`` keeps
+        Returns ``(program, plain, root slots, singles)``, built once per
+        distinct narrowing.  A max/min left with one active child, and an
+        affine node, emit nothing: their slot resolves to the child's, as
+        the transform returns the child's derivative there.  ``singles`` keeps
         those one-child max/min slots for the next level.  A linear
         combination of two constants is a constant; with one constant
         operand it is a ``_SHIFT``, whose constant term is the same product
         the sweep would form per direction.
+
+        ``plain`` is the program as emitted.  Below the top level, where a
+        call runs the same narrowing once per parent direction, ``program``
+        is ``plain`` with its linear chains fused into kernels
+        (:func:`_fuse`); at the top level, run once per call, it is
+        ``plain`` itself.
         """
         key = None if act is None else tuple(sorted(act.items()))
         hit = self.programs.get(key)
@@ -317,7 +416,9 @@ class _Sweep:
                 if op == _CONST:
                     consts[s] = rec[1]
                 program.append((op, s) + rec[1:])
-        out = self.programs[key] = (program, [resolved[r] for r in self.roots], singles)
+        roots = [resolved[r] for r in self.roots]
+        fused = program if act is None else _fuse(program, roots)
+        out = self.programs[key] = (fused, program, roots, singles)
         return out
 
     def _points(self, cols, frames) -> list:
@@ -339,9 +440,13 @@ class _Sweep:
 
         Raises the :class:`DomainError` of the first non-finite value in
         walk order: per direction the node values in program order, then
-        the leaf pairs or the levels below.
+        the leaf pairs or the levels below.  A non-finite operand of ``+``
+        or ``*`` gives a non-finite result, so a kernel's column shows where
+        its chain first goes non-finite, but not which of its values did so
+        first: a fused level that fails names the value from a rerun of its
+        plain program.
         """
-        program, roots, singles = self._program(act)
+        program, plain, roots, singles = self._program(act)
         n = len(grid)
         leaf = grid.dim == 2
         pts = self._points(grid.sweep_columns, frames)
@@ -363,6 +468,8 @@ class _Sweep:
                     narrowed[s] = col[j]
                 self.level(grid.subgrid, frames + (grid.tangent_rows[j],), narrowed, depth + 1)
         if bad < n:
+            if program is not plain:
+                bad_value = self._run(plain, n, pts, leaf)[3]
             raise DomainError(_OVERFLOW.format(bad_value))
 
     def _run(self, program, n: int, pts, leaf: bool) -> tuple:
@@ -374,10 +481,10 @@ class _Sweep:
         active at the direction.  Returns the node values by slot, the
         active members per direction of every max/min slot, and the first
         direction ``bad`` with a non-finite node value (``n`` if none) with
-        that value.  Each max/min calls :func:`active_columns` once, on its
-        member columns over the ``n`` directions: direction ``j`` gets the
-        extreme and active members of the value list a one-direction sweep
-        would form.
+        that value; of a kernel only the chain's end is scanned.  Each
+        max/min calls :func:`active_columns` once, on its member columns
+        over the ``n`` directions: direction ``j`` gets the extreme and
+        active members of the value list a one-direction sweep would form.
         """
         rtol, info = self.rtol, self.info
         width = 3 * n if leaf else n
@@ -386,7 +493,9 @@ class _Sweep:
         bad, bad_value = n, None
         for ins in program:
             op, s = ins[0], ins[1]
-            if op == _SHIFT:
+            if op == _KERNEL:
+                col = ins[2](*[val[x] for x in ins[3]])
+            elif op == _SHIFT:
                 _, _, a, x, k = ins
                 col = [a * v + k for v in val[x]]
             elif op == _LIN:

@@ -83,26 +83,26 @@ def finite_float(v, message: str, error=ValueError) -> float:
     raise error(message.format(f))
 
 
-def number_sequence(values, error=ValueError) -> list:
+def sequence(values, of: str = "numbers", error=ValueError) -> list:
     """The entries of ``values`` as a list; ``error`` when ``values`` is not
-    iterable or is text, which iterates as characters, not numbers."""
+    iterable or is text, which iterates as characters, not as ``of``."""
     try:
         entries = None if isinstance(values, _TEXT) else iter(values)
     except TypeError:
         entries = None
     if entries is None:
-        raise error(f"expected a sequence of numbers, got a {type(values).__name__}")
+        raise error(f"expected a sequence of {of}, got a {type(values).__name__}")
     return list(entries)
 
 
 def finite_floats(values, message: str, error=ValueError) -> tuple:
     """:func:`finite_float` of every entry of a sequence (see
-    :func:`number_sequence`), as a tuple, from one scan of the entries'
+    :func:`sequence`), as a tuple, from one scan of the entries'
     types: a sequence of exact floats is taken as it is, with no ``float``
     call per entry; any other is read entry by entry through
     :func:`_number`, which names the first non-number."""
     if type(values) is not list and type(values) is not tuple:
-        values = number_sequence(values, error)
+        values = sequence(values, error=error)
     if set(map(type, values)) <= _FLOAT:
         xs = tuple(values)
     else:
@@ -383,7 +383,8 @@ class Affine(Expr):
     arity: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = tuple(finite_floats(r, "affine matrix entries must be finite") for r in self.matrix)
+        rows = tuple([finite_floats(r, "affine matrix entries must be finite")
+                      for r in sequence(self.matrix, "matrix rows")])
         off = finite_floats(self.offset, "affine offsets must be finite")
         if len(rows) != len(off):
             raise ValueError("matrix row count must match offset length")
@@ -564,7 +565,8 @@ def powk(e, k: int) -> SmoothUnary:
 
 
 def compose(outer, inner) -> SmoothCompose:
-    return SmoothCompose(_coerce(outer), tuple(_coerce(h) for h in inner))
+    inner = tuple([_coerce(h) for h in sequence(inner, "expressions")])
+    return SmoothCompose(_coerce(outer), inner)
 
 
 # ---------------------------------------------------------------------------

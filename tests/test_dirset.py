@@ -160,6 +160,12 @@ _NOT_A_GRID = "a directed set's grid must be a SphereGrid or None"
     (lambda: embed_point((1.0,), _PLANE), "a 1-D point takes no grid"),
     (lambda: embed_gradient(parse("x1*x1"), (1.0,), _PLANE), "a 1-D point takes no grid"),
     (lambda: directed_zero(1, _PLANE), "a 1-D directed zero takes no grid"),
+    # an outer sequence that is not one
+    (lambda: embed_polygon(None, _PLANE), "^expected a sequence of vertices, got a NoneType$"),
+    (lambda: DirectedSet.node(_PLANE, [0.0] * 4, None),
+     "^expected a sequence of directed sets, got a NoneType$"),
+    (lambda: sup(None), "^expected a sequence of directed sets, got a NoneType$"),
+    (lambda: inf(None), "^expected a sequence of directed sets, got a NoneType$"),
 ], ids=["polygon-empty", "polygon-3d-vertex", "polygon-nan", "polygon-3d-grid", "point-empty",
         "point-grid-dim", "lincomb-inf", "zero-dim-0", "distance-overflow", "leaf-huge",
         "interval-huge", "point-1d-huge", "point-2d-huge", "polygon-huge", "lincomb-huge",
@@ -167,7 +173,8 @@ _NOT_A_GRID = "a directed set's grid must be a SphereGrid or None"
         "set-grid-type", "node-lowers", "random-set-grid-dim",
         "subdiff-grid-str", "point-grid-str", "zero-grid-str", "polygon-grid-none",
         "node-grid-str", "node-grid-none", "subgrid-str", "subdiff-1d-grid", "point-1d-grid",
-        "gradient-1d-grid", "zero-1d-grid"])
+        "gradient-1d-grid", "zero-1d-grid", "polygon-none", "node-lowers-none", "sup-none",
+        "inf-none"])
 def test_bad_arguments_are_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -168,10 +168,15 @@ def test_constructor_validation():
     (lambda: Affine(var(0), ((1.0,),), (10**400,)), ValueError, "affine offsets must be finite"),
     (lambda: Max((var(0),)), ValueError, "^max needs at least two children$"),
     (lambda: Min(iter([var(0)])), ValueError, "^min needs at least two children$"),
+    # an outer sequence that is not one
+    (lambda: Affine(var(0), None, (0.0,)), ValueError,
+     "^expected a sequence of matrix rows, got a NoneType$"),
+    (lambda: compose(var(0), None), ValueError,
+     "^expected a sequence of expressions, got a NoneType$"),
 ], ids=["affine-rows", "affine-empty", "affine-matrix-inf", "affine-offset-nan", "lincomb-inf",
         "compose-empty", "compose-outer-arity", "coerce-str", "const-huge", "coerce-huge",
         "lincomb-huge", "affine-matrix-huge", "affine-offset-huge", "max-one-child",
-        "min-one-child"])
+        "min-one-child", "affine-matrix-none", "compose-inner-none"])
 def test_constructor_checks(build, error, message):
     with pytest.raises(error, match=message):
         build()

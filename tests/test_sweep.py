@@ -7,6 +7,7 @@ same active-set flags and the same errors.
 """
 
 import math
+import random
 
 import pytest
 
@@ -15,12 +16,14 @@ import dirsubdiff.engine as engine
 from dirsubdiff.corpus import get_rng, random_rule_pair
 from generators import random_max_affine
 from dirsubdiff.dirset import ActiveSetInfo, SphereGrid
-from dirsubdiff.engine import directed_subdiff
+from dirsubdiff.engine import default_grid, directed_subdiff
 from dirsubdiff.expr import (
     Affine, Const, DomainError, LinComb, Max, Min, Product, Quotient, Var, compose, evaluate,
+    vabs,
 )
 from references import recursive_subdiff
 from dirsubdiff.parser import parse
+from dirsubdiff.theorems import verify_sum_rule
 
 SPHERE = SphereGrid.sphere(4, 8, 16)
 
@@ -211,6 +214,93 @@ def test_overflow_below_an_early_direction_wins():
     with pytest.raises(DomainError, match="to inf"):
         directed_subdiff(e, (0.0, 0.0, 0.0), SPHERE)
     assert_agree(e, (0.0, 0.0, 0.0), SPHERE)
+
+
+@pytest.mark.parametrize("e, sphere", [
+    # the chain's end overflows first at the leaf pair of the first circle
+    # direction (pure x2), where the end is the value walk order names
+    (parse("(-1e300)*(1e300*(1e10*x2)) + x1"),
+     SphereGrid(3, (2,), [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)], SphereGrid.circle(8))),
+    # the first circle direction itself is x1: its inner product overflows
+    # to inf before the chain's end, -inf, so the fused level's error text
+    # comes from the rerun of its plain program
+    (parse("(-1e300)*(1e300*(1e10*x1)) + x2"),
+     SphereGrid(3, (2,), [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0)], SphereGrid.circle(8))),
+], ids=["leaf-pair", "direction"])
+def test_first_overflow_inside_a_kernel(e, sphere):
+    # below the top level each expression is one kernel, and the top level
+    # is finite: the overflow happens only in a fused level
+    g = engine.dirderiv_transform(e, (0.0, 0.0, 0.0))
+    assert all(math.isfinite(g._eval(l)) for l in sphere.directions)
+    with pytest.raises(DomainError, match="overflows to inf "):
+        directed_subdiff(e, (0.0, 0.0, 0.0), sphere)
+    assert_agree(e, (0.0, 0.0, 0.0), sphere)
+
+
+_EXTREME_CONSTANTS = (1e300, -1e300, 1e10, -1e10, 2.0, -0.5, 1e-300, -0.0, 5e-324)
+_SMALL_CONSTANTS = (2.0, -0.5, 1e-300, -0.0, 5e-324)
+
+
+def _random_kinked(rng, depth, variables=(0, 1, 2), constants=_EXTREME_CONSTANTS):
+    """A 3-D expression over ``variables`` of linear combinations, constant
+    factors and shifts, max, min and abs, its constants drawn from
+    ``constants``."""
+    if depth == 0 or rng.random() < 0.15:
+        return Var(rng.choice(variables))
+    c = rng.choice(constants)
+    pick = rng.randrange(6)
+    if pick == 0:
+        return LinComb(c, _random_kinked(rng, depth - 1, variables, constants),
+                       rng.choice(constants), _random_kinked(rng, depth - 1, variables, constants))
+    if pick == 1:
+        return Product(Const(c), _random_kinked(rng, depth - 1, variables, constants))
+    if pick == 2:
+        return _random_kinked(rng, depth - 1, variables, constants) + Const(c)
+    if pick == 3:
+        return vabs(_random_kinked(rng, depth - 1, variables, constants))
+    kind = Max if pick == 4 else Min
+    return kind(tuple(_random_kinked(rng, depth - 1, variables, constants)
+                      for _ in range(rng.randrange(2, 4))))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_extreme_constants_agree_with_the_recursion(seed):
+    # chains of products and sums that overflow, underflow and carry signed
+    # zeros, below kinks that narrow differently per direction; in the
+    # second form only x2 meets the extreme constants, and x2 is 0 at the
+    # first sphere direction, so the first overflow is often below it
+    rng = random.Random(seed)
+    for _ in range(4):
+        x = tuple(rng.choice((0.0, 0.0, 0.5, -1.0)) for _ in range(3))
+        assert_agree(_random_kinked(rng, 4), x, SPHERE)
+        e = _random_kinked(rng, 4, (1,)) + _random_kinked(rng, 3, constants=_SMALL_CONSTANTS)
+        assert_agree(e, (0.0, 0.0, 0.0), SPHERE)
+
+
+def test_kernels_only_below_the_top_level(monkeypatch):
+    # a kernel pays for its compile only where a call runs its program once
+    # per parent direction: never at the top level, so never in 2-D
+    fused, narrowings = [], set()
+    fuse, program = engine._fuse, engine._Sweep._program
+
+    def counting(*args):
+        fused.append(args)
+        return fuse(*args)
+
+    def recording(self, act):
+        narrowings.add(None if act is None else tuple(sorted(act.items())))
+        return program(self, act)
+
+    monkeypatch.setattr(engine, "_fuse", counting)
+    monkeypatch.setattr(engine._Sweep, "_program", recording)
+    f1, f2 = parse("max(x1, 2*x2 - 1) + abs(x1 - x2)"), parse("exp(x1)*sin(x2)")
+    circle = default_grid(2)
+    directed_subdiff(f1 + f2, (0.5, 0.5), circle)
+    assert verify_sum_rule(f1, f2, 2.0, -0.5, (0.5, 0.5), circle).passed
+    assert fused == [] and narrowings == {None}
+    directed_subdiff(parse("max(x1, x2, x3, -x1 - x2 - x3) + abs(x1)"), (0.0, 0.0, 0.0),
+                     default_grid(3))
+    assert 0 < len(fused) <= len(narrowings - {None})
 
 
 # Linear combinations with a constant operand: the transform of c * x2 is
