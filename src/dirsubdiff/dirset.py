@@ -191,10 +191,11 @@ class SphereGrid:
         check_grid(self.subgrid)
         object.__setattr__(self, "dim", int_at_least(self.dim, 2, "grid dimension"))
         object.__setattr__(self, "resolution", tuple(
-            [int_at_least(r, 1, "a grid resolution entry") for r in self.resolution]))
+            [int_at_least(r, 1, "a grid resolution entry")
+             for r in sequence(self.resolution, "resolution entries")]))
         message = "grid directions must be unit vectors, got {!r}"
         object.__setattr__(self, "directions", tuple(
-            [finite_floats(d, message) for d in self.directions]))
+            [finite_floats(d, message) for d in sequence(self.directions, "directions")]))
         gid = _content_id(self.dim, self.resolution, self.directions, self.subgrid)
         if not self.directions:
             raise ValueError("a sphere grid needs at least one direction")
@@ -303,7 +304,9 @@ class SphereGrid:
                 chain.append(sub)
             grid = None
             for g in reversed(chain):
-                grid = cls(g["dim"], g["resolution"], g["directions"], grid, g["id"])
+                # a field that is no sequence makes the document malformed
+                grid = cls(g["dim"], sequence(g["resolution"], "resolution entries", TypeError),
+                           sequence(g["directions"], "directions", TypeError), grid, g["id"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed grid document: {exc!r}") from exc
         return grid

@@ -29,14 +29,14 @@ transform it again and recurse one dimension down (``recursive_subdiff``
 in ``tests/references.py``).  No expression is built per direction, and
 the program of a narrowing is built once per call.
 
-A narrowing below the top level runs once per parent direction, so its
-program is fused before it runs: each chain of linear combinations whose
-intermediate values nothing else reads becomes one column kernel, a
-comprehension compiled once per narrowing that computes the chain per
-point with the same products and sums nested in program order, so every
-value keeps its bits.  A kernel's column shows the first direction where
-its chain goes non-finite, but not which intermediate did so first; a fused
-level that fails reruns its plain program for the exact error.
+Every program is fused before it runs: each chain of linear combinations
+whose intermediate values nothing else reads becomes one column kernel, a
+comprehension that computes the chain per point with the same products and
+sums nested in program order, so every value keeps its bits.  A kernel is
+compiled once per chain shape and process.  Its column shows the first
+direction where the chain goes non-finite, but not which intermediate did
+so first; a level that fails reruns with one kernel per operation for the
+exact error.
 
 Several expressions at one point take one pass (:func:`directed_subdiffs`):
 their transforms share the walk, so the operands inside a combination are
@@ -53,7 +53,7 @@ calculus rules exact.
 from __future__ import annotations
 
 import math
-from functools import cache
+from functools import cache, lru_cache
 
 from .dirset import (
     ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_columns, check_grid, embed_point,
@@ -154,14 +154,18 @@ def directed_subdiffs(
 
 # slot records: (_VAR, context, index), (_CONST, value),
 # (_LIN, alpha, left, beta, right), (_MAX | _MIN, children), (_ALIAS, child);
-# programs add (_SHIFT, slot, a, x, k) for ``a * x + k`` with a constant ``k``
-# and (_KERNEL, slot, kernel, inputs) for a fused linear chain (:func:`_fuse`)
-_VAR, _CONST, _LIN, _SHIFT, _ALIAS, _MAX, _MIN, _KERNEL = range(8)
+# a program emits (_LIN, slot, pairs, k) for ``a * x + k`` (one pair) or
+# ``a * x + b * y`` (two pairs, ``k`` None), which only :func:`_fuse` reads,
+# and runs (_KERNEL, slot, kernel, inputs) for a fused linear chain
+_VAR, _CONST, _LIN, _ALIAS, _MAX, _MIN, _KERNEL = range(7)
 
 #: the deepest nesting of linear operations one kernel evaluates; a deeper
 #: chain is cut into kernels that read each other's columns, which keeps
 #: the compiler's recursion short on deeply nested expressions
 _KERNEL_DEPTH = 32
+
+#: how many kernel shapes stay compiled (see :func:`_compile`)
+_KERNEL_SHAPES = 1024
 
 
 def _apply(rows, cols) -> list:
@@ -197,82 +201,76 @@ def _first_bad(col, stop: int) -> int:
     return stop
 
 
-def _fuse(program, roots) -> list:
-    """``program`` with its linear chains fused into column kernels.
+def _fuse(program, roots, depth: int = _KERNEL_DEPTH) -> list:
+    """``program`` with its linear forms fused into column kernels.
 
-    A ``_SHIFT`` or ``_LIN`` slot that only one other ``_SHIFT`` or ``_LIN``
-    reads goes inline into its reader.  Every other linear slot becomes a
-    ``(_KERNEL, slot, kernel, inputs)`` instruction: ``kernel`` takes the
-    columns of the ``inputs`` slots (variables, max/min members, slots read
-    twice) and evaluates the slot's whole chain per point in one
-    comprehension, with the same products and sums nested in program order,
-    so its column keeps the bits of the instructions it replaces.  A chain
-    nests at most ``_KERNEL_DEPTH`` operations.  All kernels of ``program``
-    come from one ``exec`` of generated source that holds only generated
-    names; the coefficients enter as closure values, never as text.
+    A ``_LIN`` slot that only one other ``_LIN`` reads goes inline into its
+    reader.  Every other ``_LIN`` slot becomes a ``(_KERNEL, slot, kernel,
+    inputs)`` instruction: ``kernel`` takes the columns of the ``inputs``
+    slots (variables, max/min members, slots read twice) and evaluates the
+    slot's whole chain per point in one comprehension, with the products
+    and sums of the per-operation ``a * v + k`` and ``a * u + b * v``
+    nested in program order, so its column keeps their bits.  A chain nests
+    at most ``depth`` operations: at depth 1 each operation is one kernel.
     """
     kept = set(roots)  # roots and max/min members keep their columns
     reads: dict = {}  # linear reads per slot
-    linear: dict = {}  # linear slot -> its (coefficient, operand) terms, constant term
     for ins in program:
-        op, s = ins[0], ins[1]
-        if op >= _MAX:
+        if ins[0] >= _MAX:
             kept.update(ins[2])
-            continue
-        if op == _SHIFT:
-            linear[s] = ((ins[2], ins[3]),), ins[4]
-        elif op == _LIN:
-            linear[s] = ((ins[2], ins[3]), (ins[4], ins[5])), None
-        else:
-            continue
-        for _, x in linear[s][0]:
-            reads[x] = reads.get(x, 0) + 1
-    consts: list = []
-    chains: dict = {}  # inlined slot -> (source, depth, input slots)
-    kernels = []
+        elif ins[0] == _LIN:
+            for _, x in ins[2]:
+                reads[x] = reads.get(x, 0) + 1
+    chains: dict = {}  # inlined slot -> its form (pairs over slots and forms, k, depth)
     fused = []
     for ins in program:
-        s = ins[1]
-        if s not in linear:
+        if ins[0] != _LIN:
             fused.append(ins)
             continue
-        pairs, k = linear[s]
-        terms = []
-        depth = 0
+        _, s, pairs, k = ins
+        pairs = [(a, chains.pop(x, x)) for a, x in pairs]
+        d = 1 + max([x[2] for _, x in pairs if type(x) is not int], default=0)
+        if reads.get(s) == 1 and s not in kept and d < depth:
+            chains[s] = (pairs, k, d)
+            continue
         inputs: dict = {}
-        for a, x in pairs:
-            if x in chains:
-                src, d, below = chains.pop(x)
-                src = f"({src})"
-                depth = max(depth, d)
-                inputs.update(below)
-            else:
-                src = f"v{x}"
-                inputs[x] = None
-            terms.append(f"k{len(consts)} * {src}")
-            consts.append(a)
-        if k is not None:
-            terms.append(f"k{len(consts)}")
-            consts.append(k)
-        src = " + ".join(terms)
-        if reads.get(s) == 1 and s not in kept and depth + 1 < _KERNEL_DEPTH:
-            chains[s] = (src, depth + 1, inputs)
-        else:
-            kernels.append((src, tuple(inputs)))
-            fused.append((_KERNEL, s, len(kernels) - 1, tuple(inputs)))
-    if not kernels:
-        return program
-    lines = ["def make(k):", f" {''.join(f'k{i}, ' for i in range(len(consts)))}= k"]
-    for i, (src, inputs) in enumerate(kernels):
-        cols = ", ".join(f"c{x}" for x in inputs)
-        loop = (f"v{inputs[0]} in c{inputs[0]}" if len(inputs) == 1 else
-                f"{', '.join(f'v{x}' for x in inputs)} in zip({cols})")
-        lines += [f" def f{i}({cols}):", f"  return [{src} for {loop}]"]
-    lines.append(f" return [{', '.join(f'f{i}' for i in range(len(kernels)))}]")
+        consts: list = []
+        src = _render(pairs, k, inputs, consts)
+        fused.append((_KERNEL, s, _compile(src, len(inputs), len(consts))(*consts), tuple(inputs)))
+    return fused
+
+
+def _render(pairs, k, inputs: dict, consts: list) -> str:
+    """Source of the linear form ``(pairs, k)`` in positional names:
+    input slots ``x`` become ``v0, v1, ...`` and coefficients ``k0, k1,
+    ...`` in the order they occur, recorded in ``inputs`` and ``consts``;
+    an ``x`` that is a chain's form is nested in parentheses."""
+    terms = []
+    for a, x in pairs:
+        name = f"k{len(consts)}"
+        consts.append(a)
+        x = (inputs.setdefault(x, f"v{len(inputs)}") if type(x) is int
+             else f"({_render(x[0], x[1], inputs, consts)})")
+        terms.append(f"{name} * {x}")
+    if k is not None:
+        terms.append(f"k{len(consts)}")
+        consts.append(k)
+    return " + ".join(terms)
+
+
+@lru_cache(maxsize=_KERNEL_SHAPES)
+def _compile(src: str, n_inputs: int, n_consts: int):
+    """The kernel factory of one chain shape: ``make(k0, k1, ...)`` returns
+    the function of the input columns ``c0, c1, ...`` that evaluates
+    ``src`` at every point.  Chains that differ only in coefficients share
+    ``src`` and so one ``exec``: the coefficients are closure values, never
+    text."""
+    cols = ", ".join(f"c{i}" for i in range(n_inputs))
+    loop = "v0 in c0" if n_inputs == 1 else f"{cols.replace('c', 'v')} in zip({cols})"
     scope: dict = {}
-    exec("\n".join(lines), scope)
-    made = scope["make"](consts)
-    return [ins if ins[0] != _KERNEL else ins[:2] + (made[ins[2]],) + ins[3:] for ins in fused]
+    exec(f"def make({', '.join(f'k{i}' for i in range(n_consts))}):\n"
+         f" def kernel({cols}):\n  return [{src} for {loop}]\n return kernel", scope)
+    return scope["make"]
 
 
 _OVERFLOW = "value overflows to {!r} at the base point"
@@ -348,19 +346,14 @@ class _Sweep:
         order after the slots of the roots before it.
 
         Returns ``(program, plain, root slots, singles)``, built once per
-        distinct narrowing.  A max/min left with one active child, and an
-        affine node, emit nothing: their slot resolves to the child's, as
-        the transform returns the child's derivative there.  ``singles`` keeps
-        those one-child max/min slots for the next level.  A linear
-        combination of two constants is a constant; with one constant
-        operand it is a ``_SHIFT``, whose constant term is the same product
-        the sweep would form per direction.
-
-        ``plain`` is the program as emitted.  Below the top level, where a
-        call runs the same narrowing once per parent direction, ``program``
-        is ``plain`` with its linear chains fused into kernels
-        (:func:`_fuse`); at the top level, run once per call, it is
-        ``plain`` itself.
+        distinct narrowing: ``plain`` as emitted, ``program`` with its linear
+        forms fused into kernels (:func:`_fuse`).  A max/min left with one
+        active child, and an affine node, emit nothing: their slot resolves
+        to the child's, as the transform returns the child's derivative
+        there.  ``singles`` keeps those one-child max/min slots for the next
+        level.  A linear combination of two constants is a constant; with
+        one constant operand its form's ``k`` is the same product the sweep
+        would form per direction.
         """
         key = None if act is None else tuple(sorted(act.items()))
         hit = self.programs.get(key)
@@ -400,11 +393,11 @@ class _Sweep:
                     consts[s] = a * consts[l] + b * consts[r]
                     program.append((_CONST, s, consts[s]))
                 elif r in consts:
-                    program.append((_SHIFT, s, a, l, b * consts[r]))
+                    program.append((_LIN, s, ((a, l),), b * consts[r]))
                 elif l in consts:  # a * c + b * y == b * y + a * c bit for bit
-                    program.append((_SHIFT, s, b, r, a * consts[l]))
+                    program.append((_LIN, s, ((b, r),), a * consts[l]))
                 else:
-                    program.append((_LIN, s, a, l, b, r))
+                    program.append((_LIN, s, ((a, l), (b, r)), None))
             elif op >= _MAX:
                 members = tuple(resolved[c] for c in kids)
                 if len(members) == 1:
@@ -417,8 +410,7 @@ class _Sweep:
                     consts[s] = rec[1]
                 program.append((op, s) + rec[1:])
         roots = [resolved[r] for r in self.roots]
-        fused = program if act is None else _fuse(program, roots)
-        out = self.programs[key] = (fused, program, roots, singles)
+        out = self.programs[key] = (_fuse(program, roots), program, roots, singles)
         return out
 
     def _points(self, cols, frames) -> list:
@@ -443,8 +435,8 @@ class _Sweep:
         the leaf pairs or the levels below.  A non-finite operand of ``+``
         or ``*`` gives a non-finite result, so a kernel's column shows where
         its chain first goes non-finite, but not which of its values did so
-        first: a fused level that fails names the value from a rerun of its
-        plain program.
+        first: a level that fails names the value from a rerun of its
+        program fused at depth 1, one kernel per operation.
         """
         program, plain, roots, singles = self._program(act)
         n = len(grid)
@@ -468,8 +460,7 @@ class _Sweep:
                     narrowed[s] = col[j]
                 self.level(grid.subgrid, frames + (grid.tangent_rows[j],), narrowed, depth + 1)
         if bad < n:
-            if program is not plain:
-                bad_value = self._run(plain, n, pts, leaf)[3]
+            bad_value = self._run(_fuse(plain, roots, 1), n, pts, leaf)[3]
             raise DomainError(_OVERFLOW.format(bad_value))
 
     def _run(self, program, n: int, pts, leaf: bool) -> tuple:
@@ -495,12 +486,6 @@ class _Sweep:
             op, s = ins[0], ins[1]
             if op == _KERNEL:
                 col = ins[2](*[val[x] for x in ins[3]])
-            elif op == _SHIFT:
-                _, _, a, x, k = ins
-                col = [a * v + k for v in val[x]]
-            elif op == _LIN:
-                _, _, a, l, b, r = ins
-                col = [a * u + b * v for u, v in zip(val[l], val[r])]
             elif op == _VAR:
                 col = pts[ins[2]][ins[3]]
             elif op == _CONST:

@@ -227,6 +227,9 @@ def parse(text: str) -> Expr:
     """Parse ``text`` into an expression tree.
 
     Raises :class:`ParseError` with a character position on syntax errors,
-    unknown identifiers and malformed calls.
+    unknown identifiers and malformed calls, and at position 0 when
+    ``text`` is not a ``str``.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"expected expression text, got a {type(text).__name__}", 0)
     return _Parser(text).parse()

@@ -166,6 +166,9 @@ _NOT_A_GRID = "a directed set's grid must be a SphereGrid or None"
      "^expected a sequence of directed sets, got a NoneType$"),
     (lambda: sup(None), "^expected a sequence of directed sets, got a NoneType$"),
     (lambda: inf(None), "^expected a sequence of directed sets, got a NoneType$"),
+    (lambda: SphereGrid(2, 8, [(1.0, 0.0)], None),
+     "^expected a sequence of resolution entries, got a int$"),
+    (lambda: SphereGrid(2, (1,), None, None), "^expected a sequence of directions, got a NoneType$"),
 ], ids=["polygon-empty", "polygon-3d-vertex", "polygon-nan", "polygon-3d-grid", "point-empty",
         "point-grid-dim", "lincomb-inf", "zero-dim-0", "distance-overflow", "leaf-huge",
         "interval-huge", "point-1d-huge", "point-2d-huge", "polygon-huge", "lincomb-huge",
@@ -174,7 +177,7 @@ _NOT_A_GRID = "a directed set's grid must be a SphereGrid or None"
         "subdiff-grid-str", "point-grid-str", "zero-grid-str", "polygon-grid-none",
         "node-grid-str", "node-grid-none", "subgrid-str", "subdiff-1d-grid", "point-1d-grid",
         "gradient-1d-grid", "zero-1d-grid", "polygon-none", "node-lowers-none", "sup-none",
-        "inf-none"])
+        "inf-none", "grid-resolution-int", "grid-directions-none"])
 def test_bad_arguments_are_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -138,6 +138,10 @@ def test_nesting_up_to_the_cap_parses():
     ("pow(x1)", "pow takes exactly two arguments", 0),
     ("pow(x1, 2, 3)", "pow takes exactly two arguments", 0),
     ("1 + sin(x1, x2)", "sin takes exactly one argument", 4),
+    # only text is parsed
+    (b"x1", "expected expression text, got a bytes", 0),
+    (None, "expected expression text, got a NoneType", 0),
+    (1.0, "expected expression text, got a float", 0),
 ])
 def test_parse_error_messages_and_positions(text, message, position):
     with pytest.raises(ParseError) as err:

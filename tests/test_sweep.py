@@ -8,6 +8,7 @@ same active-set flags and the same errors.
 
 import math
 import random
+import struct
 
 import pytest
 
@@ -23,7 +24,6 @@ from dirsubdiff.expr import (
 )
 from references import recursive_subdiff
 from dirsubdiff.parser import parse
-from dirsubdiff.theorems import verify_sum_rule
 
 SPHERE = SphereGrid.sphere(4, 8, 16)
 
@@ -223,7 +223,7 @@ def test_overflow_below_an_early_direction_wins():
      SphereGrid(3, (2,), [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0)], SphereGrid.circle(8))),
     # the first circle direction itself is x1: its inner product overflows
     # to inf before the chain's end, -inf, so the fused level's error text
-    # comes from the rerun of its plain program
+    # comes from its rerun with one kernel per operation
     (parse("(-1e300)*(1e300*(1e10*x1)) + x2"),
      SphereGrid(3, (2,), [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0)], SphereGrid.circle(8))),
 ], ids=["leaf-pair", "direction"])
@@ -277,30 +277,70 @@ def test_extreme_constants_agree_with_the_recursion(seed):
         assert_agree(e, (0.0, 0.0, 0.0), SPHERE)
 
 
-def test_kernels_only_below_the_top_level(monkeypatch):
-    # a kernel pays for its compile only where a call runs its program once
-    # per parent direction: never at the top level, so never in 2-D
-    fused, narrowings = [], set()
-    fuse, program = engine._fuse, engine._Sweep._program
+def test_first_overflow_inside_a_top_level_kernel():
+    # in 2-D the top level is the only level and runs fused: at the first
+    # circle direction, x1, the inner product overflows to inf before the
+    # chain's end, -inf, so the error text comes from the level's rerun
+    e = parse("(-1e300)*(1e300*(1e10*x1)) + x2")
+    circle = SphereGrid.circle(8)
+    with pytest.raises(DomainError, match="overflows to inf at the base point"):
+        directed_subdiff(e, (0.0, 0.0), circle)
+    assert_agree(e, (0.0, 0.0), circle)
 
-    def counting(*args):
-        fused.append(args)
-        return fuse(*args)
 
-    def recording(self, act):
-        narrowings.add(None if act is None else tuple(sorted(act.items())))
-        return program(self, act)
+def test_every_level_runs_kernels(monkeypatch):
+    # no linear form reaches the interpreter at any level, in 2-D or 3-D,
+    # and a repeated call compiles no kernel again
+    ran, run = set(), engine._Sweep._run
 
-    monkeypatch.setattr(engine, "_fuse", counting)
-    monkeypatch.setattr(engine._Sweep, "_program", recording)
-    f1, f2 = parse("max(x1, 2*x2 - 1) + abs(x1 - x2)"), parse("exp(x1)*sin(x2)")
-    circle = default_grid(2)
-    directed_subdiff(f1 + f2, (0.5, 0.5), circle)
-    assert verify_sum_rule(f1, f2, 2.0, -0.5, (0.5, 0.5), circle).passed
-    assert fused == [] and narrowings == {None}
-    directed_subdiff(parse("max(x1, x2, x3, -x1 - x2 - x3) + abs(x1)"), (0.0, 0.0, 0.0),
-                     default_grid(3))
-    assert 0 < len(fused) <= len(narrowings - {None})
+    def recording(self, program, *args):
+        ran.update(ins[0] for ins in program)
+        return run(self, program, *args)
+
+    monkeypatch.setattr(engine._Sweep, "_run", recording)
+    runs = [
+        lambda: directed_subdiff(parse("max(x1, 2*x2 - 1) + abs(x1 - x2)"), (0.5, 0.5),
+                                 default_grid(2)),
+        lambda: directed_subdiff(parse("max(x1, x2, x3, -x1 - x2 - x3) + abs(x1)"),
+                                 (0.0, 0.0, 0.0), SPHERE),
+    ]
+    for call in runs:
+        ran.clear()
+        call()
+        assert engine._KERNEL in ran and engine._LIN not in ran
+        assert ran <= {engine._KERNEL, engine._VAR, engine._CONST, engine._MAX, engine._MIN}
+        misses = engine._compile.cache_info().misses
+        call()
+        assert engine._compile.cache_info().misses == misses
+
+
+def _bits(col):
+    return [struct.pack("<d", v) for v in col]
+
+
+def test_kernels_share_one_compile_per_shape():
+    # chains of one shape differ in coefficients alone, which are closure
+    # values: both take one factory, and each column is bitwise the one of
+    # the per-operation comprehensions
+    u = [0.0, -0.0, 1.5, -3.25, 1e-300, 5e-324, 1e300, -2.0]
+    v = [-0.0, 0.0, -1.0, 7.0, -1e-300, 1.0, 1e10, 0.5]
+    coefficients = [(2.0, -0.5, -0.0, 3.0), (-1e-300, 1e10, 0.0, -0.0)]
+    engine._compile.cache_clear()
+    for a, b, c, k in coefficients:
+        # slot 2 = a * u + b * v, slot 3 = c * slot 2 + k, read by the root alone
+        program = [(engine._VAR, 0, 0, 0), (engine._VAR, 1, 0, 1),
+                   (engine._LIN, 2, ((a, 0), (b, 1)), None), (engine._LIN, 3, ((c, 2),), k)]
+        fused = engine._fuse(program, [3])
+        assert [ins[0] for ins in fused] == [engine._VAR, engine._VAR, engine._KERNEL]
+        _, _, kernel, inputs = fused[2]
+        assert inputs == (0, 1)
+        inner = [a * x + b * y for x, y in zip(u, v)]
+        assert _bits(kernel(u, v)) == _bits([c * w + k for w in inner])
+    assert engine._compile.cache_info().misses == 1
+    assert 0 < engine._compile.cache_info().maxsize < math.inf
+    # at depth 1, as a failed level reruns, every operation is its own kernel
+    rerun = engine._fuse(program, [3], 1)
+    assert [ins[3] for ins in rerun if ins[0] == engine._KERNEL] == [(0, 1), (2,)]
 
 
 # Linear combinations with a constant operand: the transform of c * x2 is
