@@ -152,8 +152,11 @@ def dirderiv(e: Expr, x, l, active_rtol: float = ACTIVE_RTOL) -> float:
 def restrict(g: Expr, l, basis: Basis) -> Expr:
     """Restrict ``g`` to the affine tangent slice ``y -> g(l + B y)``.
 
-    ``basis`` must belong to ``l``; the result reads ``n - 1`` coordinates.
+    ``basis`` must be a :class:`Basis` belonging to ``l``; the result
+    reads ``n - 1`` coordinates.
     """
+    if not isinstance(basis, Basis):
+        raise ValueError(f"expected a basis, got a {type(basis).__name__}")
     l = finite_floats(l, "basis does not belong to the given direction")
     if len(l) != len(basis.direction) or any(
         abs(a - b) > 1e-12 for a, b in zip(l, basis.direction)

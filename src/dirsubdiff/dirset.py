@@ -50,7 +50,7 @@ from functools import cached_property
 from itertools import compress, repeat
 
 from .basis import orthobasis
-from .expr import _finite, finite_float, finite_floats, int_at_least, sequence
+from .expr import _TEXT, _finite, finite_float, finite_floats, int_at_least, sequence
 
 #: relative scale of the active-set tolerance: eps = ACTIVE_RTOL * (1 + |extreme|)
 ACTIVE_RTOL = 1e-9
@@ -111,11 +111,12 @@ def active_columns(cols, rtol: float, maximize: bool, info: ActiveSetInfo | None
     verifiers (through :func:`active_members`), :func:`sup`/:func:`inf`
     (once per parent block, and through :func:`sup` the faces of
     :func:`embed_polygon`) and the engine's sweep (once per max/min and
-    level), so both sides of the max/min rules agree on which members
-    count.  The work runs column by column, with no Python call per
-    direction: the extremes, the tolerances, and per member its gaps and
-    their ``<= eps`` and ``<= 10 eps`` columns, with the scalar rule's
-    operations in its order, so the result and the flags are those of
+    level; these two pick leaves with :func:`active_extremes`), so both
+    sides of the max/min rules agree on which members count.  The work
+    runs column by column, with no Python call per direction: the
+    extremes, the tolerances, and per member its gaps and their ``<= eps``
+    and ``<= 10 eps`` columns, with the scalar rule's operations in its
+    order, so the result and the flags are those of
     ``two_pass_active_members`` in ``tests/references.py`` applied to each
     direction.  ``rtol`` must be finite and >= 0.
     """
@@ -143,6 +144,16 @@ def active_columns(cols, rtol: float, maximize: bool, info: ActiveSetInfo | None
     if info is not None and any(len(t) > 1 for t in tuples.values()):
         info.ties = True
     return extremes, list(map(tuples.__getitem__, selections))
+
+
+def active_extremes(cols, keep, maximize: bool) -> list:
+    """The leaf pick: per entry ``j``, ``max`` (``maximize``) or ``min`` of
+    ``cols[i][j]`` over the members ``i`` in ``keep[j]``, in member order;
+    a lone member's value is read directly (``max([v])`` is ``v``), and an
+    entry with no active member gets NaN."""
+    pick = max if maximize else min
+    return [cols[idx[0]][j] if len(idx) == 1 else pick([cols[i][j] for i in idx]) if idx else math.nan
+            for j, idx in enumerate(keep)]
 
 
 def active_members(values, rtol: float, maximize: bool, info: ActiveSetInfo | None) -> list:
@@ -656,8 +667,11 @@ class DirectedSet:
 
     @classmethod
     def from_json(cls, text: str) -> "DirectedSet":
-        """:meth:`from_json_dict` of the decoded ``text``; a document nested
-        too deeply to decode raises ``ValueError``."""
+        """:meth:`from_json_dict` of the decoded ``text`` (``str``, ``bytes``
+        or ``bytearray``); other types, and a document nested too deeply to
+        decode, raise ``ValueError``."""
+        if not isinstance(text, _TEXT):
+            raise ValueError(f"malformed directed set document: expected text, got a {type(text).__name__}")
         try:
             return cls.from_json_dict(json.loads(text))
         except RecursionError:
@@ -834,9 +848,9 @@ def _extreme(sets, rtol, info, maximize):
     at that entry are compared over the whole block of entries below it by
     one :func:`active_columns` call.  An entry with one active member
     copies that member's whole block below it; one with several passes them
-    on to the entries below it.  The leaf pairs of the entries left take
-    the componentwise extreme over the members still active, one leaf array
-    and one set of active members at a time.
+    on to the entries below it.  At the last level the leaf pairs below a
+    block are :func:`active_extremes` over the members active at each
+    entry.  A 1-D family takes the componentwise extreme of its pairs.
     """
     rtol = check_tolerance("active_rtol", rtol)
     family = sequence(sets, "directed sets")
@@ -846,13 +860,14 @@ def _extreme(sets, rtol, info, maximize):
     for s in family[1:]:
         _check_compatible(first, s)
     members = [s._arrays() for s in family]
+    if first.grid is None:  # 1-D: the componentwise extreme of the pairs
+        return DirectedSet._built(None, (), *[_extremes(cols, maximize) for cols in zip(*members)])
     out = [list(xs) for xs in members[0]]  # blocks with member 0 active stay as they are
     depth = len(first.levels)
     lengths = _lengths(first.grid)
     pending = {tuple(range(len(family))): [0]}  # active members -> entries to resolve
     for j, m in enumerate(_sizes(first.grid)):
         below = _widths(lengths, j)
-        last = j + 1 == depth  # only the leaf pairs lie below, one per entry
         row = out[j]
         carried: dict = {}
         for active, parents in pending.items():
@@ -862,28 +877,19 @@ def _extreme(sets, rtol, info, maximize):
                 row[lo:lo + m], keep = active_columns(
                     [members[i][j][lo:lo + m] for i in active], rtol, maximize, info
                 )
+                if j + 1 == depth:  # only the leaf pairs lie below, one per entry
+                    for jj in (depth, depth + 1):
+                        leaves = [members[i][jj][lo:lo + m] for i in active]
+                        out[jj][lo:lo + m] = active_extremes(leaves, keep, maximize)
+                    continue
                 for idx, kept in compress(enumerate(keep, lo), map(operator.ne, keep, repeat(stay))):
                     if len(kept) > 1:
                         carried.setdefault(tuple([active[k] for k in kept]), []).append(idx)
-                    elif not last:
+                    else:
                         source = members[active[kept[0]]]
                         for jj, w in enumerate(below, j + 1):
                             out[jj][idx * w:(idx + 1) * w] = source[jj][idx * w:(idx + 1) * w]
-                if last:
-                    # one gather per leaf array: each entry's leaf from its first
-                    # active member; the leaves step below overwrites the tied ones
-                    sources = [active[kept[0]] for kept in keep]
-                    for jj in (depth, depth + 1):
-                        out[jj][lo:lo + m] = map(
-                            operator.getitem, [members[i][jj] for i in sources], range(lo, lo + m)
-                        )
         pending = carried
-    for active, entries in pending.items():
-        for jj in (depth, depth + 1):
-            leaf = out[jj]
-            cols = [list(map(members[i][jj].__getitem__, entries)) for i in active]
-            for idx, v in zip(entries, _extremes(cols, maximize)):
-                leaf[idx] = v
     return DirectedSet._built(first.grid, out[:depth], out[depth], out[depth + 1])
 
 

@@ -56,7 +56,8 @@ import math
 from functools import cache, lru_cache
 
 from .dirset import (
-    ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_columns, check_grid, embed_point,
+    ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_columns, active_extremes, check_grid,
+    embed_point,
 )
 from .deriv import dirderiv_transform
 from .expr import (
@@ -468,14 +469,14 @@ class _Sweep:
         of a level with ``n`` directions.
 
         On a circle the points are the ``n`` directions and then their
-        ``2 n`` leaf points, where each max/min picks among the members
-        active at the direction.  Returns the node values by slot, the
-        active members per direction of every max/min slot, and the first
+        ``2 n`` leaf points.  Returns the node values by slot, the active
+        members per direction of every max/min slot, and the first
         direction ``bad`` with a non-finite node value (``n`` if none) with
         that value; of a kernel only the chain's end is scanned.  Each
         max/min calls :func:`active_columns` once, on its member columns
         over the ``n`` directions: direction ``j`` gets the extreme and
-        active members of the value list a one-direction sweep would form.
+        active members of the value list a one-direction sweep would form,
+        and on a circle its leaf values from :func:`active_extremes`.
         """
         rtol, info = self.rtol, self.info
         width = 3 * n if leaf else n
@@ -500,15 +501,10 @@ class _Sweep:
                     [m[:n] for m in members] if leaf else members, rtol, maximize, info
                 )
                 if leaf:
-                    # no member is active where the direction's values are
-                    # not finite; that direction is past ``bad``, so its
-                    # filler leaf value is never stored; ``max([v])`` is
-                    # ``v``, so one active member is read directly
-                    pick = max if maximize else min
+                    # no member is active where a direction's values are not
+                    # finite: past ``bad``, so its NaN leaves are never stored
                     for start in (n, 2 * n):
-                        col += [members[idx[0]][start + j] if len(idx) == 1
-                                else pick([members[i][start + j] for i in idx]) if idx else math.nan
-                                for j, idx in enumerate(picked)]
+                        col += active_extremes([m[start:start + n] for m in members], picked, maximize)
                 else:
                     acts[s] = [tuple([ins[2][i] for i in idx]) for idx in picked]
                 val[s] = col

@@ -127,6 +127,14 @@ def int_at_least(v, least: int, what: str) -> int:
     return v
 
 
+def expression(e) -> "Expr":
+    """The door for expressions: ``e`` when it is an :class:`Expr`, else a
+    ``ValueError`` that names its type (text goes through ``parse`` first)."""
+    if isinstance(e, Expr):
+        return e
+    raise ValueError(f"expected an expression, got a {type(e).__name__}")
+
+
 def as_point(x) -> tuple:
     """A scalar or a number sequence as a tuple of finite floats, else :class:`DomainError`."""
     return finite_floats((x,) if isinstance(x, (int, float)) else x,
@@ -681,7 +689,7 @@ def has_kinks(e: Expr) -> bool:
     require.  A kink is a property of a node, not of the point it sees, so
     each node is visited once however many contexts reach it.
     """
-    seen = {e}
+    seen = {expression(e)}
     stack = [e]
     while stack:
         node = stack.pop()
@@ -697,7 +705,7 @@ def checked_point(e: Expr, point) -> tuple:
     """:func:`as_point` of ``point``, which must have at least the
     coordinates ``e`` reads; raises :class:`ArityError` otherwise."""
     xs = as_point(point)
-    if len(xs) < e.arity:
+    if len(xs) < expression(e).arity:
         raise ArityError(f"expression reads {e.arity} coordinates, point has {len(xs)}")
     return xs
 

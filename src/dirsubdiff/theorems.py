@@ -52,6 +52,7 @@ from .expr import (
     as_point,
     compose,
     evaluate,
+    expression,
     finite_float,
     int_at_least,
 )
@@ -160,7 +161,7 @@ def verify_sum_rule(
 ) -> VerificationReport:
     """``D(alpha f1 + beta f2) = alpha D(f1) + beta D(f2)`` at ``x``."""
     xs = as_point(x)
-    combined = LinComb(alpha, f1, beta, f2)  # alpha and beta as finite floats
+    combined = LinComb(alpha, expression(f1), beta, expression(f2))  # alpha and beta as finite floats
 
     def compute(rtol, info):
         s1, s2, lhs = directed_subdiffs((f1, f2, combined), xs, grid, rtol, info)

@@ -4,7 +4,9 @@
 at once, and ``dirset.active_members`` is its one-direction case;
 ``references.two_pass_active_members`` lists the gaps of one direction
 first and scans them twice.  They must return the same indices and
-extremes and set the same flags, direction by direction.
+extremes and set the same flags, direction by direction.  The leaf pick
+``dirset.active_extremes`` must be ``max``/``min`` of the listed values of
+the active members, bit for bit.
 """
 
 import math
@@ -12,7 +14,7 @@ import math
 import pytest
 
 from dirsubdiff.corpus import get_rng
-from dirsubdiff.dirset import ActiveSetInfo, active_columns, active_members
+from dirsubdiff.dirset import ActiveSetInfo, active_columns, active_extremes, active_members
 from references import two_pass_active_members
 
 
@@ -155,3 +157,40 @@ def test_column_rule_checks_its_tolerance_and_members():
         active_columns([[1.0]], math.nan, True, None)
     with pytest.raises(ValueError, match="at least one member"):
         active_columns([], 1e-9, True, None)
+
+
+_LEAF_VALUES = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, -1.0, 5e-324)
+
+
+def _bits(v):
+    # repr tells -0.0 from 0.0; copysign tells the sign of a NaN
+    return repr(v), math.copysign(1.0, v)
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+def test_leaf_pick_is_the_listed_extreme_per_entry(maximize):
+    rng = get_rng(2026)
+    pick = max if maximize else min
+    sizes = set()
+    for _ in range(400):
+        k, n = rng.randint(1, 5), rng.randint(1, 8)
+        cols = [[rng.choice(_LEAF_VALUES) if rng.random() < 0.7 else rng.uniform(-2.0, 2.0)
+                 for _ in range(n)] for _ in range(k)]
+        keep = [tuple(i for i in range(k) if rng.random() < 0.6) for _ in range(n)]
+        got = active_extremes(cols, keep, maximize)
+        want = [pick([cols[i][j] for i in idx]) if idx else math.nan for j, idx in enumerate(keep)]
+        assert list(map(_bits, got)) == list(map(_bits, want)), (cols, keep)
+        sizes.update(min(len(idx), 2) for idx in keep)
+    # empty, lone and shared entries all occur
+    assert sizes == {0, 1, 2}
+
+
+@pytest.mark.parametrize("cols, keep, maximize, want", [
+    ([[0.0], [-0.0]], [(0, 1)], True, [0.0]),
+    ([[-0.0], [0.0]], [(0, 1)], False, [-0.0]),
+    ([[math.nan, 1.0], [2.0, 1.0]], [(0, 1), (1,)], True, [math.nan, 1.0]),
+    ([[2.0, 3.0], [2.0, -math.inf]], [(1,), ()], False, [2.0, math.nan]),
+])
+def test_leaf_pick_examples(cols, keep, maximize, want):
+    # the first of equal or incomparable values is kept, as max and min do
+    assert list(map(_bits, active_extremes(cols, keep, maximize))) == list(map(_bits, want))

@@ -6,6 +6,7 @@ import pytest
 
 from dirsubdiff.corpus import get_rng, random_directed_set
 from generators import random_interval
+from dirsubdiff.deriv import restrict
 from dirsubdiff.dirset import (
     ActiveSetInfo,
     DirectedInterval,
@@ -169,6 +170,11 @@ _NOT_A_GRID = "a directed set's grid must be a SphereGrid or None"
     (lambda: SphereGrid(2, 8, [(1.0, 0.0)], None),
      "^expected a sequence of resolution entries, got a int$"),
     (lambda: SphereGrid(2, (1,), None, None), "^expected a sequence of directions, got a NoneType$"),
+    # a document that is not text, and a basis that is not one
+    (lambda: DirectedSet.from_json(5), "^malformed directed set document: expected text, got a int$"),
+    (lambda: DirectedSet.from_json(None),
+     "^malformed directed set document: expected text, got a NoneType$"),
+    (lambda: restrict(parse("x1"), (1.0, 0.0), None), "^expected a basis, got a NoneType$"),
 ], ids=["polygon-empty", "polygon-3d-vertex", "polygon-nan", "polygon-3d-grid", "point-empty",
         "point-grid-dim", "lincomb-inf", "zero-dim-0", "distance-overflow", "leaf-huge",
         "interval-huge", "point-1d-huge", "point-2d-huge", "polygon-huge", "lincomb-huge",
@@ -177,10 +183,18 @@ _NOT_A_GRID = "a directed set's grid must be a SphereGrid or None"
         "subdiff-grid-str", "point-grid-str", "zero-grid-str", "polygon-grid-none",
         "node-grid-str", "node-grid-none", "subgrid-str", "subdiff-1d-grid", "point-1d-grid",
         "gradient-1d-grid", "zero-1d-grid", "polygon-none", "node-lowers-none", "sup-none",
-        "inf-none", "grid-resolution-int", "grid-directions-none"])
+        "inf-none", "grid-resolution-int", "grid-directions-none", "from-json-int",
+        "from-json-none", "restrict-basis-none"])
 def test_bad_arguments_are_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("wrap", [str, str.encode, lambda t: bytearray(t.encode())],
+                         ids=["str", "bytes", "bytearray"])
+def test_from_json_reads_text_and_bytes(wrap):
+    a = embed_point((1.0, -2.0), SphereGrid.circle(8))
+    assert DirectedSet.from_json(wrap(a.to_json())) == a
 
 
 

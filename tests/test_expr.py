@@ -5,6 +5,8 @@ import pytest
 
 from generators import _exp_arguments_bounded
 from dirsubdiff.deriv import dirderiv, dirderiv_transform
+from dirsubdiff.dirset import SphereGrid
+from dirsubdiff.engine import directed_subdiff, smooth_gradient
 from dirsubdiff.expr import (
     Affine,
     ArityError,
@@ -32,6 +34,7 @@ from dirsubdiff.expr import (
 )
 from dirsubdiff.oracle import dini_fd
 from dirsubdiff.parser import parse
+from dirsubdiff.theorems import verify_max_rule, verify_sum_rule
 
 
 def test_eval_abs_difference():
@@ -180,6 +183,27 @@ def test_constructor_validation():
 def test_constructor_checks(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+_CIRCLE = SphereGrid.circle(8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: evaluate("x1", (0.0, 0.0)),
+    lambda: dirderiv("x1", (0.0, 0.0), (1.0, 0.0)),
+    lambda: dirderiv_transform("x1", (0.0, 0.0)),
+    lambda: directed_subdiff("x1", (0.0, 0.0), _CIRCLE),
+    lambda: smooth_gradient("x1", (0.0, 0.0)),
+    lambda: dini_fd("x1", (0.0, 0.0), (1.0, 0.0)),
+    lambda: verify_max_rule((var(0), "x1"), (0.0, 0.0), _CIRCLE),
+    lambda: has_kinks("x1"),
+    lambda: verify_sum_rule(var(0), "x1", 1.0, 1.0, (0.0, 0.0), _CIRCLE),
+], ids=["evaluate", "dirderiv", "transform", "subdiff", "gradient", "dini", "max-rule", "has-kinks",
+        "sum-rule"])
+def test_text_is_not_an_expression(call):
+    # text is parsed first; given as the expression it is refused at the door
+    with pytest.raises(ValueError, match="^expected an expression, got a str$"):
+        call()
 
 
 def test_affine_inner_point_and_shapes():
