@@ -193,17 +193,16 @@ def random_directed_set(rng, dim: int, grid: SphereGrid | None = None, scale: fl
         return DirectedSet.leaf(draw(), draw())
     if grid is None or grid.dim != dim:
         raise ValueError("dim >= 2 needs a grid of matching dim")
-    levels = [[] for _ in range(dim - 1)]
-    a_neg, a_pos = [], []
+    arrays = [[] for _ in range(dim + 1)]  # the levels, then a_neg and a_pos
 
     def fill(g, depth):
-        levels[depth].extend(draw() for _ in g.directions)
+        arrays[depth].extend(draw() for _ in g.directions)
         for _ in g.directions:
             if g.subgrid is None:
-                a_neg.append(draw())
-                a_pos.append(draw())
+                arrays[-2].append(draw())
+                arrays[-1].append(draw())
             else:
                 fill(g.subgrid, depth + 1)
 
     fill(grid, 0)
-    return DirectedSet(grid, levels, a_neg, a_pos)
+    return DirectedSet(grid, arrays[:-2], arrays[-2], arrays[-1])

@@ -38,6 +38,7 @@ from .expr import (
     Quotient,
     SmoothUnary,
     Var,
+    _ZERO,
     checked_point,
     context_point,
     evaluate,
@@ -47,7 +48,8 @@ from .expr import (
     walk,
 )
 
-_ZERO = Const(0.0)
+#: the error text of a value that overflows; the engine's sweep raises it too
+_OVERFLOW = "value overflows to {!r} at the base point"
 
 
 def dirderiv_transform(
@@ -129,7 +131,7 @@ def dirderiv_transform(
                          for h in node.inner)
             v = vals[sub][node.outer]
             d = Affine(ders[sub][node.outer], rows, (0.0,) * len(node.inner))
-        memo[node] = finite_float(v, "value overflows to {!r} at the base point", DomainError)
+        memo[node] = finite_float(v, _OVERFLOW, DomainError)
         dmemo[node] = d
     return ders[0][e]
 

@@ -14,7 +14,8 @@ point rounding; no geometric reconstruction is ever involved.
 
 Flat layout.  On a grid chain ``G_n, G_(n-1), ..., G_2`` (each grid's
 ``subgrid`` is the next) with ``m_n, ..., m_2`` directions, the recursion has
-a fixed shape, so a set stores one flat float tuple per level:
+a fixed shape, so a set's data is one tuple of flat float tuples, one per
+level and then the two leaf arrays, in this layout order:
 
 * ``levels[0]`` holds the ``m_n`` supports (:attr:`DirectedSet.supports`);
 * ``levels[j]`` holds the supports of the level-``j`` lower sets,
@@ -24,11 +25,13 @@ a fixed shape, so a set stores one flat float tuple per level:
   level (a single entry in dimension 1).
 
 At the default 3-D grid that is 512 supports, 512 x 64 lower supports and
-32,768 leaf pairs.  A set is validated once, on these arrays.  Numbers
-given from outside, by a caller or a decoded document, pass the number door
-of :mod:`dirsubdiff.expr` (the public constructor); arrays the package built
-itself (combinations, sup/inf, the engine's sets) are checked for finiteness
-only.
+32,768 leaf pairs.  A set keeps this tuple whole; ``levels``, ``a_neg`` and
+``a_pos`` are views of its entries.  A set is validated once, on these
+arrays.  Numbers given from outside, by a caller or a decoded document,
+pass the number door of :mod:`dirsubdiff.expr` (the public constructor);
+arrays the package built itself (combinations, sup/inf, the engine's sets)
+reach the set as one sequence in layout order and are checked for
+finiteness only.
 Linear combinations, norms and distances are one pass over the arrays, and
 sup/inf/leq walk them level by level.  :attr:`DirectedSet.lowers` rebuilds
 the tuple of lower sets on first use.
@@ -364,7 +367,7 @@ def _widths(lengths, j: int = 0) -> list:
 
 def _blocks(s: "DirectedSet") -> list:
     """Per top-level direction, the arrays of its lower set, by :func:`_widths`."""
-    arrays = s._arrays()
+    arrays = s._arrays
     widths = _widths([len(a) for a in arrays])
     return [
         [a[k * w:(k + 1) * w] for a, w in zip(arrays[1:], widths)]
@@ -418,15 +421,17 @@ class DirectedSet:
     leaf pair) and passes every value through the number door
     (:func:`dirsubdiff.expr.finite_floats`): numbers given from outside, by
     a caller or by :meth:`from_json_dict`, take it.  Arrays the package
-    built itself go through :meth:`_built`, which checks their finiteness
-    only.  :meth:`leaf`,
+    built itself go, as one sequence in layout order, through
+    :meth:`_built`, which checks their finiteness only.  Either way the set
+    keeps one tuple of arrays; ``levels`` (all but the last two),
+    ``a_neg`` and ``a_pos`` (the last two) are views of it.  :meth:`leaf`,
     :meth:`from_interval` and :meth:`node` build sets from the recursive
     view.  Instances are immutable; arithmetic goes through
     :func:`linear_combination` (also exposed as ``+``, ``-`` and scalar
     ``*``).
     """
 
-    __slots__ = ("dim", "grid", "levels", "a_neg", "a_pos", "_lowers")
+    __slots__ = ("dim", "grid", "_arrays", "levels", "a_neg", "a_pos", "_lowers")
 
     def __init__(self, grid: SphereGrid | None, levels, a_neg, a_pos):
         lengths = _lengths(check_grid(grid))
@@ -440,31 +445,31 @@ class DirectedSet:
         n = lengths[-1]
         if len(a_neg) != n or len(a_pos) != n:
             raise ValueError(f"leaf arrays must hold {n} pairs, got {len(a_neg)} and {len(a_pos)}")
-        self._store(grid, levels, a_neg, a_pos)
+        self._store(grid, levels + (a_neg, a_pos))
 
     @classmethod
-    def _built(cls, grid: SphereGrid | None, levels, a_neg, a_pos) -> "DirectedSet":
+    def _built(cls, grid: SphereGrid | None, arrays) -> "DirectedSet":
         """The set on arrays the package built itself: sequences of floats
-        whose lengths fit ``grid`` by construction.  They are kept as tuples
-        with no conversion and no length check; only their finiteness is
-        checked, with the public constructor's messages, since a linear
-        combination can overflow to inf."""
-        levels = tuple(map(tuple, levels))
-        a_neg, a_pos = tuple(a_neg), tuple(a_pos)
-        for arrays, message in ((levels, _SUPPORTS), ((a_neg, a_pos), _LEAF_ENTRIES)):
-            if not all(map(_finite, arrays)):
+        in layout order whose lengths fit ``grid`` by construction.  They
+        are kept as tuples with no conversion and no length check; only
+        their finiteness is checked, with the public constructor's
+        messages, since a linear combination can overflow to inf."""
+        arrays = tuple(map(tuple, arrays))
+        for part, message in ((arrays[:-2], _SUPPORTS), (arrays[-2:], _LEAF_ENTRIES)):
+            if not all(map(_finite, part)):
                 raise ValueError(message)
         self = object.__new__(cls)
-        self._store(grid, levels, a_neg, a_pos)
+        self._store(grid, arrays)
         return self
 
-    def _store(self, grid, levels: tuple, a_neg: tuple, a_pos: tuple) -> None:
+    def _store(self, grid, arrays: tuple) -> None:
         set_ = object.__setattr__
         set_(self, "dim", grid.dim if grid is not None else 1)
         set_(self, "grid", grid)
-        set_(self, "levels", levels)
-        set_(self, "a_neg", a_neg)
-        set_(self, "a_pos", a_pos)
+        set_(self, "_arrays", arrays)
+        set_(self, "levels", arrays[:-2])
+        set_(self, "a_neg", arrays[-2])
+        set_(self, "a_pos", arrays[-1])
         set_(self, "_lowers", None)
 
     def __setattr__(self, name, value):
@@ -479,6 +484,7 @@ class DirectedSet:
 
     @classmethod
     def from_interval(cls, interval: DirectedInterval) -> "DirectedSet":
+        interval = _directed(interval, DirectedInterval, "a directed interval")
         return cls.leaf(interval.a_neg, interval.a_pos)
 
     @classmethod
@@ -494,12 +500,8 @@ class DirectedSet:
                 raise ValueError("lower components must be directed sets of dimension n - 1")
             if low.grid is not None and low.grid.id != grid.subgrid.id:
                 raise GridMismatchError("lower component grid differs from the declared sub-grid")
-        levels = (supports,) + tuple(
-            [v for low in lowers for v in low.levels[j]] for j in range(grid.dim - 2)
-        )
-        a_neg = [v for low in lowers for v in low.a_neg]
-        a_pos = [v for low in lowers for v in low.a_pos]
-        return cls(grid, levels, a_neg, a_pos)
+        glued = [[v for a in arrays for v in a] for arrays in zip(*[low._arrays for low in lowers])]
+        return cls(grid, [supports] + glued[:-2], glued[-2], glued[-1])
 
     # the recursive view ----------------------------------------------------
 
@@ -527,22 +529,19 @@ class DirectedSet:
             return None
         if self._lowers is None:
             sub = self.grid.subgrid
-            lowers = tuple(DirectedSet._built(sub, b[:-2], b[-2], b[-1]) for b in _blocks(self))
+            lowers = tuple(DirectedSet._built(sub, b) for b in _blocks(self))
             object.__setattr__(self, "_lowers", lowers)
         return self._lowers
-
-    def _arrays(self) -> tuple:
-        return self.levels + (self.a_neg, self.a_pos)
 
     # value semantics --------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, DirectedSet):
             return NotImplemented
-        return (self.dim, self.grid, self._arrays()) == (other.dim, other.grid, other._arrays())
+        return (self.dim, self.grid, self._arrays) == (other.dim, other.grid, other._arrays)
 
     def __hash__(self):
-        return hash((self.dim, self.grid, self._arrays()))
+        return hash((self.dim, self.grid, self._arrays))
 
     def __repr__(self):
         if self.dim == 1:
@@ -761,7 +760,7 @@ def embed_point(point, grid: SphereGrid | None = None) -> DirectedSet:
         levels.append(supports)
         points = projections
         g = g.subgrid
-    return DirectedSet._built(grid, levels, [-q[0] for q in points], [q[0] for q in points])
+    return DirectedSet._built(grid, levels + [[-q[0] for q in points], [q[0] for q in points]])
 
 
 def embed_polygon(vertices, grid: SphereGrid) -> DirectedSet:
@@ -788,7 +787,17 @@ def embed_polygon(vertices, grid: SphereGrid) -> DirectedSet:
 # linear structure
 
 
+def _directed(value, kind: type = DirectedSet, what: str = "a directed set"):
+    """The door for directed sets (or, given ``kind`` and ``what``, for
+    intervals): ``value`` when it is a ``kind``, else a ``ValueError`` that
+    names its type, in the idiom of :func:`dirsubdiff.expr.expression`."""
+    if isinstance(value, kind):
+        return value
+    raise ValueError(f"expected {what}, got a {type(value).__name__}")
+
+
 def _check_compatible(a: DirectedSet, b: DirectedSet):
+    a, b = _directed(a), _directed(b)
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.dim >= 2 and a.grid.id != b.grid.id:
@@ -808,9 +817,9 @@ def linear_combination(alpha: float, a: DirectedSet, beta: float, b: DirectedSet
     _check_compatible(a, b)
     arrays = [
         [alpha * x + beta * y for x, y in zip(xs, ys)]
-        for xs, ys in zip(a._arrays(), b._arrays())
+        for xs, ys in zip(a._arrays, b._arrays)
     ]
-    return DirectedSet._built(a.grid, arrays[:-2], arrays[-2], arrays[-1])
+    return DirectedSet._built(a.grid, arrays)
 
 
 def scale(alpha: float, a: DirectedSet) -> DirectedSet:
@@ -821,19 +830,18 @@ def directed_zero(dim: int, grid: SphereGrid | None = None) -> DirectedSet:
     """The neutral element: all support values and lower components zero."""
     if check_grid(grid, int_at_least(dim, 1, "dimension"), "directed zero") is None:
         return DirectedSet.leaf(0.0, 0.0)
-    zeros = [(0.0,) * n for n in _lengths(grid)]
-    return DirectedSet._built(grid, zeros[:-2], zeros[-2], zeros[-1])
+    return DirectedSet._built(grid, [(0.0,) * n for n in _lengths(grid)])
 
 
 def norm(a: DirectedSet) -> float:
     """Recursive sup norm: the largest support value or leaf entry in magnitude."""
-    return max(max(map(abs, xs)) for xs in a._arrays())
+    return max(max(map(abs, xs)) for xs in _directed(a)._arrays)
 
 
 def distance(a: DirectedSet, b: DirectedSet) -> float:
     """Metric induced by the norm, ``norm(a - b)``, in one pass."""
     _check_compatible(a, b)
-    d = max(max(map(abs, map(operator.sub, xs, ys))) for xs, ys in zip(a._arrays(), b._arrays()))
+    d = max(max(map(abs, map(operator.sub, xs, ys))) for xs, ys in zip(a._arrays, b._arrays))
     return finite_float(d, _SUPPORTS)
 
 
@@ -853,15 +861,15 @@ def _extreme(sets, rtol, info, maximize):
     entry.  A 1-D family takes the componentwise extreme of its pairs.
     """
     rtol = check_tolerance("active_rtol", rtol)
-    family = sequence(sets, "directed sets")
+    family = [_directed(s) for s in sequence(sets, "directed sets")]
     if not family:
         raise ValueError("sup/inf of an empty family")
     first = family[0]
     for s in family[1:]:
         _check_compatible(first, s)
-    members = [s._arrays() for s in family]
+    members = [s._arrays for s in family]
     if first.grid is None:  # 1-D: the componentwise extreme of the pairs
-        return DirectedSet._built(None, (), *[_extremes(cols, maximize) for cols in zip(*members)])
+        return DirectedSet._built(None, [_extremes(cols, maximize) for cols in zip(*members)])
     out = [list(xs) for xs in members[0]]  # blocks with member 0 active stay as they are
     depth = len(first.levels)
     lengths = _lengths(first.grid)
@@ -890,7 +898,7 @@ def _extreme(sets, rtol, info, maximize):
                         for jj, w in enumerate(below, j + 1):
                             out[jj][idx * w:(idx + 1) * w] = source[jj][idx * w:(idx + 1) * w]
         pending = carried
-    return DirectedSet._built(first.grid, out[:depth], out[depth], out[depth + 1])
+    return DirectedSet._built(first.grid, out)
 
 
 def sup(sets, active_rtol: float = ACTIVE_RTOL, info: ActiveSetInfo | None = None) -> DirectedSet:

@@ -59,7 +59,7 @@ from .dirset import (
     ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_columns, active_extremes, check_grid,
     embed_point,
 )
-from .deriv import dirderiv_transform
+from .deriv import _OVERFLOW, dirderiv_transform
 from .expr import (
     Affine, Const, DomainError, Expr, ExprError, LinComb, Max, Min, Var, _finite, as_point,
     finite_float, int_at_least, walk,
@@ -138,8 +138,7 @@ def directed_subdiffs(
         else:
             sweep = _Sweep(gs, active_rtol, joint, n)
             sweep.level(grid, (), None)
-            parts = zip(sweep.levels, sweep.a_neg, sweep.a_pos)
-            sets = [DirectedSet._built(grid, levels, neg, pos) for levels, neg, pos in parts]
+            sets = [DirectedSet._built(grid, arrays) for arrays in sweep.arrays]
     except ExprError:
         if joint is info:
             raise
@@ -171,7 +170,8 @@ _KERNEL_SHAPES = 1024
 
 def _apply(rows, cols) -> list:
     """``rows @ y`` for every point ``y`` of ``cols`` (one list per
-    coordinate), accumulated from 0.0 in the order of ``Affine._inner_point``.
+    coordinate), accumulated from 0.0 in the order of ``Affine._inner_point``;
+    an empty row (a constant substitution) gives a column of zeros.
     Rows of two entries, through which a default 3-D grid lifts its circle's
     points, take one comprehension per row, which adds in the same order."""
     if len(rows[0]) == 2:
@@ -179,8 +179,8 @@ def _apply(rows, cols) -> list:
         return [[0.0 + w0 * y0 + w1 * y1 for y0, y1 in zip(c0, c1)] for w0, w1 in rows]
     out = []
     for row in rows:
-        acc = [0.0 + row[0] * y for y in cols[0]]
-        for w, col in zip(row[1:], cols[1:]):
+        acc = [0.0] * len(cols[0])
+        for w, col in zip(row, cols):
             acc = [a + w * y for a, y in zip(acc, col)]
         out.append(acc)
     return out
@@ -274,9 +274,6 @@ def _compile(src: str, n_inputs: int, n_consts: int):
     return scope["make"]
 
 
-_OVERFLOW = "value overflows to {!r} at the base point"
-
-
 class _Sweep:
     """Reads the levels of the directed subdifferentials of several
     transforms ``gs`` at one point off one sweep.
@@ -298,10 +295,10 @@ class _Sweep:
     grid: the directions and, on a circle, their ``-1`` and ``+1`` leaf
     points.  Their lifts depend on the parent direction and are not kept.
     The level then recurses, depth first, into each direction with the
-    members active there.  Root
-    ``k``'s flat arrays (see :mod:`dirsubdiff.dirset`) accumulate in
-    ``levels[k]``, ``a_neg[k]`` and ``a_pos[k]`` in walk order: direction
-    by direction, each followed by everything below it.  After a
+    members active there.  Root ``k``'s arrays, in the layout order of
+    :mod:`dirsubdiff.dirset` (its levels, then ``a_neg`` and ``a_pos``),
+    accumulate in the one list ``arrays[k]`` in walk order: direction by
+    direction, each followed by everything below it.  After a
     :class:`DomainError`, ``info`` may also hold flags of narrowings at
     directions past the failing one.
     """
@@ -311,9 +308,7 @@ class _Sweep:
         self.info = info
         self.slots, self.roots, self.contexts = self._flatten(gs)
         self.programs: dict = {}
-        self.levels = [[[] for _ in range(dim - 1)] for _ in gs]
-        self.a_neg = [[] for _ in gs]
-        self.a_pos = [[] for _ in gs]
+        self.arrays = [[[] for _ in range(dim + 1)] for _ in gs]
 
     @staticmethod
     def _flatten(gs):
@@ -427,9 +422,9 @@ class _Sweep:
 
     def level(self, grid: SphereGrid, frames: tuple, act, depth: int = 0) -> None:
         """Append each root's supports over ``grid`` below the directions
-        whose bases are ``frames`` to its ``levels[depth]``, then (depth
+        whose bases are ``frames`` to its array ``depth``, then (depth
         first) everything below them; on a circle, the leaf pairs go to
-        ``a_neg`` and ``a_pos``.
+        its last two arrays, ``a_neg`` and ``a_pos``.
 
         Raises the :class:`DomainError` of the first non-finite value in
         walk order: per direction the node values in program order, then
@@ -444,16 +439,16 @@ class _Sweep:
         leaf = grid.dim == 2
         pts = self._points(grid.sweep_columns, frames)
         val, acts, bad, bad_value = self._run(program, n, pts, leaf)
-        for k, root in enumerate(roots):
+        for arrays, root in zip(self.arrays, roots):
             out = _column(val[root], 3 * n if leaf else n)
-            self.levels[k][depth].extend(out[:n])
+            arrays[depth].extend(out[:n])
             if leaf:
                 neg, pos = out[n:2 * n], out[2 * n:]
                 j = min(_first_bad(neg, bad), _first_bad(pos, bad))
                 if j < bad:
                     raise DomainError(_OVERFLOW.format(pos[j] if math.isfinite(neg[j]) else neg[j]))
-                self.a_neg[k].extend(neg)
-                self.a_pos[k].extend(pos)
+                arrays[-2].extend(neg)
+                arrays[-1].extend(pos)
         if not leaf:
             for j in range(bad):
                 narrowed = dict(singles)

@@ -573,8 +573,11 @@ def powk(e, k: int) -> SmoothUnary:
 
 
 def compose(outer, inner) -> SmoothCompose:
-    inner = tuple([_coerce(h) for h in sequence(inner, "expressions")])
-    return SmoothCompose(_coerce(outer), inner)
+    """``outer`` of the ``inner`` components; a number is a :class:`Const`,
+    any other non-expression is refused by the door :func:`expression`."""
+    def door(e):
+        return Const(e) if isinstance(e, (int, float)) else expression(e)
+    return SmoothCompose(door(outer), tuple([door(h) for h in sequence(inner, "expressions")]))
 
 
 # ---------------------------------------------------------------------------

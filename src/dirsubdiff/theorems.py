@@ -55,6 +55,7 @@ from .expr import (
     expression,
     finite_float,
     int_at_least,
+    sequence,
 )
 
 logger = logging.getLogger(__name__)
@@ -215,7 +216,7 @@ def verify_quotient_rule(
 
 
 def _verify_extreme_rule(fs, x, grid, active_rtol, guard, maximize):
-    fs = tuple(fs)
+    fs = sequence(fs, "expressions")
     xs = as_point(x)
     values = [evaluate(f, xs) for f in fs]
     node, combine = (Max, sup) if maximize else (Min, inf)

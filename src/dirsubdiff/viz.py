@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 from typing import IO, NamedTuple
 
-from .dirset import DirectedSet
+from .dirset import DirectedSet, _directed
 from .expr import int_at_least
 
 
@@ -30,7 +30,7 @@ def viz_segments(a: DirectedSet) -> list[Segment]:
     is the supporting face; the segment is degenerate at a vertex.  The
     ``inverted`` flag is set when ``-c_neg > c_pos``.
     """
-    if a.dim != 2:
+    if _directed(a).dim != 2:
         raise ValueError("segment visualization is defined for 2-D directed sets")
     segments = []
     for l, rows, s, c_neg, c_pos in zip(a.grid.directions, a.grid.tangent_rows,

@@ -29,6 +29,7 @@ from dirsubdiff.dirset import (
 from dirsubdiff.engine import directed_subdiff, embed_gradient
 from dirsubdiff.expr import vmax, vmin
 from dirsubdiff.parser import parse
+from dirsubdiff.viz import viz_segments
 
 SQUARE = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
 
@@ -175,6 +176,19 @@ _NOT_A_GRID = "a directed set's grid must be a SphereGrid or None"
     (lambda: DirectedSet.from_json(None),
      "^malformed directed set document: expected text, got a NoneType$"),
     (lambda: restrict(parse("x1"), (1.0, 0.0), None), "^expected a basis, got a NoneType$"),
+    # a directed set that is not one, on every path
+    (lambda: norm(None), "^expected a directed set, got a NoneType$"),
+    (lambda: distance(leaf(0.0, 0.0), "x1"), "^expected a directed set, got a str$"),
+    (lambda: linear_combination(1.0, b"x", 1.0, leaf(0.0, 0.0)),
+     "^expected a directed set, got a bytes$"),
+    (lambda: scale(2.0, True), "^expected a directed set, got a bool$"),
+    (lambda: leq(leaf(0.0, 0.0), 10**400), "^expected a directed set, got a int$"),
+    (lambda: sup([leaf(0.0, 0.0), math.nan]), "^expected a directed set, got a float$"),
+    (lambda: inf([[]]), "^expected a directed set, got a list$"),
+    (lambda: viz_segments(object()), "^expected a directed set, got a object$"),
+    (lambda: DirectedSet.from_interval(None), "^expected a directed interval, got a NoneType$"),
+    (lambda: DirectedSet.from_interval(leaf(0.0, 0.0)),
+     "^expected a directed interval, got a DirectedSet$"),
 ], ids=["polygon-empty", "polygon-3d-vertex", "polygon-nan", "polygon-3d-grid", "point-empty",
         "point-grid-dim", "lincomb-inf", "zero-dim-0", "distance-overflow", "leaf-huge",
         "interval-huge", "point-1d-huge", "point-2d-huge", "polygon-huge", "lincomb-huge",
@@ -184,7 +198,9 @@ _NOT_A_GRID = "a directed set's grid must be a SphereGrid or None"
         "node-grid-str", "node-grid-none", "subgrid-str", "subdiff-1d-grid", "point-1d-grid",
         "gradient-1d-grid", "zero-1d-grid", "polygon-none", "node-lowers-none", "sup-none",
         "inf-none", "grid-resolution-int", "grid-directions-none", "from-json-int",
-        "from-json-none", "restrict-basis-none"])
+        "from-json-none", "restrict-basis-none", "norm-none", "distance-str", "lincomb-bytes",
+        "scale-bool", "leq-huge", "sup-nan", "inf-list", "viz-object", "from-interval-none",
+        "from-interval-set"])
 def test_bad_arguments_are_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -34,7 +34,10 @@ from dirsubdiff.expr import (
 )
 from dirsubdiff.oracle import dini_fd
 from dirsubdiff.parser import parse
-from dirsubdiff.theorems import verify_max_rule, verify_sum_rule
+from dirsubdiff.theorems import (
+    chain_rule_1d, verify_chain_rule_1d, verify_max_rule, verify_min_rule, verify_sum_rule,
+    verify_taylor_invariance,
+)
 
 
 def test_eval_abs_difference():
@@ -176,10 +179,15 @@ def test_constructor_validation():
      "^expected a sequence of matrix rows, got a NoneType$"),
     (lambda: compose(var(0), None), ValueError,
      "^expected a sequence of expressions, got a NoneType$"),
+    (lambda: verify_max_rule(None, (0.0, 0.0), _CIRCLE), ValueError,
+     "^expected a sequence of expressions, got a NoneType$"),
+    (lambda: verify_min_rule(True, (0.0, 0.0), _CIRCLE), ValueError,
+     "^expected a sequence of expressions, got a bool$"),
 ], ids=["affine-rows", "affine-empty", "affine-matrix-inf", "affine-offset-nan", "lincomb-inf",
         "compose-empty", "compose-outer-arity", "coerce-str", "const-huge", "coerce-huge",
         "lincomb-huge", "affine-matrix-huge", "affine-offset-huge", "max-one-child",
-        "min-one-child", "affine-matrix-none", "compose-inner-none"])
+        "min-one-child", "affine-matrix-none", "compose-inner-none", "max-rule-none",
+        "min-rule-bool"])
 def test_constructor_checks(build, error, message):
     with pytest.raises(error, match=message):
         build()
@@ -198,8 +206,14 @@ _CIRCLE = SphereGrid.circle(8)
     lambda: verify_max_rule((var(0), "x1"), (0.0, 0.0), _CIRCLE),
     lambda: has_kinks("x1"),
     lambda: verify_sum_rule(var(0), "x1", 1.0, 1.0, (0.0, 0.0), _CIRCLE),
+    lambda: compose("x1", [var(0)]),
+    lambda: compose(var(0), [var(0), "x1"]),
+    lambda: verify_chain_rule_1d("x1", [var(0)], 0.0),
+    lambda: chain_rule_1d("x1", [var(0)], 0.0),
+    lambda: verify_taylor_invariance("x1", [var(0), var(1)], (0.0, 0.0), _CIRCLE),
 ], ids=["evaluate", "dirderiv", "transform", "subdiff", "gradient", "dini", "max-rule", "has-kinks",
-        "sum-rule"])
+        "sum-rule", "compose-outer", "compose-inner", "chain-rule-1d", "chain-rule-1d-check",
+        "taylor"])
 def test_text_is_not_an_expression(call):
     # text is parsed first; given as the expression it is refused at the door
     with pytest.raises(ValueError, match="^expected an expression, got a str$"):

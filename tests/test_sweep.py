@@ -102,6 +102,16 @@ def test_affine_contexts():
     assert_agree(c, (0.0, 0.0), SphereGrid.circle(32))
 
 
+@pytest.mark.parametrize("x, grid", [((1.0, 0.0), SphereGrid.circle(16)),
+                                     ((1.0, 0.0, 0.0), SphereGrid.sphere(2, 4, 8))],
+                         ids=["2-D", "3-D"])
+def test_affine_with_an_empty_row(x, grid):
+    # an empty matrix row is a constant substitution: its point is the offset
+    e = Affine(parse("x1"), ((),), (0.5,)) + Var(0)
+    assert evaluate(e, x) == 1.5
+    assert_agree(e, x, grid)
+
+
 @pytest.mark.parametrize("x", [(0.0, 0.0, 0.0, 0.0), (0.5, 0.5, 0.5, -0.25)])
 def test_four_dimensions(x):
     e = parse("max(x1 + x2, x3 - x4, -x1, x1 - x3) + abs(x2 - x3) - min(x4, 0.5 * x1)")
