@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import finite_floats
+from .expr import finite_floats, sequence
 
 _UNIT_TOL = 1e-12
 
@@ -27,6 +27,15 @@ class Basis:
     direction: tuple
     columns: tuple
     method: str
+
+    def __post_init__(self):
+        l = finite_floats(self.direction, "basis direction must be finite, got {!r}")
+        cols = tuple([finite_floats(c, "basis columns must be finite")
+                      for c in sequence(self.columns, "basis columns")])
+        if len(cols) != len(l) - 1 or any(len(c) != len(l) for c in cols):
+            raise ValueError("a basis needs n - 1 columns of the direction's length n")
+        object.__setattr__(self, "direction", l)
+        object.__setattr__(self, "columns", cols)
 
     @property
     def matrix_rows(self) -> tuple:

@@ -121,9 +121,12 @@ def active_columns(cols, rtol: float, maximize: bool, info: ActiveSetInfo | None
     and ``<= 10 eps`` columns, with the scalar rule's operations in its
     order, so the result and the flags are those of
     ``two_pass_active_members`` in ``tests/references.py`` applied to each
-    direction.  ``rtol`` must be finite and >= 0.
+    direction.  ``rtol`` must be finite and >= 0, and ``info`` None or an
+    :class:`ActiveSetInfo`: this is where every flag is written.
     """
     rtol = check_tolerance("active_rtol", rtol)
+    if info is not None and not isinstance(info, ActiveSetInfo):
+        raise ValueError(f"expected active-set flags, got a {type(info).__name__}")
     if not cols:
         raise ValueError("the active-set rule needs at least one member")
     extremes = _extremes(cols, maximize)

@@ -137,7 +137,7 @@ def directed_subdiffs(
                                        for t in (-1.0, 1.0))) for g in gs]
         else:
             sweep = _Sweep(gs, active_rtol, joint, n)
-            sweep.level(grid, (), None)
+            sweep.level(grid, (), {})
             sets = [DirectedSet._built(grid, arrays) for arrays in sweep.arrays]
     except ExprError:
         if joint is info:
@@ -153,11 +153,12 @@ def directed_subdiffs(
 # the lexicographic sweep
 
 # slot records: (_VAR, context, index), (_CONST, value),
-# (_LIN, alpha, left, beta, right), (_MAX | _MIN, children), (_ALIAS, child);
-# a program emits (_LIN, slot, pairs, k) for ``a * x + k`` (one pair) or
-# ``a * x + b * y`` (two pairs, ``k`` None), which only :func:`_fuse` reads,
-# and runs (_KERNEL, slot, kernel, inputs) for a fused linear chain
-_VAR, _CONST, _LIN, _ALIAS, _MAX, _MIN, _KERNEL = range(7)
+# (_LIN, alpha, left, beta, right), (_MAX | _MIN, children); an affine node
+# has no record, its slot is its child's; a program emits (_LIN, slot,
+# pairs, k) for ``a * x + k`` (one pair) or ``a * x + b * y`` (two pairs,
+# ``k`` None), which only :func:`_fuse` reads, and runs (_KERNEL, slot,
+# kernel, inputs) for a fused linear chain
+_VAR, _CONST, _LIN, _MAX, _MIN, _KERNEL = range(6)
 
 #: the deepest nesting of linear operations one kernel evaluates; a deeper
 #: chain is cut into kernels that read each other's columns, which keeps
@@ -184,11 +185,6 @@ def _apply(rows, cols) -> list:
             acc = [a + w * y for a, y in zip(acc, col)]
         out.append(acc)
     return out
-
-
-def _column(v, n: int):
-    """Slot value ``v`` over ``n`` directions: constants are one float."""
-    return [v] * n if type(v) is float else v
 
 
 def _first_bad(col, stop: int) -> int:
@@ -282,25 +278,26 @@ class _Sweep:
     context)`` pair of :func:`dirsubdiff.expr.walk`: a node under an
     ``Affine`` sees its own point, so the same node reached through two
     different substitutions gets two slots, and a node two roots share gets
-    one.  Context 0 sees the sweep point; ``contexts[c] =
+    one.  An ``Affine`` node's value is its child's, so it takes its
+    child's slot.  Context 0 sees the sweep point; ``contexts[c] =
     (parent, matrix)`` maps the parent's point to context ``c``'s.
 
-    A level's narrowing state ``act`` maps each reachable max/min slot to
-    the child slots still active (``None`` at the top: all children).  A
-    level runs the program of its narrowing once over the points of its
-    grid below one parent direction, lifted through the parents' bases:
-    every slot holds a column, the slot's value per point (a constant slot
-    holds one float).  The points are the grid's
+    A level's narrowing ``act`` maps max/min slots to the child slots still
+    active; a slot it does not map keeps all its children (the top level's
+    narrowing is empty).  A level runs the program of its narrowing once
+    over the points of its grid below one parent direction, lifted through
+    the parents' bases: every slot holds a column, the slot's value per
+    point.  The points are the grid's
     :attr:`~dirsubdiff.dirset.SphereGrid.sweep_columns`, built once per
     grid: the directions and, on a circle, their ``-1`` and ``+1`` leaf
     points.  Their lifts depend on the parent direction and are not kept.
-    The level then recurses, depth first, into each direction with the
-    members active there.  Root ``k``'s arrays, in the layout order of
-    :mod:`dirsubdiff.dirset` (its levels, then ``a_neg`` and ``a_pos``),
-    accumulate in the one list ``arrays[k]`` in walk order: direction by
-    direction, each followed by everything below it.  After a
-    :class:`DomainError`, ``info`` may also hold flags of narrowings at
-    directions past the failing one.
+    The level then recurses, depth first, into each direction with its own
+    narrowing updated by the members active there.  Root ``k``'s arrays, in
+    the layout order of :mod:`dirsubdiff.dirset` (its levels, then
+    ``a_neg`` and ``a_pos``), accumulate in the one list ``arrays[k]`` in
+    walk order: direction by direction, each followed by everything below
+    it.  After a :class:`DomainError`, ``info`` may also hold flags of
+    narrowings at directions past the failing one.
     """
 
     def __init__(self, gs, rtol: float, info: ActiveSetInfo | None, dim: int):
@@ -313,7 +310,8 @@ class _Sweep:
     @staticmethod
     def _flatten(gs):
         """One slot per pair of :func:`walk` over the roots in turn, numbered
-        in its order; returns the slots, the root slots and the contexts."""
+        in its order, an affine pair taking its child's; returns the slots,
+        the root slots and the contexts."""
         slots: list = []
         index: list = [{}]
         contexts: list = [None]
@@ -329,7 +327,8 @@ class _Sweep:
             elif t is Max or t is Min:
                 rec = (_MAX if t is Max else _MIN, tuple([slot[c] for c in node.children]))
             elif t is Affine:
-                rec = (_ALIAS, index[sub][node.child])
+                slot[node] = index[sub][node.child]
+                continue
             else:  # pragma: no cover - the transform emits no other kinds
                 raise TypeError(f"unexpected {t.__name__} node in a transform")
             slot[node] = len(slots)
@@ -341,23 +340,21 @@ class _Sweep:
         """Instructions evaluating the roots under ``act``, each in ``_eval``
         order after the slots of the roots before it.
 
-        Returns ``(program, plain, root slots, singles)``, built once per
-        distinct narrowing: ``plain`` as emitted, ``program`` with its linear
-        forms fused into kernels (:func:`_fuse`).  A max/min left with one
-        active child, and an affine node, emit nothing: their slot resolves
-        to the child's, as the transform returns the child's derivative
-        there.  ``singles`` keeps those one-child max/min slots for the next
-        level.  A linear combination of two constants is a constant; with
-        one constant operand its form's ``k`` is the same product the sweep
-        would form per direction.
+        Returns ``(program, plain, root slots)``, built once per distinct
+        narrowing: ``plain`` as emitted, ``program`` with its linear forms
+        fused into kernels (:func:`_fuse`).  A max/min left with one active
+        child emits nothing: its slot resolves to the child's, as the
+        transform returns the child's derivative there.  A linear
+        combination of two constants is a constant; with one constant
+        operand its form's ``k`` is the same product the sweep would form
+        per direction.
         """
-        key = None if act is None else tuple(sorted(act.items()))
+        key = tuple(sorted(act.items()))
         hit = self.programs.get(key)
         if hit is not None:
             return hit
         slots = self.slots
         resolved: dict = {}
-        singles: dict = {}
         consts: dict = {}
         program = []
         stack = [(r, False) for r in reversed(self.roots)]
@@ -369,18 +366,13 @@ class _Sweep:
             op = rec[0]
             if op == _LIN:
                 kids = (rec[2], rec[4])
-            elif op == _ALIAS:
-                kids = (rec[1],)
             elif op >= _MAX:
-                kids = rec[1] if act is None else act[s]
+                kids = act.get(s, rec[1])
             else:
                 kids = ()
             if not ready:
                 stack.append((s, True))
                 stack.extend((c, False) for c in reversed(kids))
-                continue
-            if op == _ALIAS:
-                resolved[s] = resolved[kids[0]]
                 continue
             resolved[s] = s
             if op == _LIN:
@@ -398,7 +390,6 @@ class _Sweep:
                 members = tuple(resolved[c] for c in kids)
                 if len(members) == 1:
                     resolved[s] = members[0]
-                    singles[s] = members
                 else:
                     program.append((op, s, members))
             else:
@@ -406,7 +397,7 @@ class _Sweep:
                     consts[s] = rec[1]
                 program.append((op, s) + rec[1:])
         roots = [resolved[r] for r in self.roots]
-        out = self.programs[key] = (_fuse(program, roots), program, roots, singles)
+        out = self.programs[key] = (_fuse(program, roots), program, roots)
         return out
 
     def _points(self, cols, frames) -> list:
@@ -434,13 +425,12 @@ class _Sweep:
         first: a level that fails names the value from a rerun of its
         program fused at depth 1, one kernel per operation.
         """
-        program, plain, roots, singles = self._program(act)
+        program, plain, roots = self._program(act)
         n = len(grid)
         leaf = grid.dim == 2
         pts = self._points(grid.sweep_columns, frames)
         val, acts, bad, bad_value = self._run(program, n, pts, leaf)
-        for arrays, root in zip(self.arrays, roots):
-            out = _column(val[root], 3 * n if leaf else n)
+        for arrays, out in zip(self.arrays, [val[r] for r in roots]):
             arrays[depth].extend(out[:n])
             if leaf:
                 neg, pos = out[n:2 * n], out[2 * n:]
@@ -451,7 +441,7 @@ class _Sweep:
                 arrays[-1].extend(pos)
         if not leaf:
             for j in range(bad):
-                narrowed = dict(singles)
+                narrowed = dict(act)
                 for s, col in acts.items():
                     narrowed[s] = col[j]
                 self.level(grid.subgrid, frames + (grid.tangent_rows[j],), narrowed, depth + 1)
@@ -485,12 +475,12 @@ class _Sweep:
             elif op == _VAR:
                 col = pts[ins[2]][ins[3]]
             elif op == _CONST:
-                val[s] = ins[2]
+                val[s] = [ins[2]] * width
                 continue
             else:
                 # the first non-finite value of a direction is never a
                 # max/min's: its members come earlier in the program
-                members = [_column(val[c], width) for c in ins[2]]
+                members = [val[c] for c in ins[2]]
                 maximize = op == _MAX
                 col, picked = active_columns(
                     [m[:n] for m in members] if leaf else members, rtol, maximize, info

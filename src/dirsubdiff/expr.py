@@ -135,6 +135,22 @@ def expression(e) -> "Expr":
     raise ValueError(f"expected an expression, got a {type(e).__name__}")
 
 
+def _operand(e) -> "Expr":
+    """An operand of a construction helper: a number becomes a
+    :class:`Const`, anything else meets the door :func:`expression`."""
+    return Const(e) if isinstance(e, (int, float)) else expression(e)
+
+
+def _arity(*children) -> int:
+    """The arity of a node over ``children``, each of which passes the door
+    :func:`expression`: the largest of theirs."""
+    arity = 0
+    for c in children:
+        if expression(c).arity > arity:
+            arity = c.arity
+    return arity
+
+
 def as_point(x) -> tuple:
     """A scalar or a number sequence as a tuple of finite floats, else :class:`DomainError`."""
     return finite_floats((x,) if isinstance(x, (int, float)) else x,
@@ -370,7 +386,7 @@ class SmoothUnary(Expr):
             raise ValueError(f"unknown smooth primitive {self.kind!r}")
         if self.kind == "pow":
             object.__setattr__(self, "exponent", int_at_least(self.exponent, 2, "pow exponent"))
-        object.__setattr__(self, "arity", self.child.arity)
+        object.__setattr__(self, "arity", _arity(self.child))
 
     @property
     def children(self):
@@ -401,7 +417,7 @@ class Affine(Expr):
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("matrix rows must have equal length")
-        if self.child.arity > len(off):
+        if _arity(self.child) > len(off):
             raise ValueError(
                 f"child reads {self.child.arity} coordinates but the substitution "
                 f"produces only {len(off)}"
@@ -438,7 +454,7 @@ class LinComb(Expr):
         message = "linear combination coefficients must be finite"
         object.__setattr__(self, "alpha", finite_float(self.alpha, message))
         object.__setattr__(self, "beta", finite_float(self.beta, message))
-        object.__setattr__(self, "arity", max(self.left.arity, self.right.arity))
+        object.__setattr__(self, "arity", _arity(self.left, self.right))
 
     @property
     def children(self):
@@ -452,7 +468,7 @@ class Product(Expr):
     arity: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "arity", max(self.left.arity, self.right.arity))
+        object.__setattr__(self, "arity", _arity(self.left, self.right))
 
     @property
     def children(self):
@@ -466,7 +482,7 @@ class Quotient(Expr):
     arity: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "arity", max(self.num.arity, self.den.arity))
+        object.__setattr__(self, "arity", _arity(self.num, self.den))
 
     @property
     def children(self):
@@ -481,11 +497,11 @@ class _Extremum(Expr):
     arity: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        kids = tuple(self.children)
+        kids = tuple(sequence(self.children, "expressions"))
         if len(kids) < 2:
             raise ValueError(f"{type(self).__name__.lower()} needs at least two children")
         object.__setattr__(self, "children", kids)
-        object.__setattr__(self, "arity", max(c.arity for c in kids))
+        object.__setattr__(self, "arity", _arity(*kids))
 
 
 class Max(_Extremum):
@@ -512,7 +528,7 @@ class SmoothCompose(Expr):
     arity: int = field(init=False, repr=False)
 
     def __post_init__(self):
-        inner = tuple(self.inner)
+        inner = tuple(sequence(self.inner, "expressions"))
         if not inner:
             raise ValueError("composition needs at least one inner component")
         for i, h in enumerate(inner):
@@ -520,13 +536,13 @@ class SmoothCompose(Expr):
                 raise ValueError(
                     f"inner component {i} contains max/min and is not smooth"
                 )
-        if self.outer.arity > len(inner):
+        if _arity(self.outer) > len(inner):
             raise ValueError(
                 f"outer reads {self.outer.arity} coordinates but only "
                 f"{len(inner)} inner components were given"
             )
         object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "arity", max(h.arity for h in inner))
+        object.__setattr__(self, "arity", _arity(*inner))
 
     @property
     def children(self):
@@ -546,38 +562,37 @@ def const(value: float) -> Const:
 
 
 def neg(e: Expr) -> Expr:
-    return LinComb(-1.0, _coerce(e), 0.0, _ZERO)
+    return LinComb(-1.0, _operand(e), 0.0, _ZERO)
 
 
 def vmax(*children) -> Max:
-    return Max(tuple(_coerce(c) for c in children))
+    return Max(tuple([_operand(c) for c in children]))
 
 
 def vmin(*children) -> Min:
-    return Min(tuple(_coerce(c) for c in children))
+    return Min(tuple([_operand(c) for c in children]))
 
 
 def vabs(e) -> Max:
     """Absolute value, desugared to ``max(e, -e)``."""
-    e = _coerce(e)
+    e = _operand(e)
     return Max((e, neg(e)))
 
 
 def sqr(e) -> SmoothUnary:
-    return SmoothUnary("sqr", _coerce(e))
+    return SmoothUnary("sqr", _operand(e))
 
 
 def powk(e, k: int) -> SmoothUnary:
     """Integer power ``e**k`` with ``k >= 2``."""
-    return SmoothUnary("pow", _coerce(e), k)
+    return SmoothUnary("pow", _operand(e), k)
 
 
 def compose(outer, inner) -> SmoothCompose:
-    """``outer`` of the ``inner`` components; a number is a :class:`Const`,
-    any other non-expression is refused by the door :func:`expression`."""
-    def door(e):
-        return Const(e) if isinstance(e, (int, float)) else expression(e)
-    return SmoothCompose(door(outer), tuple([door(h) for h in sequence(inner, "expressions")]))
+    """``outer`` of the ``inner`` components, each taken by :func:`_operand`
+    as the other helpers take theirs."""
+    inner = tuple([_operand(h) for h in sequence(inner, "expressions")])
+    return SmoothCompose(_operand(outer), inner)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,8 @@ def dini_fd(e: Expr, x, l, schedule: FdSchedule = FdSchedule()) -> float:
     term on the smooth piece eventually selected by small steps.  Accuracy
     is of the order of the squared smallest step plus rounding noise.
     """
+    if not isinstance(schedule, FdSchedule):
+        raise ValueError(f"expected a step schedule, got a {type(schedule).__name__}")
     xs, ls = as_point(x), as_point(l)
     f0 = evaluate(e, xs)
     quotients = []

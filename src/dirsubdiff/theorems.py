@@ -463,10 +463,11 @@ def mvt_witness(
     sign change of ``u`` down to ``refine_width`` or to adjacent floats,
     inside the active-set snap window of a kink.  Each parameter is probed
     once, with u and v read off its :func:`segment_subdiff` pair.  Raises
-    :class:`ValueError` unless ``eps`` is finite and >= 0, and
-    :class:`WitnessNotFoundError` when both stages fail.
+    :class:`ValueError` unless ``eps`` and ``refine_width`` are finite and
+    >= 0, and :class:`WitnessNotFoundError` when both stages fail.
     """
     eps = check_tolerance("eps", eps)
+    refine_width = check_tolerance("refine_width", refine_width)
     scan_points = int_at_least(scan_points, 1, "scan_points")
     a, b = _segment(x0, x1)
     if all(av == bv for av, bv in zip(a, b)):

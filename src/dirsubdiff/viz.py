@@ -12,7 +12,7 @@ import csv
 from typing import IO, NamedTuple
 
 from .dirset import DirectedSet, _directed
-from .expr import int_at_least
+from .expr import int_at_least, sequence
 
 
 class Segment(NamedTuple):
@@ -42,8 +42,18 @@ def viz_segments(a: DirectedSet) -> list[Segment]:
     return segments
 
 
+def _segments(segments) -> list:
+    """The entries of ``segments``, each a :class:`Segment`, else ``ValueError``."""
+    segments = sequence(segments, "segments")
+    for seg in segments:
+        if not isinstance(seg, Segment):
+            raise ValueError(f"expected a segment, got a {type(seg).__name__}")
+    return segments
+
+
 def write_segments_csv(segments, fp: IO[str]) -> None:
     """Write segments as ``px,py,qx,qy,inverted`` rows (inverted as 0/1)."""
+    segments = _segments(segments)
     writer = csv.writer(fp, lineterminator="\n")
     writer.writerow(["px", "py", "qx", "qy", "inverted"])
     for seg in segments:
@@ -66,7 +76,7 @@ def write_segments_svg(segments, fp: IO[str], size: int = 640) -> None:
     Degenerate segments stay visible through round line caps.
     """
     size = int_at_least(size, 1, "svg size")
-    segments = list(segments)
+    segments = _segments(segments)
     if segments:
         x0, y0, x1, y1 = _bounds(segments)
     else:

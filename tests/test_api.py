@@ -3,7 +3,10 @@
 function or class in the package that only the tests use."""
 
 import ast
+import io
 from pathlib import Path
+
+import pytest
 
 import dirsubdiff
 import dirsubdiff.oracle as oracle
@@ -30,6 +33,141 @@ PUBLIC = [
 def test_package_exports():
     assert sorted(dirsubdiff.__all__) == PUBLIC
     assert all(hasattr(dirsubdiff, name) for name in PUBLIC)
+
+
+#: a value of each kind a caller can pass by mistake
+BAD_VALUES = [None, "x1", b"x", True, 10**400, float("nan"), [], object()]
+
+
+def _valid_calls() -> dict:
+    """One valid call ``(args, kwargs)`` of every callable of ``__all__``,
+    with the optional arguments a caller can get wrong spelled out."""
+    d = dirsubdiff
+    x, y = d.var(0), d.var(1)
+    grid = d.SphereGrid.circle(8)
+    kink = d.parse("max(x1, x2) + x1*x2")
+    point = (0.0, 0.0)
+    s = d.directed_subdiff(kink, point, grid)
+    t = d.embed_point((1.0, 2.0), grid)
+    message = ("message",)
+    return {
+        "ActiveSetInfo": ((), {"ties": False, "borderline": False}),
+        "Affine": ((x, ((1.0,),), (0.0,)), {}),
+        "ArityError": (message, {}),
+        "Basis": (((1.0, 0.0), ((-0.0, 1.0),), "rotation"), {}),
+        "Const": ((1.5,), {}),
+        "DirectedInterval": ((0.0, 1.0), {}),
+        "DirectedSet": ((grid, s.levels, s.a_neg, s.a_pos), {}),
+        "DomainError": (message, {}),
+        "Expr": ((), {}),
+        "ExprError": (message, {}),
+        "FdSchedule": ((), {"t0": 0.01, "factor": 0.5, "steps": 20, "extrapolate": True}),
+        "GridMismatchError": (message, {}),
+        "KinkError": (message, {}),
+        "LinComb": ((1.0, x, 2.0, y), {}),
+        "Max": (((x, y),), {}),
+        "Min": (((x, y),), {}),
+        "MvtWitness": ((0.5, 0.0, d.DirectedInterval(0.0, 1.0)), {}),
+        "ParseError": (("message", 0), {}),
+        "Product": ((x, y), {}),
+        "Quotient": ((x, y), {}),
+        "Segment": (((0.0, 0.0), (1.0, 0.0), False), {}),
+        "SmoothCompose": ((x, (x + y,)), {}),
+        "SmoothUnary": (("pow", x, 3), {}),
+        "SphereGrid": ((2, grid.resolution, grid.directions, None, grid.id), {}),
+        "Var": ((0,), {}),
+        "VerificationError": (message, {}),
+        "VerificationReport": (("sum", True, 0.0, 1e-9, point, s, s), {}),
+        "WitnessNotFoundError": (message, {}),
+        "chain_rule_1d": ((d.parse("abs(x1)"), [d.parse("x1*x1")], 0.5, 1e-9, True), {}),
+        "check_max_condition": ((kink, point, grid, 1e-9, 1e-9), {}),
+        "check_min_condition": ((kink, point, grid, 1e-9, 1e-9), {}),
+        "compose": ((x, [x + y]), {}),
+        "const": ((1.0,), {}),
+        "default_grid": ((2,), {}),
+        "dini_fd": ((kink, point, (1.0, 0.0), d.FdSchedule()), {}),
+        "dirderiv": ((kink, point, (1.0, 0.0), 1e-9), {}),
+        "dirderiv_transform": ((kink, point, 1e-9, d.ActiveSetInfo()), {}),
+        "directed_subdiff": ((kink, point, grid, 1e-9, d.ActiveSetInfo()), {}),
+        "directed_zero": ((2, grid), {}),
+        "distance": ((s, t), {}),
+        "embed_gradient": ((d.parse("x1*x2"), (1.0, 2.0), grid), {}),
+        "embed_interval": ((0.0, 1.0), {}),
+        "embed_point": (((1.0, 2.0), grid), {}),
+        "embed_polygon": (([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], grid), {}),
+        "evaluate": ((kink, (1.0, 2.0)), {}),
+        "has_kinks": ((kink,), {}),
+        "inf": (([s, t], 1e-9, d.ActiveSetInfo()), {}),
+        "leq": ((s, t, 1e-9), {}),
+        "linear_combination": ((1.0, s, 2.0, t), {}),
+        # the bisection runs: no scanned point is admissible
+        "mvt_witness": ((d.parse("abs(x1)"), (-1.0,), (2.0,), 99, 1e-8, 1e-9, 1e-12), {}),
+        "norm": ((s,), {}),
+        "orthobasis": (((0.6, 0.8),), {}),
+        "parse": (("max(x1, x2)",), {}),
+        "powk": ((x, 3), {}),
+        "restrict": ((kink, (1.0, 0.0), d.orthobasis((1.0, 0.0))), {}),
+        "scale": ((2.0, s), {}),
+        "segment_subdiff": ((d.parse("abs(x1)"), (-1.0,), (2.0,), 0.5, 1e-9), {}),
+        "smooth_gradient": ((d.parse("x1*x2"), (1.0, 2.0), 1e-9), {}),
+        "sqr": ((x,), {}),
+        "sup": (([s, t], 1e-9, d.ActiveSetInfo()), {}),
+        "vabs": ((x,), {}),
+        "var": ((0,), {}),
+        "verify_chain_rule_1d": ((d.parse("abs(x1)"), [d.parse("x1*x1")], 0.5, 1e-9, True), {}),
+        "verify_dirderiv_fixpoint": ((kink, point, grid, 1e-9, True), {}),
+        "verify_max_rule": (([x, y], point, grid, 1e-9, True), {}),
+        "verify_min_rule": (([x, y], point, grid, 1e-9, True), {}),
+        "verify_product_rule": ((kink, d.vabs(y), point, grid, 1e-9, True), {}),
+        "verify_quotient_rule": ((kink, 2.0 + d.vabs(y), point, grid, 1e-9, True), {}),
+        "verify_sum_rule": ((kink, d.vabs(y), 1.0, 2.0, point, grid, 1e-9, True), {}),
+        "verify_taylor_invariance": ((d.parse("abs(x1) + x2"), [x - y, x * y], point, grid, 1e-9,
+                                      True), {}),
+        "viz_segments": ((s,), {}),
+        "vmax": ((x, y), {}),
+        "vmin": ((x, y), {}),
+        # a file object's own errors stay its own: ``fp`` is not replaced
+        "write_segments_csv": ((d.viz_segments(s), io.StringIO()), {}),
+        "write_segments_svg": ((d.viz_segments(s), io.StringIO(), 640), {}),
+    }
+
+
+#: the arguments the table leaves as they are, by callable and position
+KEPT_ARGUMENTS = {("write_segments_csv", 1), ("write_segments_svg", 1)}
+
+
+def test_every_export_has_a_valid_call():
+    calls = _valid_calls()
+    assert sorted(calls) == PUBLIC
+    for name, (args, kwargs) in calls.items():
+        getattr(dirsubdiff, name)(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", PUBLIC)
+def test_a_bad_argument_is_a_typed_error(name):
+    # one argument at a time: the call returns, or it raises a ValueError or
+    # an ExprError, never an AttributeError, a TypeError or an OverflowError
+    args, kwargs = _valid_calls()[name]
+    function = getattr(dirsubdiff, name)
+    holes = []
+    replacements = [(i, None) for i in range(len(args)) if (name, i) not in KEPT_ARGUMENTS]
+    replacements += [(None, key) for key in kwargs]
+    for i, key in replacements:
+        for bad in BAD_VALUES:
+            a, kw = list(args), dict(kwargs)
+            if key is None:
+                a[i] = bad
+            else:
+                kw[key] = bad
+            if name.startswith("write_segments"):
+                a[1] = io.StringIO()
+            try:
+                function(*a, **kw)
+            except (ValueError, dirsubdiff.ExprError):
+                pass
+            except Exception as exc:  # any other kind is a hole
+                holes.append(f"{key if key is not None else i}={bad!r:.20}: {exc!r}")
+    assert holes == []
 
 
 def test_oracle_defines_only_the_finite_differences():
@@ -71,3 +209,33 @@ def test_package_defines_nothing_that_only_tests_use():
         and not (name.startswith("__") and name.endswith("__"))
     }
     assert unused == {}
+
+
+def test_package_imports_nothing_it_never_uses():
+    # every name a module under src/ imports is read in that module, apart
+    # from ``from __future__ import annotations`` and the names the package
+    # re-exports through ``__all__``; annotations, quoted ones too, count as
+    # reads
+    unused = []
+    for path in sorted((REPO / "src" / "dirsubdiff").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported, read = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, (ast.arg, ast.FunctionDef, ast.AnnAssign)):
+                # a quoted annotation is an expression in a string
+                note = node.returns if isinstance(node, ast.FunctionDef) else node.annotation
+                if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                    read.update(n.id for n in ast.walk(ast.parse(note.value, mode="eval"))
+                                if isinstance(n, ast.Name))
+        exported = set(dirsubdiff.__all__) if path.name == "__init__.py" else set()
+        unused += [f"{path.relative_to(REPO)}:{line}: {name}" for name, line in imported.items()
+                   if name not in read and name not in exported]
+    assert unused == []

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -6,7 +7,8 @@ import pytest
 
 from dirsubdiff.corpus import get_rng, random_directed_set
 from generators import random_interval
-from dirsubdiff.deriv import restrict
+from dirsubdiff.basis import Basis, orthobasis
+from dirsubdiff.deriv import dirderiv_transform, restrict
 from dirsubdiff.dirset import (
     ActiveSetInfo,
     DirectedInterval,
@@ -28,8 +30,9 @@ from dirsubdiff.dirset import (
 )
 from dirsubdiff.engine import directed_subdiff, embed_gradient
 from dirsubdiff.expr import vmax, vmin
+from dirsubdiff.oracle import dini_fd
 from dirsubdiff.parser import parse
-from dirsubdiff.viz import viz_segments
+from dirsubdiff.viz import viz_segments, write_segments_csv, write_segments_svg
 
 SQUARE = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
 
@@ -189,6 +192,33 @@ _NOT_A_GRID = "a directed set's grid must be a SphereGrid or None"
     (lambda: DirectedSet.from_interval(None), "^expected a directed interval, got a NoneType$"),
     (lambda: DirectedSet.from_interval(leaf(0.0, 0.0)),
      "^expected a directed interval, got a DirectedSet$"),
+    # flags that are not active-set flags, on every path that writes them
+    (lambda: directed_subdiff(parse("abs(x1)"), (0.0, 0.0), _PLANE, info=5),
+     "^expected active-set flags, got a int$"),
+    (lambda: dirderiv_transform(parse("abs(x1)"), (0.0,), info="x1"),
+     "^expected active-set flags, got a str$"),
+    (lambda: sup([directed_zero(2, _PLANE), embed_point((1.0, 0.0), _PLANE)], info=[]),
+     "^expected active-set flags, got a list$"),
+    (lambda: inf([directed_zero(2, _PLANE), embed_point((1.0, 0.0), _PLANE)], info=True),
+     "^expected active-set flags, got a bool$"),
+    # a schedule, segments and a basis that are not ones
+    (lambda: dini_fd(parse("abs(x1)"), (0.0,), (1.0,), None),
+     "^expected a step schedule, got a NoneType$"),
+    (lambda: write_segments_csv(None, io.StringIO()),
+     "^expected a sequence of segments, got a NoneType$"),
+    (lambda: write_segments_csv([None], io.StringIO()), "^expected a segment, got a NoneType$"),
+    (lambda: write_segments_svg("x1", io.StringIO()),
+     "^expected a sequence of segments, got a str$"),
+    (lambda: write_segments_svg([((0.0, 0.0), (1.0, 0.0), False)], io.StringIO()),
+     "^expected a segment, got a tuple$"),
+    (lambda: restrict(None, (1.0, 0.0), orthobasis((1.0, 0.0))),
+     "^expected an expression, got a NoneType$"),
+    (lambda: restrict(parse("x1"), (1.0, 0.0), Basis("ab", ((0.0, 1.0),), "rotation")),
+     "^expected a sequence of numbers, got a str$"),
+    (lambda: restrict(parse("x1"), (1.0, 0.0), Basis((1.0, 0.0), None, "rotation")),
+     "^expected a sequence of basis columns, got a NoneType$"),
+    (lambda: restrict(parse("x1"), (1.0, 0.0), Basis((1.0, 0.0), ((1.0,),), "rotation")),
+     "^a basis needs n - 1 columns of the direction's length n$"),
 ], ids=["polygon-empty", "polygon-3d-vertex", "polygon-nan", "polygon-3d-grid", "point-empty",
         "point-grid-dim", "lincomb-inf", "zero-dim-0", "distance-overflow", "leaf-huge",
         "interval-huge", "point-1d-huge", "point-2d-huge", "polygon-huge", "lincomb-huge",
@@ -200,7 +230,10 @@ _NOT_A_GRID = "a directed set's grid must be a SphereGrid or None"
         "inf-none", "grid-resolution-int", "grid-directions-none", "from-json-int",
         "from-json-none", "restrict-basis-none", "norm-none", "distance-str", "lincomb-bytes",
         "scale-bool", "leq-huge", "sup-nan", "inf-list", "viz-object", "from-interval-none",
-        "from-interval-set"])
+        "from-interval-set", "subdiff-info-int", "transform-info-str", "sup-info-list",
+        "inf-info-bool", "dini-schedule-none", "csv-segments-none", "csv-segment-none",
+        "svg-segments-str", "svg-segment-tuple", "restrict-expr-none", "basis-direction-str",
+        "basis-columns-none", "basis-column-length"])
 def test_bad_arguments_are_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -25,6 +25,7 @@ from dirsubdiff.expr import (
     const,
     evaluate,
     has_kinks,
+    neg,
     powk,
     sqr,
     vabs,
@@ -183,11 +184,35 @@ def test_constructor_validation():
      "^expected a sequence of expressions, got a NoneType$"),
     (lambda: verify_min_rule(True, (0.0, 0.0), _CIRCLE), ValueError,
      "^expected a sequence of expressions, got a bool$"),
+    # a child that is not an expression, in every node and helper
+    (lambda: LinComb(1.0, None, 1.0, var(0)), ValueError,
+     "^expected an expression, got a NoneType$"),
+    (lambda: Product(var(0), "x1"), ValueError, "^expected an expression, got a str$"),
+    (lambda: Quotient(b"x", var(0)), ValueError, "^expected an expression, got a bytes$"),
+    (lambda: SmoothUnary("sin", True), ValueError, "^expected an expression, got a bool$"),
+    (lambda: Max((var(0), 10**400)), ValueError, "^expected an expression, got a int$"),
+    (lambda: Min((var(0), math.nan)), ValueError, "^expected an expression, got a float$"),
+    (lambda: Affine([], ((1.0,),), (0.0,)), ValueError, "^expected an expression, got a list$"),
+    (lambda: SmoothCompose(object(), (var(0),)), ValueError,
+     "^expected an expression, got a object$"),
+    (lambda: Max(None), ValueError, "^expected a sequence of expressions, got a NoneType$"),
+    (lambda: Min(5), ValueError, "^expected a sequence of expressions, got a int$"),
+    (lambda: SmoothCompose(var(0), None), ValueError,
+     "^expected a sequence of expressions, got a NoneType$"),
+    (lambda: vmax("a", var(0)), ValueError, "^expected an expression, got a str$"),
+    (lambda: vmin(var(0), None), ValueError, "^expected an expression, got a NoneType$"),
+    (lambda: vabs(b"x"), ValueError, "^expected an expression, got a bytes$"),
+    (lambda: sqr(None), ValueError, "^expected an expression, got a NoneType$"),
+    (lambda: powk([], 2), ValueError, "^expected an expression, got a list$"),
+    (lambda: neg(object()), ValueError, "^expected an expression, got a object$"),
 ], ids=["affine-rows", "affine-empty", "affine-matrix-inf", "affine-offset-nan", "lincomb-inf",
         "compose-empty", "compose-outer-arity", "coerce-str", "const-huge", "coerce-huge",
         "lincomb-huge", "affine-matrix-huge", "affine-offset-huge", "max-one-child",
         "min-one-child", "affine-matrix-none", "compose-inner-none", "max-rule-none",
-        "min-rule-bool"])
+        "min-rule-bool", "lincomb-child-none", "product-child-str", "quotient-child-bytes",
+        "unary-child-bool", "max-child-huge", "min-child-nan", "affine-child-list",
+        "compose-outer-object", "max-none", "min-int", "compose-node-inner-none", "vmax-str",
+        "vmin-none", "vabs-bytes", "sqr-none", "powk-list", "neg-object"])
 def test_constructor_checks(build, error, message):
     with pytest.raises(error, match=message):
         build()

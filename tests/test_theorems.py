@@ -546,6 +546,25 @@ NUMBER_CALLS = {
     "evaluate-bool": (lambda: evaluate(KINK, True), DomainError, "expected a number, got a bool"),
     "directed_subdiff-bools": (lambda: directed_subdiff(KINK, [True, False], G8), DomainError,
                                "expected a number, got a bool"),
+    # the bisection width, which the abs(x1) witness needs
+    "mvt_witness-refine_width-nan": (
+        lambda: mvt_witness(parse("abs(x1)"), (-1.0,), (2.0,), refine_width=math.nan), ValueError,
+        "refine_width must be finite and >= 0, got nan"),
+    "mvt_witness-refine_width-huge": (
+        lambda: mvt_witness(parse("abs(x1)"), (-1.0,), (2.0,), refine_width=10**400), ValueError,
+        "refine_width must be finite and >= 0, got inf"),
+    "mvt_witness-refine_width-negative": (
+        lambda: mvt_witness(parse("abs(x1)"), (-1.0,), (2.0,), refine_width=-1.0), ValueError,
+        "refine_width must be finite and >= 0, got -1.0"),
+    "mvt_witness-refine_width-None": (
+        lambda: mvt_witness(parse("abs(x1)"), (-1.0,), (2.0,), refine_width=None), ValueError,
+        "expected a number, got a NoneType"),
+    "mvt_witness-refine_width-str": (
+        lambda: mvt_witness(parse("abs(x1)"), (-1.0,), (2.0,), refine_width="0"), ValueError,
+        "expected a number, got a str"),
+    "mvt_witness-refine_width-bool": (
+        lambda: mvt_witness(parse("abs(x1)"), (-1.0,), (2.0,), refine_width=True), ValueError,
+        "expected a number, got a bool"),
 }
 
 #: values that are not numbers: float() reads the bool, and none of the others
