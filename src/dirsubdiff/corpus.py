@@ -120,18 +120,17 @@ def _finite_at(e: Expr, x, cap: float) -> bool:
     return math.isfinite(v) and abs(v) <= cap
 
 
-def random_rule_pair(
-    rng, arity: int = 2, depth: int = 4
-) -> tuple[Expr, Expr, tuple[float, ...]]:
-    """Pair of expressions plus a point where both evaluate to sane values.
+def random_rule_pair(rng, arity: int = 2) -> tuple[Expr, Expr, tuple[float, ...]]:
+    """Pair of expressions of nesting depth 2 to 4 plus a point where both
+    evaluate to sane values.
 
     Feeds the calculus-rule and fixpoint suites; quotient denominators are
     not constrained here, callers skip the quotient rule when f2 vanishes.
     """
     rng = get_rng(rng)
     while True:
-        f1 = random_expr(rng, arity, rng.randint(2, depth), require_full_arity=True)
-        f2 = random_expr(rng, arity, rng.randint(2, depth), require_full_arity=True)
+        f1 = random_expr(rng, arity, rng.randint(2, 4), require_full_arity=True)
+        f2 = random_expr(rng, arity, rng.randint(2, 4), require_full_arity=True)
         x = random_point(rng, arity)
         if _finite_at(f1, x, 1e6) and _finite_at(f2, x, 1e6):
             return f1, f2, x
@@ -178,8 +177,9 @@ def random_taylor_instance(rng):
 # random directed sets
 
 
-def random_directed_set(rng, dim: int, grid: SphereGrid | None = None, scale: float = 5.0) -> DirectedSet:
-    """Raw random directed set; fields are independent, inversions included.
+def random_directed_set(rng, dim: int, grid: SphereGrid | None = None) -> DirectedSet:
+    """Raw random directed set; fields are independent, inversions included,
+    each drawn from ``[-5, 5]`` and rounded to six decimals.
 
     Values are drawn in walk order: a set's supports, then each lower set in
     turn (a leaf pair draws ``a_neg`` before ``a_pos``).
@@ -187,7 +187,7 @@ def random_directed_set(rng, dim: int, grid: SphereGrid | None = None, scale: fl
     rng = get_rng(rng)
 
     def draw():
-        return round(rng.uniform(-scale, scale), 6)
+        return round(rng.uniform(-5.0, 5.0), 6)
 
     if dim == 1:
         return DirectedSet.leaf(draw(), draw())

@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 
 from .basis import Basis
-from .dirset import ACTIVE_RTOL, ActiveSetInfo, active_members, check_tolerance
+from .dirset import ACTIVE_RTOL, ActiveSetInfo, active_columns, check_tolerance, flags
 from .expr import (
     Affine,
     Const,
@@ -44,6 +44,7 @@ from .expr import (
     evaluate,
     finite_float,
     finite_floats,
+    instance,
     primitive,
     walk,
 )
@@ -76,7 +77,7 @@ def dirderiv_transform(
     they share is transformed once and is one node of their results.
     """
     active_rtol = check_tolerance("active_rtol", active_rtol)
-    xs = checked_point(e, x)
+    xs, info = checked_point(e, x), flags(info)
     state = ([{}], defaultdict(dict), [None], {0: xs})
     if _shared is not None:
         state = _shared.setdefault("walk", state)
@@ -112,14 +113,12 @@ def dirderiv_transform(
             v = value(cv, node.exponent)
             d = LinComb(_coefficient(slope(cv, node.exponent)), dmemo[node.child], 0.0, _ZERO)
         elif t is Max or t is Min:
-            mv = [memo[c] for c in node.children]
-            is_max = t is Max
-            active = active_members(mv, active_rtol, is_max, info)
+            (v,), (active,) = active_columns(
+                [(memo[c],) for c in node.children], active_rtol, t is Max, info)
             if len(active) == 1:
                 d = dmemo[node.children[active[0]]]
             else:
                 d = t(tuple([dmemo[node.children[i]] for i in active]))
-            v = max(mv) if is_max else min(mv)
         elif t is Affine:
             v = vals[sub][node.child]
             d = Affine(ders[sub][node.child], node.matrix, (0.0,) * len(node.offset))
@@ -157,8 +156,7 @@ def restrict(g: Expr, l, basis: Basis) -> Expr:
     ``basis`` must be a :class:`Basis` belonging to ``l``; the result
     reads ``n - 1`` coordinates.
     """
-    if not isinstance(basis, Basis):
-        raise ValueError(f"expected a basis, got a {type(basis).__name__}")
+    basis = instance(basis, Basis, "a basis")
     l = finite_floats(l, "basis does not belong to the given direction")
     if len(l) != len(basis.direction) or any(
         abs(a - b) > 1e-12 for a, b in zip(l, basis.direction)

@@ -53,7 +53,7 @@ from functools import cached_property
 from itertools import compress, repeat
 
 from .basis import orthobasis
-from .expr import _TEXT, _finite, finite_float, finite_floats, int_at_least, sequence
+from .expr import _TEXT, _finite, finite_float, finite_floats, instance, int_at_least, sequence
 
 #: relative scale of the active-set tolerance: eps = ACTIVE_RTOL * (1 + |extreme|)
 ACTIVE_RTOL = 1e-9
@@ -78,6 +78,12 @@ class ActiveSetInfo:
 
     ties: bool = False
     borderline: bool = False
+
+
+def flags(info) -> ActiveSetInfo | None:
+    """The door for ``info``, None or an :class:`ActiveSetInfo`, where a
+    computation that hands it to :func:`active_columns` starts."""
+    return instance(info, (ActiveSetInfo, type(None)), "active-set flags")
 
 
 def check_tolerance(name: str, value: float) -> float:
@@ -111,7 +117,7 @@ def active_columns(cols, rtol: float, maximize: bool, info: ActiveSetInfo | None
     borderline.
 
     This one rule serves the derivative transform and the max/min rule
-    verifiers (through :func:`active_members`), :func:`sup`/:func:`inf`
+    verifiers (on one direction), :func:`sup`/:func:`inf`
     (once per parent block, and through :func:`sup` the faces of
     :func:`embed_polygon`) and the engine's sweep (once per max/min and
     level; these two pick leaves with :func:`active_extremes`), so both
@@ -121,12 +127,10 @@ def active_columns(cols, rtol: float, maximize: bool, info: ActiveSetInfo | None
     and ``<= 10 eps`` columns, with the scalar rule's operations in its
     order, so the result and the flags are those of
     ``two_pass_active_members`` in ``tests/references.py`` applied to each
-    direction.  ``rtol`` must be finite and >= 0, and ``info`` None or an
-    :class:`ActiveSetInfo`: this is where every flag is written.
+    direction.  ``rtol`` must be finite and >= 0; ``info`` has passed
+    :func:`flags`.  This is where every flag is written.
     """
     rtol = check_tolerance("active_rtol", rtol)
-    if info is not None and not isinstance(info, ActiveSetInfo):
-        raise ValueError(f"expected active-set flags, got a {type(info).__name__}")
     if not cols:
         raise ValueError("the active-set rule needs at least one member")
     extremes = _extremes(cols, maximize)
@@ -160,13 +164,6 @@ def active_extremes(cols, keep, maximize: bool) -> list:
     pick = max if maximize else min
     return [cols[idx[0]][j] if len(idx) == 1 else pick([cols[i][j] for i in idx]) if idx else math.nan
             for j, idx in enumerate(keep)]
-
-
-def active_members(values, rtol: float, maximize: bool, info: ActiveSetInfo | None) -> list:
-    """Indices of the members of ``values`` that are active at the extreme:
-    :func:`active_columns` on the one direction whose member values are
-    ``values``."""
-    return list(active_columns([(v,) for v in values], rtol, maximize, info)[1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +484,7 @@ class DirectedSet:
 
     @classmethod
     def from_interval(cls, interval: DirectedInterval) -> "DirectedSet":
-        interval = _directed(interval, DirectedInterval, "a directed interval")
+        interval = instance(interval, DirectedInterval, "a directed interval")
         return cls.leaf(interval.a_neg, interval.a_pos)
 
     @classmethod
@@ -790,13 +787,9 @@ def embed_polygon(vertices, grid: SphereGrid) -> DirectedSet:
 # linear structure
 
 
-def _directed(value, kind: type = DirectedSet, what: str = "a directed set"):
-    """The door for directed sets (or, given ``kind`` and ``what``, for
-    intervals): ``value`` when it is a ``kind``, else a ``ValueError`` that
-    names its type, in the idiom of :func:`dirsubdiff.expr.expression`."""
-    if isinstance(value, kind):
-        return value
-    raise ValueError(f"expected {what}, got a {type(value).__name__}")
+def _directed(value) -> DirectedSet:
+    """The door for directed sets: :func:`dirsubdiff.expr.instance`."""
+    return instance(value, DirectedSet, "a directed set")
 
 
 def _check_compatible(a: DirectedSet, b: DirectedSet):
@@ -870,6 +863,7 @@ def _extreme(sets, rtol, info, maximize):
     first = family[0]
     for s in family[1:]:
         _check_compatible(first, s)
+    info = flags(info)
     members = [s._arrays for s in family]
     if first.grid is None:  # 1-D: the componentwise extreme of the pairs
         return DirectedSet._built(None, [_extremes(cols, maximize) for cols in zip(*members)])

@@ -57,7 +57,7 @@ from functools import cache, lru_cache
 
 from .dirset import (
     ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_columns, active_extremes, check_grid,
-    embed_point,
+    embed_point, flags,
 )
 from .deriv import _OVERFLOW, dirderiv_transform
 from .expr import (
@@ -128,6 +128,7 @@ def directed_subdiffs(
     xs = as_point(x)
     n = len(xs)
     check_grid(grid, n)
+    info = flags(info)
     joint = info if len(exprs) == 1 else ActiveSetInfo()
     shared: dict = {}
     try:

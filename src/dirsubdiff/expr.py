@@ -127,12 +127,18 @@ def int_at_least(v, least: int, what: str) -> int:
     return v
 
 
+def instance(value, kind, what: str):
+    """The type door: ``value`` when it is a ``kind`` (a type or a tuple of
+    types), else a ``ValueError`` that names ``what`` and the type it got."""
+    if isinstance(value, kind):
+        return value
+    raise ValueError(f"expected {what}, got a {type(value).__name__}")
+
+
 def expression(e) -> "Expr":
-    """The door for expressions: ``e`` when it is an :class:`Expr`, else a
-    ``ValueError`` that names its type (text goes through ``parse`` first)."""
-    if isinstance(e, Expr):
-        return e
-    raise ValueError(f"expected an expression, got a {type(e).__name__}")
+    """The door for expressions (text goes through ``parse`` first); every
+    child of every node built passes it, so an :class:`Expr` takes no call."""
+    return e if isinstance(e, Expr) else instance(e, Expr, "an expression")
 
 
 def _operand(e) -> "Expr":

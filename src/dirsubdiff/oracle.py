@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import Expr, as_point, evaluate, finite_float, int_at_least
+from .expr import Expr, as_point, evaluate, finite_float, instance, int_at_least
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,7 @@ def dini_fd(e: Expr, x, l, schedule: FdSchedule = FdSchedule()) -> float:
     term on the smooth piece eventually selected by small steps.  Accuracy
     is of the order of the squared smallest step plus rounding noise.
     """
-    if not isinstance(schedule, FdSchedule):
-        raise ValueError(f"expected a step schedule, got a {type(schedule).__name__}")
+    schedule = instance(schedule, FdSchedule, "a step schedule")
     xs, ls = as_point(x), as_point(l)
     f0 = evaluate(e, xs)
     quotients = []

@@ -28,7 +28,7 @@ from .dirset import (
     DirectedInterval,
     DirectedSet,
     SphereGrid,
-    active_members,
+    active_columns,
     check_tolerance,
     directed_zero,
     distance,
@@ -111,8 +111,8 @@ class VerificationReport:
         return out
 
 
-def rule_tolerance(lhs: DirectedSet, rhs: DirectedSet, rtol: float = RULE_RTOL) -> float:
-    return rtol * (1.0 + norm(lhs) + norm(rhs))
+def rule_tolerance(lhs: DirectedSet, rhs: DirectedSet) -> float:
+    return RULE_RTOL * (1.0 + norm(lhs) + norm(rhs))
 
 
 def _guarded_report(
@@ -222,7 +222,7 @@ def _verify_extreme_rule(fs, x, grid, active_rtol, guard, maximize):
     node, combine = (Max, sup) if maximize else (Min, inf)
 
     def compute(rtol, info):
-        idx = active_members(values, rtol, maximize, info)
+        _, (idx,) = active_columns([(v,) for v in values], rtol, maximize, info)
         *subs, lhs = directed_subdiffs([fs[i] for i in idx] + [node(fs)], xs, grid, rtol, info)
         rhs = subs[0] if len(subs) == 1 else combine(subs, rtol, info)
         return lhs, rhs

@@ -12,7 +12,9 @@ import csv
 from typing import IO, NamedTuple
 
 from .dirset import DirectedSet, _directed
-from .expr import int_at_least, sequence
+from .expr import finite_floats, instance, int_at_least, sequence
+
+_ENDPOINT = "a segment endpoint must be two finite numbers, got {!r}"
 
 
 class Segment(NamedTuple):
@@ -43,12 +45,18 @@ def viz_segments(a: DirectedSet) -> list[Segment]:
 
 
 def _segments(segments) -> list:
-    """The entries of ``segments``, each a :class:`Segment`, else ``ValueError``."""
-    segments = sequence(segments, "segments")
-    for seg in segments:
-        if not isinstance(seg, Segment):
-            raise ValueError(f"expected a segment, got a {type(seg).__name__}")
-    return segments
+    """The entries of ``segments`` as :class:`Segment` values with float
+    endpoints, else ``ValueError``: each entry must be a :class:`Segment`,
+    each endpoint two finite numbers and ``inverted`` a ``bool``."""
+    checked = []
+    for seg in sequence(segments, "segments"):
+        p, q, inverted = instance(seg, Segment, "a segment")
+        p, q = finite_floats(p, _ENDPOINT), finite_floats(q, _ENDPOINT)
+        for end in (p, q):
+            if len(end) != 2:
+                raise ValueError(_ENDPOINT.format(end))
+        checked.append(Segment(p, q, instance(inverted, bool, "a bool for inverted")))
+    return checked
 
 
 def write_segments_csv(segments, fp: IO[str]) -> None:

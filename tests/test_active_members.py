@@ -1,7 +1,7 @@
 """The column-wise active-set rule against its listed form.
 
 ``dirset.active_columns`` classifies whole columns of gaps to the extremes
-at once, and ``dirset.active_members`` is its one-direction case;
+at once, and :func:`active_members` below is its one-direction case;
 ``references.two_pass_active_members`` lists the gaps of one direction
 first and scans them twice.  They must return the same indices and
 extremes and set the same flags, direction by direction.  The leaf pick
@@ -14,8 +14,16 @@ import math
 import pytest
 
 from dirsubdiff.corpus import get_rng
-from dirsubdiff.dirset import ActiveSetInfo, active_columns, active_extremes, active_members
+from dirsubdiff.dirset import ActiveSetInfo, active_columns, active_extremes
 from references import two_pass_active_members
+
+
+def active_members(values, rtol, maximize, info):
+    """The indices of the members of ``values`` active at the extreme:
+    ``active_columns`` on the one direction whose member values are
+    ``values``, as the derivative transform and the max/min verifiers call
+    it."""
+    return list(active_columns([(v,) for v in values], rtol, maximize, info)[1][0])
 
 
 def _planted_values(rng, rtol, maximize, count=None):

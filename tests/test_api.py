@@ -170,6 +170,20 @@ def test_a_bad_argument_is_a_typed_error(name):
     assert holes == []
 
 
+@pytest.mark.parametrize("call", [
+    lambda d: d.directed_subdiff(d.parse("x1+x2"), (0.0, 0.0), d.SphereGrid.circle(8), info=5),
+    lambda d: d.directed_subdiff(d.parse("x1"), (0.0,), info=5),
+    lambda d: d.dirderiv_transform(d.parse("x1"), (0.0,), info=5),
+    lambda d: d.sup([d.DirectedSet.leaf(0.0, 1.0), d.DirectedSet.leaf(1.0, 0.0)], info=5),
+    lambda d: d.inf([d.DirectedSet.leaf(0.0, 1.0)], info=5),
+], ids=["subdiff-2d-kinkless", "subdiff-1d-kinkless", "transform-kinkless", "sup-1d", "inf-1d"])
+def test_bad_flags_are_refused_where_no_flag_is_written(call):
+    # the flags door runs where a computation starts, so an input with no
+    # max/min, or a 1-D family, refuses a bad ``info`` as a kinked one does
+    with pytest.raises(ValueError, match="^expected active-set flags, got a int$"):
+        call(dirsubdiff)
+
+
 def test_oracle_defines_only_the_finite_differences():
     defined = sorted(
         name for name, value in vars(oracle).items()
@@ -239,3 +253,44 @@ def test_package_imports_nothing_it_never_uses():
         unused += [f"{path.relative_to(REPO)}:{line}: {name}" for name, line in imported.items()
                    if name not in read and name not in exported]
     assert unused == []
+
+
+#: the functions that may format "got a {type(...).__name__}" themselves: the
+#: type door, and the number, sequence and text doors, whose messages differ
+TYPE_DOORS = {"instance", "_number", "sequence", "DirectedSet.from_json", "parse"}
+
+
+def _formats_a_type_name(node) -> bool:
+    """Whether ``node`` holds an f-string part ``got a {type(...).__name__}``."""
+    for text in ast.walk(node):
+        if isinstance(text, ast.JoinedStr):
+            for before, value in zip(text.values, text.values[1:]):
+                if (isinstance(before, ast.Constant) and str(before.value).endswith("got a ")
+                        and isinstance(value, ast.FormattedValue)
+                        and isinstance(value.value, ast.Attribute)
+                        and value.value.attr == "__name__"
+                        and isinstance(value.value.value, ast.Call)
+                        and isinstance(value.value.value.func, ast.Name)
+                        and value.value.value.func.id == "type"):
+                    return True
+    return False
+
+
+def test_type_checks_are_not_written_out_again():
+    # a wrong-type error is raised by ``expr.instance`` (or one of the other
+    # doors above), never spelled out again where an argument is checked
+    found = []
+
+    def visit(node, scope, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,), path)
+            elif isinstance(child, ast.Raise) and _formats_a_type_name(child):
+                if ".".join(scope) not in TYPE_DOORS:
+                    found.append(f"{path.relative_to(REPO)}:{child.lineno}: {'.'.join(scope)}")
+            else:
+                visit(child, scope, path)
+
+    for path in sorted((REPO / "src" / "dirsubdiff").rglob("*.py")):
+        visit(ast.parse(path.read_text()), (), path)
+    assert found == []

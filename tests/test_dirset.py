@@ -32,7 +32,7 @@ from dirsubdiff.engine import directed_subdiff, embed_gradient
 from dirsubdiff.expr import vmax, vmin
 from dirsubdiff.oracle import dini_fd
 from dirsubdiff.parser import parse
-from dirsubdiff.viz import viz_segments, write_segments_csv, write_segments_svg
+from dirsubdiff.viz import Segment, viz_segments, write_segments_csv, write_segments_svg
 
 SQUARE = [(-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0)]
 
@@ -211,6 +211,17 @@ _NOT_A_GRID = "a directed set's grid must be a SphereGrid or None"
      "^expected a sequence of segments, got a str$"),
     (lambda: write_segments_svg([((0.0, 0.0), (1.0, 0.0), False)], io.StringIO()),
      "^expected a segment, got a tuple$"),
+    # a segment whose fields are not a segment's
+    (lambda: write_segments_csv([Segment(None, (0.0, 0.0), False)], io.StringIO()),
+     "^expected a sequence of numbers, got a NoneType$"),
+    (lambda: write_segments_svg([Segment(("a", 0.0), (0.0, 0.0), False)], io.StringIO()),
+     "^expected a number, got a str$"),
+    (lambda: write_segments_csv([Segment((0.0, 0.0), (math.nan, 0.0), False)], io.StringIO()),
+     r"^a segment endpoint must be two finite numbers, got \(nan, 0\.0\)$"),
+    (lambda: write_segments_svg([Segment((0.0, 0.0), (1.0, 0.0, 2.0), False)], io.StringIO()),
+     r"^a segment endpoint must be two finite numbers, got \(1\.0, 0\.0, 2\.0\)$"),
+    (lambda: write_segments_svg([Segment((0.0, 0.0), (1.0, 0.0), "no")], io.StringIO()),
+     "^expected a bool for inverted, got a str$"),
     (lambda: restrict(None, (1.0, 0.0), orthobasis((1.0, 0.0))),
      "^expected an expression, got a NoneType$"),
     (lambda: restrict(parse("x1"), (1.0, 0.0), Basis("ab", ((0.0, 1.0),), "rotation")),
@@ -232,7 +243,8 @@ _NOT_A_GRID = "a directed set's grid must be a SphereGrid or None"
         "scale-bool", "leq-huge", "sup-nan", "inf-list", "viz-object", "from-interval-none",
         "from-interval-set", "subdiff-info-int", "transform-info-str", "sup-info-list",
         "inf-info-bool", "dini-schedule-none", "csv-segments-none", "csv-segment-none",
-        "svg-segments-str", "svg-segment-tuple", "restrict-expr-none", "basis-direction-str",
+        "svg-segments-str", "svg-segment-tuple", "csv-segment-p-none", "svg-segment-p-str",
+        "csv-segment-q-nan", "svg-segment-q-3d", "svg-segment-inverted-str", "restrict-expr-none", "basis-direction-str",
         "basis-columns-none", "basis-column-length"])
 def test_bad_arguments_are_value_errors(call, message):
     with pytest.raises(ValueError, match=message):
@@ -453,6 +465,8 @@ def test_grid_validation():
         SphereGrid(2, (4,), SphereGrid.circle(4).directions, SphereGrid.circle(4))
     with pytest.raises(ValueError, match="direction length does not match grid dimension"):
         SphereGrid(2, (1,), [(1.0, 0.0, 0.0)], None)
+    with pytest.raises(ValueError, match=r"got \|l\| = "):
+        SphereGrid(2, (1,), [(1.0, 1.0)], None)
 
 
 def _sweep_columns(grid):
