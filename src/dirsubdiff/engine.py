@@ -32,7 +32,11 @@ the program of a narrowing is built once per call.
 Every program is fused before it runs: each chain of linear combinations
 whose intermediate values nothing else reads becomes one column kernel, a
 comprehension that computes the chain per point with the same products and
-sums nested in program order, so every value keeps its bits.  A kernel is
+sums nested in program order, so every value keeps its bits.  A kernel
+leaves out two exact identities, ``1.0 * x`` and ``x + -0.0``, which are
+``x`` bit for bit for every double.  It keeps ``+ 0.0``, ``* 0.0`` and
+``* -0.0``, which can change a signed zero or an infinity, and ``* -1.0``,
+whose exact unary form ``-x`` gave no faster kernels.  A kernel is
 compiled once per chain shape and process.  Its column shows the first
 direction where the chain goes non-finite, but not which intermediate did
 so first; a level that fails reruns with one kernel per operation for the
@@ -208,8 +212,10 @@ def _fuse(program, roots, depth: int = _KERNEL_DEPTH) -> list:
     slots (variables, max/min members, slots read twice) and evaluates the
     slot's whole chain per point in one comprehension, with the products
     and sums of the per-operation ``a * v + k`` and ``a * u + b * v``
-    nested in program order, so its column keeps their bits.  A chain nests
-    at most ``depth`` operations: at depth 1 each operation is one kernel.
+    nested in program order, so its column keeps their bits; of these it
+    leaves out only ``1.0 *`` and ``+ -0.0``, which keep every bit
+    (:func:`_render`).  A chain nests at most ``depth`` operations: at
+    depth 1 each operation is one kernel.
     """
     kept = set(roots)  # roots and max/min members keep their columns
     reads: dict = {}  # linear reads per slot
@@ -242,15 +248,25 @@ def _render(pairs, k, inputs: dict, consts: list) -> str:
     """Source of the linear form ``(pairs, k)`` in positional names:
     input slots ``x`` become ``v0, v1, ...`` and coefficients ``k0, k1,
     ...`` in the order they occur, recorded in ``inputs`` and ``consts``;
-    an ``x`` that is a chain's form is nested in parentheses."""
+    an ``x`` that is a chain's form is nested in parentheses.
+
+    Two exact identities are left out: a product by the coefficient
+    ``1.0`` renders as its operand, and a constant ``k`` of ``-0.0`` is
+    not added, since ``1.0 * x`` and ``x + -0.0`` are ``x`` bit for bit
+    for every double.  ``+ 0.0`` stays (it turns ``-0.0`` into ``0.0``),
+    as do ``* 0.0`` and ``* -0.0`` (``inf`` gives NaN, and the sign of a
+    zero follows the operand) and ``* -1.0``, whose exact unary form made
+    more shapes and no faster kernels."""
     terms = []
     for a, x in pairs:
-        name = f"k{len(consts)}"
-        consts.append(a)
+        term = ""
+        if a != 1.0:
+            term = f"k{len(consts)} * "
+            consts.append(a)
         x = (inputs.setdefault(x, f"v{len(inputs)}") if type(x) is int
              else f"({_render(x[0], x[1], inputs, consts)})")
-        terms.append(f"{name} * {x}")
-    if k is not None:
+        terms.append(term + x)
+    if k is not None and (k != 0.0 or math.copysign(1.0, k) > 0.0):
         terms.append(f"k{len(consts)}")
         consts.append(k)
     return " + ".join(terms)

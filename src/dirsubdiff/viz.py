@@ -30,7 +30,8 @@ def viz_segments(a: DirectedSet) -> list[Segment]:
     the segment runs from ``s*l - c_neg*R(l)`` to ``s*l + c_pos*R(l)`` where
     ``R(l)`` is the fixed tangent direction.  For embedded convex sets this
     is the supporting face; the segment is degenerate at a vertex.  The
-    ``inverted`` flag is set when ``-c_neg > c_pos``.
+    ``inverted`` flag is set when ``-c_neg > c_pos``.  An endpoint that
+    overflows raises the writers' ``ValueError``.
     """
     if _directed(a).dim != 2:
         raise ValueError("segment visualization is defined for 2-D directed sets")
@@ -38,8 +39,8 @@ def viz_segments(a: DirectedSet) -> list[Segment]:
     for l, rows, s, c_neg, c_pos in zip(a.grid.directions, a.grid.tangent_rows,
                                         a.supports, a.a_neg, a.a_pos):
         r = (rows[0][0], rows[1][0])
-        p = (s * l[0] - c_neg * r[0], s * l[1] - c_neg * r[1])
-        q = (s * l[0] + c_pos * r[0], s * l[1] + c_pos * r[1])
+        p = finite_floats((s * l[0] - c_neg * r[0], s * l[1] - c_neg * r[1]), _ENDPOINT)
+        q = finite_floats((s * l[0] + c_pos * r[0], s * l[1] + c_pos * r[1]), _ENDPOINT)
         segments.append(Segment(p, q, -c_neg > c_pos))
     return segments
 

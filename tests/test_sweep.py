@@ -334,7 +334,7 @@ def test_kernels_share_one_compile_per_shape():
     # the per-operation comprehensions
     u = [0.0, -0.0, 1.5, -3.25, 1e-300, 5e-324, 1e300, -2.0]
     v = [-0.0, 0.0, -1.0, 7.0, -1e-300, 1.0, 1e10, 0.5]
-    coefficients = [(2.0, -0.5, -0.0, 3.0), (-1e-300, 1e10, 0.0, -0.0)]
+    coefficients = [(2.0, -0.5, -0.0, 3.0), (-1e-300, 1e10, 0.0, 0.0)]
     engine._compile.cache_clear()
     for a, b, c, k in coefficients:
         # slot 2 = a * u + b * v, slot 3 = c * slot 2 + k, read by the root alone
@@ -351,6 +351,83 @@ def test_kernels_share_one_compile_per_shape():
     # at depth 1, as a failed level reruns, every operation is its own kernel
     rerun = engine._fuse(program, [3], 1)
     assert [ins[3] for ins in rerun if ins[0] == engine._KERNEL] == [(0, 1), (2,)]
+
+
+def test_repeated_default_grid_call_compiles_no_kernel():
+    e, x = parse("max(x1, x2, x3, -x1 - x2 - x3) + abs(x1)"), (0.0, 0.0, 0.0)
+    first = directed_subdiff(e, x, default_grid(3))
+    misses = engine._compile.cache_info().misses
+    assert directed_subdiff(e, x, default_grid(3)).to_json() == first.to_json()
+    assert engine._compile.cache_info().misses == misses
+
+
+def _premise_values():
+    # special doubles, then seeded random bit patterns: any exponent, and
+    # subnormals (exponent field 0) on their own
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+              1e-300, -1e-300, 1.0, -1.0, 1.5, 1e300, -1e300, 1.7976931348623157e308,
+              -1.7976931348623157e308, math.inf, -math.inf, math.nan, -math.nan]
+    rng = random.Random(20251)
+    for _ in range(2000):
+        values.append(struct.unpack("<d", struct.pack("<Q", rng.getrandbits(64)))[0])
+        subnormal = rng.getrandbits(52) | rng.getrandbits(1) << 63
+        values.append(struct.unpack("<d", struct.pack("<Q", subnormal))[0])
+    return values
+
+
+def test_kernel_identities_keep_every_bit():
+    # kernels leave out ``1.0 *`` and ``+ -0.0``: both are the operand bit
+    # for bit on every double, and NaN stays NaN
+    for x in _premise_values():
+        for got in (1.0 * x, x + -0.0):
+            if math.isnan(x):
+                assert math.isnan(got)
+            else:
+                assert struct.pack("<d", got) == struct.pack("<d", x), x
+
+
+def test_identity_coefficients_select_their_own_shapes():
+    # chains that differ only in a 1.0 coefficient or a -0.0 constant
+    # compile separate shapes; any other value is a closure value
+    engine._compile.cache_clear()
+    sources = []
+    for a, k in [(2.0, 3.0), (1.0, 3.0), (2.0, -0.0), (1.0, -0.0),
+                 (-1.0, 0.0), (0.0, -3.0), (-0.0, 1e-300)]:
+        engine._fuse([(engine._VAR, 0, 0, 0), (engine._LIN, 1, ((a, 0),), k)], [1])
+        sources.append(engine._render(((a, 0),), k, {}, []))
+    assert sources[:4] == ["k0 * v0 + k1", "v0 + k0", "k0 * v0", "v0"]
+    assert set(sources[4:]) == {sources[0]}
+    assert engine._compile.cache_info().misses == 4
+
+
+_SPECIALS = [0.0, -0.0, math.inf, -math.inf, 5e-324, 1e-300, 1e300]
+
+
+@pytest.mark.parametrize("a", [1.0, -1.0, 0.0, -0.0, 2.5])
+@pytest.mark.parametrize("k", [None, 0.0, -0.0, 3.0])
+def test_kernels_without_identities_keep_the_bits(a, k):
+    # slot 2 = a * u + k, slot 3 = a * slot 2 + k (with ``+ a * v`` for
+    # k None): fused and at depth 1, each column is bitwise the one of the
+    # per-operation comprehensions, which multiply by 1.0 and add -0.0
+    u, v = zip(*[(x, y) for x in _SPECIALS for y in _SPECIALS])
+    if k is None:
+        forms = [(((a, 0), (a, 1)), None), (((a, 2), (a, 1)), None)]
+        inner = [a * x + a * y for x, y in zip(u, v)]
+        want = [a * w + a * y for w, y in zip(inner, v)]
+    else:
+        forms = [(((a, 0),), k), (((a, 2),), k)]
+        inner = [a * x + k for x in u]
+        want = [a * w + k for w in inner]
+    program = [(engine._VAR, 0, 0, 0), (engine._VAR, 1, 0, 1)]
+    program += [(engine._LIN, s, pairs, c) for s, (pairs, c) in zip((2, 3), forms)]
+    fused = engine._fuse(program, [3])
+    _, _, kernel, inputs = fused[-1]
+    assert _bits(kernel(*[(u, v)[i] for i in inputs])) == _bits(want)
+    rerun = engine._fuse(program, [3], 1)
+    cols = {0: u, 1: v}
+    for _, s, kernel, inputs in rerun[2:]:
+        cols[s] = kernel(*[cols[i] for i in inputs])
+    assert _bits(cols[2]) == _bits(inner) and _bits(cols[3]) == _bits(want)
 
 
 # Linear combinations with a constant operand: the transform of c * x2 is

@@ -1,8 +1,10 @@
 import io
 import math
+import re
 
 import pytest
 
+from dirsubdiff.cli import main
 from dirsubdiff.corpus import get_rng
 from generators import random_polygon
 from dirsubdiff.dirset import DirectedSet, SphereGrid, embed_point, embed_polygon
@@ -125,6 +127,19 @@ def test_csv_format():
 def test_csv_deterministic():
     s = directed_subdiff(parse("abs(x1) - abs(x2)"), (0.0, 0.0), SphereGrid.circle(32))
     assert as_csv(viz_segments(s)) == as_csv(viz_segments(s))
+
+
+def test_overflowing_endpoint_is_refused(tmp_path):
+    # finite supports and leaf entries whose segment endpoints overflow
+    s = DirectedSet(SphereGrid.circle(8), ([1.5e308] * 8,), [-1.5e308] * 8, [1.5e308] * 8)
+    message = "a segment endpoint must be two finite numbers, got (1.99584030953472e+292, inf)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        viz_segments(s)
+    stored = tmp_path / "set.json"
+    stored.write_text(s.to_json())
+    csv_path = tmp_path / "x.csv"
+    assert main(["viz", "--in", str(stored), "--csv", str(csv_path)]) == 2
+    assert not csv_path.exists()
 
 
 def test_svg_format():
