@@ -20,7 +20,12 @@ combinations and max/min picks, and a level runs the program of its
 narrowing once over all directions of its grid below one parent direction,
 every node holding a list of values over those directions.  The leaf level
 runs over the leaf points ``B_l B_r (-1)`` and ``B_l B_r (+1)`` in the same
-pass.  Each max/min narrows with one :func:`active_columns` call over its
+pass.  The points below a direction ``l`` lifted through ``B_l`` depend on
+the grid alone: a grid keeps them
+(:attr:`~dirsubdiff.dirset.SphereGrid.lifted_columns`, within a bound), so a
+call lifts only through the frames above ``l`` and into the affine
+substitutions of ``g``, and in 3-D the root's points are not lifted at all.
+Each max/min narrows with one :func:`active_columns` call over its
 member columns at all directions of the level, which applies the rule and
 tolerance of the transform to each direction, and the sweep adds, lifts
 and picks in the order of ``Expr._eval``, so the set is bitwise the one of
@@ -60,13 +65,13 @@ import math
 from functools import cache, lru_cache
 
 from .dirset import (
-    ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, active_columns, active_extremes, check_grid,
-    embed_point, flags,
+    ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, _apply, active_columns, active_extremes,
+    check_grid, embed_point, flags,
 )
 from .deriv import _OVERFLOW, dirderiv_transform
 from .expr import (
     Affine, Const, DomainError, Expr, ExprError, LinComb, Max, Min, Var, _finite, as_point,
-    finite_float, int_at_least, walk,
+    finite_float, int_at_least, sequence, walk,
 )
 
 
@@ -119,7 +124,8 @@ def directed_subdiffs(
     active_rtol: float = ACTIVE_RTOL,
     info: ActiveSetInfo | None = None,
 ) -> list:
-    """:func:`directed_subdiff` of every expression of ``exprs`` at one point.
+    """:func:`directed_subdiff` of every expression of ``exprs``, a
+    sequence or any iterable of expressions (not a lone one), at one point.
 
     The transforms of all roots are built on one walk, so a subtree they
     share (the operands inside a combination) is transformed once, and one
@@ -129,6 +135,7 @@ def directed_subdiffs(
     :class:`DomainError` or :class:`ArityError` the roots are redone one by
     one, so the error is the one separate calls raise first, in root order.
     """
+    exprs = sequence(exprs, "expressions")
     xs = as_point(x)
     n = len(xs)
     check_grid(grid, n)
@@ -142,7 +149,7 @@ def directed_subdiffs(
                                        for t in (-1.0, 1.0))) for g in gs]
         else:
             sweep = _Sweep(gs, active_rtol, joint, n)
-            sweep.level(grid, (), {})
+            sweep.level(grid, grid.sweep_columns, (), {})
             sets = [DirectedSet._built(grid, arrays) for arrays in sweep.arrays]
     except ExprError:
         if joint is info:
@@ -172,24 +179,6 @@ _KERNEL_DEPTH = 32
 
 #: how many kernel shapes stay compiled (see :func:`_compile`)
 _KERNEL_SHAPES = 1024
-
-
-def _apply(rows, cols) -> list:
-    """``rows @ y`` for every point ``y`` of ``cols`` (one list per
-    coordinate), accumulated from 0.0 in the order of ``Affine._inner_point``;
-    an empty row (a constant substitution) gives a column of zeros.
-    Rows of two entries, through which a default 3-D grid lifts its circle's
-    points, take one comprehension per row, which adds in the same order."""
-    if len(rows[0]) == 2:
-        c0, c1 = cols[0], cols[1]
-        return [[0.0 + w0 * y0 + w1 * y1 for y0, y1 in zip(c0, c1)] for w0, w1 in rows]
-    out = []
-    for row in rows:
-        acc = [0.0] * len(cols[0])
-        for w, col in zip(row, cols):
-            acc = [a + w * y for a, y in zip(acc, col)]
-        out.append(acc)
-    return out
 
 
 def _first_bad(col, stop: int) -> int:
@@ -307,9 +296,12 @@ class _Sweep:
     point.  The points are the grid's
     :attr:`~dirsubdiff.dirset.SphereGrid.sweep_columns`, built once per
     grid: the directions and, on a circle, their ``-1`` and ``+1`` leaf
-    points.  Their lifts depend on the parent direction and are not kept.
-    The level then recurses, depth first, into each direction with its own
-    narrowing updated by the members active there.  Root ``k``'s arrays, in
+    points.  Their lifts through the parent direction's basis are kept by
+    the parent grid (:attr:`~dirsubdiff.dirset.SphereGrid.lifted_columns`)
+    and only read here, never written; the lifts through the frames above
+    it and into the affine contexts are made per call.  The level then
+    recurses, depth first, into each direction with its own narrowing
+    updated by the members active there.  Root ``k``'s arrays, in
     the layout order of :mod:`dirsubdiff.dirset` (its levels, then
     ``a_neg`` and ``a_pos``), accumulate in the one list ``arrays[k]`` in
     walk order: direction by direction, each followed by everything below
@@ -419,20 +411,29 @@ class _Sweep:
 
     def _points(self, cols, frames) -> list:
         """Per affine context, the columns of the points it sees when the
-        points ``cols`` are lifted through the bases ``frames`` (outermost
-        first) to the root's space."""
-        for rows in reversed(frames):
+        points ``cols``, already lifted through the innermost of the bases
+        ``frames`` (outermost first), are lifted through the others to the
+        root's space; with one frame or none, the root context sees
+        ``cols`` as they are."""
+        for rows in reversed(frames[:-1]):
             cols = _apply(rows, cols)
         pts = [cols]
         for parent, rows in self.contexts[1:]:
             pts.append(_apply(rows, pts[parent]))
         return pts
 
-    def level(self, grid: SphereGrid, frames: tuple, act, depth: int = 0) -> None:
+    def level(self, grid: SphereGrid, cols, frames: tuple, act, depth: int = 0) -> None:
         """Append each root's supports over ``grid`` below the directions
         whose bases are ``frames`` to its array ``depth``, then (depth
         first) everything below them; on a circle, the leaf pairs go to
         its last two arrays, ``a_neg`` and ``a_pos``.
+
+        ``cols`` are the grid's :attr:`~dirsubdiff.dirset.SphereGrid.sweep_columns`
+        lifted through the innermost frame (as they are at the top level).
+        The level below direction ``j`` takes its points from the grid's
+        :attr:`~dirsubdiff.dirset.SphereGrid.lifted_columns`, kept per
+        grid, or, on a grid that keeps none, lifts them through
+        ``tangent_rows[j]`` here with the same :func:`_apply`.
 
         Raises the :class:`DomainError` of the first non-finite value in
         walk order: per direction the node values in program order, then
@@ -445,7 +446,7 @@ class _Sweep:
         program, plain, roots = self._program(act)
         n = len(grid)
         leaf = grid.dim == 2
-        pts = self._points(grid.sweep_columns, frames)
+        pts = self._points(cols, frames)
         val, acts, bad, bad_value = self._run(program, n, pts, leaf)
         for arrays, out in zip(self.arrays, [val[r] for r in roots]):
             arrays[depth].extend(out[:n])
@@ -457,11 +458,14 @@ class _Sweep:
                 arrays[-2].extend(neg)
                 arrays[-1].extend(pos)
         if not leaf:
+            sub, lifted = grid.subgrid, grid.lifted_columns
             for j in range(bad):
                 narrowed = dict(act)
                 for s, col in acts.items():
                     narrowed[s] = col[j]
-                self.level(grid.subgrid, frames + (grid.tangent_rows[j],), narrowed, depth + 1)
+                rows = grid.tangent_rows[j]
+                sub_cols = _apply(rows, sub.sweep_columns) if lifted is None else lifted[j]
+                self.level(sub, sub_cols, frames + (rows,), narrowed, depth + 1)
         if bad < n:
             bad_value = self._run(_fuse(plain, roots, 1), n, pts, leaf)[3]
             raise DomainError(_OVERFLOW.format(bad_value))

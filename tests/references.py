@@ -294,7 +294,9 @@ def segments_hausdorff(segs_a, segs_b, samples: int = 17) -> float:
 
     Each segment is sampled with ``samples`` points and measured against the
     other union with exact point-to-segment distances, so the result is
-    accurate to the sampling of the *source* side only.
+    accurate to the sampling of the *source* side only.  Exact duplicate
+    segments are measured once: a max or min over the same distinct values
+    is the same double.
     """
     def one_sided(src, dst):
         worst = 0.0
@@ -305,8 +307,8 @@ def segments_hausdorff(segs_a, segs_b, samples: int = 17) -> float:
                     worst = best
         return worst
 
-    segs_a = [(s[0], s[1]) for s in segs_a]
-    segs_b = [(s[0], s[1]) for s in segs_b]
+    segs_a = list(dict.fromkeys((tuple(s[0]), tuple(s[1])) for s in segs_a))
+    segs_b = list(dict.fromkeys((tuple(s[0]), tuple(s[1])) for s in segs_b))
     if not segs_a or not segs_b:
         raise ValueError("segment unions must be nonempty")
     return max(one_sided(segs_a, segs_b), one_sided(segs_b, segs_a))

@@ -10,6 +10,7 @@ import pytest
 
 import dirsubdiff
 import dirsubdiff.oracle as oracle
+from dirsubdiff.engine import directed_subdiffs
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -182,6 +183,19 @@ def test_bad_flags_are_refused_where_no_flag_is_written(call):
     # max/min, or a 1-D family, refuses a bad ``info`` as a kinked one does
     with pytest.raises(ValueError, match="^expected active-set flags, got a int$"):
         call(dirsubdiff)
+
+
+def test_several_expressions_pass_the_sequence_door():
+    # a lone expression is refused with its type, and a generator is read
+    # as the sequence it yields
+    d = dirsubdiff
+    grid, point = d.SphereGrid.sphere(2, 4, 8), (0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="^expected a sequence of expressions, got a Var$"):
+        directed_subdiffs(d.parse("x1"), point, grid)
+    texts = ["x1", "max(x1, x2) + abs(x3)"]
+    got = directed_subdiffs((d.parse(t) for t in texts), point, grid)
+    assert [s.to_json() for s in got] == [
+        d.directed_subdiff(d.parse(t), point, grid).to_json() for t in texts]
 
 
 def test_oracle_defines_only_the_finite_differences():

@@ -455,3 +455,71 @@ def test_constant_operands_keep_signed_zeros(case, x2, dim):
     assert math.copysign(1.0, s.levels[0][0]) == math.copysign(1.0, x2)
     if x2 < 0.0:
         assert "-0.0" in s.to_json()
+
+
+# The lifted leaf points a grid keeps (``SphereGrid.lifted_columns``): they
+# belong to the grid whose bases lift them, and the sweep reads them only.
+
+def _fresh_lift(grid):
+    return tuple(tuple(dirset._apply(rows, grid.subgrid.sweep_columns)) for rows in grid.tangent_rows)
+
+
+def _as_lists(lifted):
+    return tuple(tuple(list(col) for col in cols) for cols in lifted)
+
+
+def test_spheres_on_one_circle_keep_their_own_lifts():
+    circle = SphereGrid.circle(8)
+    first = SphereGrid(3, (2,), [_unit(1.0, 2.0, -1.0), (0.0, 0.0, 1.0)], circle)
+    second = SphereGrid(3, (2,), [(1.0, 0.0, 0.0), _unit(-0.5, 0.5, 2.0)], circle)
+    e = parse("max(x1 + x2, x3 - x1, -x2) + abs(x1 - x3)")
+    for grid in (first, second, first):  # each call after the other grid's lift
+        assert_agree(e, (0.0, 0.0, 0.0), grid)
+    assert first.lifted_columns is not second.lifted_columns
+    for grid in (first, second):
+        assert repr(_as_lists(grid.lifted_columns)) == repr(_fresh_lift(grid))
+    assert repr(_fresh_lift(first)) != repr(_fresh_lift(second))
+
+
+def _count_lifts(monkeypatch) -> list:
+    """The row count of every lift the engine makes from now on."""
+    lifts = []
+
+    def counting(rows, cols):
+        lifts.append(len(rows))
+        return dirset._apply(rows, cols)
+
+    monkeypatch.setattr(engine, "_apply", counting)
+    return lifts
+
+
+def test_repeated_call_lifts_no_root_context(monkeypatch):
+    e, x = parse("x1"), (0.0, 0.0, 0.0)
+    first = directed_subdiff(e, x, default_grid(3))
+    lifts = _count_lifts(monkeypatch)
+    assert directed_subdiff(e, x, default_grid(3)).to_json() == first.to_json()
+    assert lifts == []  # x1 has no affine context, and the grid keeps its lift
+
+
+def test_kept_lifts_are_not_written_by_the_sweep():
+    # a bare Var root's column is the kept one, and a leaf max/min picks
+    # from such columns below the directions where its members tie (every
+    # 45 degrees of azimuth here): neither may change them in place
+    grid = SphereGrid.sphere(4, 8, 16)
+    x = (0.0, 0.0, 0.0)
+    for text in ("x1", "x3", "max(x1, x2)", "max(x2, x1)", "min(x1, x2)", "min(x2, x1)",
+                 "max(x1, -x2)", "min(-x2, x1)", "max(x1, x2, x3) + x3"):
+        directed_subdiff(parse(text), x, grid)
+    engine.directed_subdiffs([parse("x2"), parse("min(x1, x3)")], x, grid)
+    assert repr(_as_lists(grid.lifted_columns)) == repr(_fresh_lift(grid))
+
+
+def test_a_grid_over_the_lift_budget_lifts_per_call(monkeypatch):
+    e, x = parse("max(x1, x2, x3, -x1 - x2 - x3) + abs(x1)"), (0.0, 0.0, 0.0)
+    want = directed_subdiff(e, x, SphereGrid.sphere(4, 8, 16)).to_json()
+    monkeypatch.setattr(dirset, "_LIFT_BUDGET", 0)
+    grid = SphereGrid.sphere(4, 8, 16)  # a fresh grid: its lift is not yet decided
+    lifts = _count_lifts(monkeypatch)
+    assert directed_subdiff(e, x, grid).to_json() == want
+    assert grid.lifted_columns is None
+    assert lifts == [3] * len(grid)  # one lift per top direction, as before the cache
