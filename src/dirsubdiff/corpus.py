@@ -147,30 +147,28 @@ def _bounded_inner(rng: random.Random, arity: int, depth: int, x) -> Expr:
             return p
 
 
-def random_chain_instance(rng):
-    """(g, phi, t0): outer expression and smooth curve components."""
+def _composition_instance(rng, draw_point):
+    """(g, phi, x) with ``x = draw_point(rng)``, drawn until ``g`` is sane at
+    ``phi(x)``: the component count, the point, the components, then ``g``."""
     rng = get_rng(rng)
     while True:
         m = rng.randint(1, 2)
-        t0 = round(rng.uniform(-1.0, 1.0), 3)
-        phi = tuple(_bounded_inner(rng, 1, rng.randint(1, 2), (t0,)) for _ in range(m))
+        x = draw_point(rng)
+        phi = tuple(_bounded_inner(rng, len(x), rng.randint(1, 2), x) for _ in range(m))
         g = random_expr(rng, m, rng.randint(2, 3))
-        values = tuple(evaluate(p, (t0,)) for p in phi)
-        if _finite_at(g, values, 1e6):
-            return g, phi, t0
+        if _finite_at(g, tuple(evaluate(p, x) for p in phi), 1e6):
+            return g, phi, x
+
+
+def random_chain_instance(rng):
+    """(g, phi, t0): outer expression and smooth curve components."""
+    g, phi, (t0,) = _composition_instance(rng, lambda r: (round(r.uniform(-1.0, 1.0), 3),))
+    return g, phi, t0
 
 
 def random_taylor_instance(rng):
     """(g, phi, x0): outer expression and a smooth inner map on the plane."""
-    rng = get_rng(rng)
-    while True:
-        m = rng.randint(1, 2)
-        x0 = random_point(rng, 2)
-        phi = tuple(_bounded_inner(rng, 2, rng.randint(1, 2), x0) for _ in range(m))
-        g = random_expr(rng, m, rng.randint(2, 3))
-        values = tuple(evaluate(p, x0) for p in phi)
-        if _finite_at(g, values, 1e6):
-            return g, phi, x0
+    return _composition_instance(rng, lambda r: random_point(r, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ def dirderiv_transform(
     x,
     active_rtol: float = ACTIVE_RTOL,
     info: ActiveSetInfo | None = None,
+    *,
     _shared: dict | None = None,
 ) -> Expr:
     """Build ``g`` with ``g(u) = f'(x; u)`` for all directions ``u``.
@@ -79,7 +80,7 @@ def dirderiv_transform(
     active_rtol = check_tolerance("active_rtol", active_rtol)
     xs, info = checked_point(e, x), flags(info)
     state = ([{}], defaultdict(dict), [None], {0: xs})
-    if _shared is not None:
+    if instance(_shared, (dict, type(None)), "a shared walk state") is not None:
         state = _shared.setdefault("walk", state)
     vals, ders, contexts, points = state
     for node, ctx, sub in walk(e, vals, contexts):

@@ -131,12 +131,10 @@ def active_columns(cols, rtol: float, maximize: bool, info: ActiveSetInfo | None
     and ``<= 10 eps`` columns, with the scalar rule's operations in its
     order, so the result and the flags are those of
     ``two_pass_active_members`` in ``tests/references.py`` applied to each
-    direction.  ``rtol`` must be finite and >= 0; ``info`` has passed
-    :func:`flags`.  This is where every flag is written.
+    direction.  It takes values checked where its caller's computation
+    starts: at least one member, ``rtol`` from :func:`check_tolerance` and
+    ``info`` from :func:`flags`.  This is where every flag is written.
     """
-    rtol = check_tolerance("active_rtol", rtol)
-    if not cols:
-        raise ValueError("the active-set rule needs at least one member")
     extremes = _extremes(cols, maximize)
     eps = [rtol * (1.0 + abs(m)) for m in extremes]
     check_band = info is not None and not info.borderline

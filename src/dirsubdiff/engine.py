@@ -66,7 +66,7 @@ from functools import cache, lru_cache
 
 from .dirset import (
     ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, _apply, active_columns, active_extremes,
-    check_grid, embed_point, flags,
+    check_grid, check_tolerance, embed_point, flags,
 )
 from .deriv import _OVERFLOW, dirderiv_transform
 from .expr import (
@@ -140,10 +140,11 @@ def directed_subdiffs(
     n = len(xs)
     check_grid(grid, n)
     info = flags(info)
+    active_rtol = check_tolerance("active_rtol", active_rtol)
     joint = info if len(exprs) == 1 else ActiveSetInfo()
     shared: dict = {}
     try:
-        gs = [dirderiv_transform(e, xs, active_rtol, joint, shared) for e in exprs]
+        gs = [dirderiv_transform(e, xs, active_rtol, joint, _shared=shared) for e in exprs]
         if n == 1:
             sets = [DirectedSet.leaf(*(finite_float(g._eval((t,)), _OVERFLOW, DomainError)
                                        for t in (-1.0, 1.0))) for g in gs]

@@ -124,7 +124,11 @@ def _guarded_report(
     active_rtol: float = ACTIVE_RTOL,
     guard: bool = True,
 ) -> VerificationReport:
-    """Run ``compute(active_rtol, info) -> (lhs, rhs)`` with the borderline guard."""
+    """Run ``compute(active_rtol, info) -> (lhs, rhs)`` with the borderline guard.
+
+    Every verifier's computation starts here, so ``active_rtol`` is checked
+    here, once: both runs of ``compute`` take the checked float."""
+    active_rtol = check_tolerance("active_rtol", active_rtol)
     info = ActiveSetInfo()
     lhs, rhs = compute(active_rtol, info)
     dist = distance(lhs, rhs)
@@ -219,11 +223,11 @@ def _verify_extreme_rule(fs, x, grid, active_rtol, guard, maximize):
     fs = sequence(fs, "expressions")
     xs = as_point(x)
     values = [evaluate(f, xs) for f in fs]
-    node, combine = (Max, sup) if maximize else (Min, inf)
+    combined, combine = (Max(fs), sup) if maximize else (Min(fs), inf)  # two members or more
 
     def compute(rtol, info):
         _, (idx,) = active_columns([(v,) for v in values], rtol, maximize, info)
-        *subs, lhs = directed_subdiffs([fs[i] for i in idx] + [node(fs)], xs, grid, rtol, info)
+        *subs, lhs = directed_subdiffs([fs[i] for i in idx] + [combined], xs, grid, rtol, info)
         rhs = subs[0] if len(subs) == 1 else combine(subs, rtol, info)
         return lhs, rhs
 

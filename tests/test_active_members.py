@@ -160,13 +160,6 @@ def test_column_examples_with_non_finite_entries(cols, maximize, extremes, activ
     assert got[1] == active
 
 
-def test_column_rule_checks_its_tolerance_and_members():
-    with pytest.raises(ValueError, match="active_rtol must be finite"):
-        active_columns([[1.0]], math.nan, True, None)
-    with pytest.raises(ValueError, match="at least one member"):
-        active_columns([], 1e-9, True, None)
-
-
 _LEAF_VALUES = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, -1.0, 5e-324)
 
 

@@ -3,6 +3,7 @@
 function or class in the package that only the tests use."""
 
 import ast
+import inspect
 import io
 from pathlib import Path
 
@@ -78,7 +79,7 @@ def _valid_calls() -> dict:
         "SphereGrid": ((2, grid.resolution, grid.directions, None, grid.id), {}),
         "Var": ((0,), {}),
         "VerificationError": (message, {}),
-        "VerificationReport": (("sum", True, 0.0, 1e-9, point, s, s), {}),
+        "VerificationReport": (("sum", True, 0.0, 1e-9, point, s, s), {"metadata": {}}),
         "WitnessNotFoundError": (message, {}),
         "chain_rule_1d": ((d.parse("abs(x1)"), [d.parse("x1*x1")], 0.5, 1e-9, True), {}),
         "check_max_condition": ((kink, point, grid, 1e-9, 1e-9), {}),
@@ -88,7 +89,7 @@ def _valid_calls() -> dict:
         "default_grid": ((2,), {}),
         "dini_fd": ((kink, point, (1.0, 0.0), d.FdSchedule()), {}),
         "dirderiv": ((kink, point, (1.0, 0.0), 1e-9), {}),
-        "dirderiv_transform": ((kink, point, 1e-9, d.ActiveSetInfo()), {}),
+        "dirderiv_transform": ((kink, point, 1e-9, d.ActiveSetInfo()), {"_shared": {}}),
         "directed_subdiff": ((kink, point, grid, 1e-9, d.ActiveSetInfo()), {}),
         "directed_zero": ((2, grid), {}),
         "distance": ((s, t), {}),
@@ -144,6 +145,23 @@ def test_every_export_has_a_valid_call():
         getattr(dirsubdiff, name)(*args, **kwargs)
 
 
+def test_every_valid_call_spells_out_every_parameter():
+    # the bad-argument test replaces only what a call spells out, so a
+    # parameter left at its default would never be probed
+    left_out = {}
+    for name, (args, kwargs) in _valid_calls().items():
+        try:
+            signature = inspect.signature(getattr(dirsubdiff, name))
+        except ValueError:  # the exceptions are built-in types underneath
+            continue
+        given = signature.bind(*args, **kwargs).arguments
+        missing = [p.name for p in signature.parameters.values()
+                   if p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD) and p.name not in given]
+        if missing:
+            left_out[name] = missing
+    assert left_out == {}
+
+
 @pytest.mark.parametrize("name", PUBLIC)
 def test_a_bad_argument_is_a_typed_error(name):
     # one argument at a time: the call returns, or it raises a ValueError or
@@ -183,6 +201,15 @@ def test_bad_flags_are_refused_where_no_flag_is_written(call):
     # max/min, or a 1-D family, refuses a bad ``info`` as a kinked one does
     with pytest.raises(ValueError, match="^expected active-set flags, got a int$"):
         call(dirsubdiff)
+
+
+@pytest.mark.parametrize("bad", [5, [], "x"])
+def test_the_shared_walk_state_is_a_keyword_only_dict(bad):
+    d = dirsubdiff
+    with pytest.raises(ValueError, match=f"^expected a shared walk state, got a {type(bad).__name__}$"):
+        d.dirderiv_transform(d.parse("x1"), (0.0,), _shared=bad)
+    with pytest.raises(TypeError, match="positional arguments"):
+        d.dirderiv_transform(d.parse("x1"), (0.0,), 1e-9, None, {})
 
 
 def test_several_expressions_pass_the_sequence_door():

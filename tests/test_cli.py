@@ -248,12 +248,21 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
         rule="sum", passed=False, distance=1.0, tolerance=1e-9, point=(0.0,),
         lhs=DirectedSet.leaf(0.0, 0.0), rhs=DirectedSet.leaf(1.0, 1.0),
     )
-    monkeypatch.setattr(cli, "verify_sum_rule", lambda *a, **k: bad)
+    monkeypatch.setitem(cli.VERIFIERS, "sum", lambda *a, **k: bad)
     rc, out, err = run(capsys, "verify", "--rule", "sum", "-f1", "x1",
                        "-f2", "x1", "-x", "0")
     assert rc == 1
     assert "0/1 checks passed" in err
     assert "FAIL sum" in err
+
+
+def test_verify_random_redraws_a_vanishing_quotient_denominator(monkeypatch, capsys):
+    pairs = iter([(parse("x1"), parse("x1 - x2"), (0.5, 0.5)),
+                  (parse("x1"), parse("1 + abs(x2)"), (0.25, -0.5))])
+    monkeypatch.setattr(cli, "random_rule_pair", lambda rng: next(pairs))
+    rc, out, err = run(capsys, "verify", "--rule", "quotient", "--random", "1", "-M", "16")
+    assert rc == 0
+    assert [r["point"] for r in json.loads(out)] == [[0.25, -0.5]]
 
 
 def test_verify_negative_random_is_an_input_error(capsys):

@@ -2,6 +2,7 @@ import math
 import random
 
 from dirsubdiff.corpus import (
+    _finite_at,
     get_rng,
     random_chain_instance,
     random_directed_set,
@@ -17,8 +18,9 @@ from generators import (
     random_segment_instance,
     random_unit,
 )
-from dirsubdiff.expr import Max, evaluate, has_kinks
+from dirsubdiff.expr import LinComb, Max, Var, evaluate, has_kinks
 from dirsubdiff.expr import Affine, Quotient, SmoothUnary, compose, const, var
+from dirsubdiff.parser import parse
 
 
 def test_get_rng():
@@ -113,6 +115,19 @@ def test_random_expr_arity_control():
         assert e.arity == 2
     smooth = random_expr(get_rng(41), 2, 4, allow_kinks=False)
     assert not has_kinks(smooth)
+
+
+def test_random_expr_falls_back_to_the_last_variable():
+    # a depth-0 draw is one leaf, and with this seed none of the 50 is x40,
+    # the only leaf of arity 40
+    e = random_expr(get_rng(1), 40, 0, require_full_arity=True)
+    assert type(e) is LinComb and type(e.right) is Var and e.right.index == 39
+    assert e.arity == 40
+
+
+def test_a_domain_error_is_not_finite():
+    assert _finite_at(parse("log(x1)"), (-1.0,), 1e6) is False
+    assert _finite_at(parse("log(x1)"), (1.0,), 1e6) is True
 
 
 def test_random_unit_normalized():

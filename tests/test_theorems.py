@@ -2,6 +2,7 @@ import io
 import logging
 import math
 import re
+from decimal import Decimal
 from functools import partial
 
 import pytest
@@ -476,6 +477,55 @@ def test_bad_active_rtol_is_rejected(entry, bad):
 def test_bad_eps_is_rejected(entry, bad):
     with pytest.raises(ValueError, match="eps must be finite and >= 0"):
         EPS_CALLS[entry](bad)
+
+
+@pytest.mark.parametrize("verify, name", [(verify_max_rule, "max"), (verify_min_rule, "min")])
+@pytest.mark.parametrize("fs", [[], [parse("x1")]], ids=["empty", "one"])
+@pytest.mark.parametrize("active_rtol", [ACTIVE_RTOL, math.nan])
+def test_an_extreme_rule_needs_two_members(verify, name, fs, active_rtol):
+    # the family is checked before the verifier's computation starts, so
+    # the active-set rule never sees an empty one
+    with pytest.raises(ValueError, match=f"^{name} needs at least two children$"):
+        verify(fs, ORIGIN, G8, active_rtol=active_rtol)
+
+
+#: a member 4e-9 above the other at the origin: its gap lies in the
+#: borderline band (eps, 10 eps] of the default tolerance, so the guard reruns
+BORDERLINE = parse("max(x1, x1 + 4e-9)")
+
+#: entry point -> call at the borderline kink with a given active-set tolerance
+BORDERLINE_CALLS = {
+    "verify_sum_rule": lambda rtol: verify_sum_rule(
+        BORDERLINE, parse("x2"), 1.0, 2.0, ORIGIN, G8, active_rtol=rtol),
+    "verify_product_rule": lambda rtol: verify_product_rule(
+        BORDERLINE, parse("x2 + 2"), ORIGIN, G8, active_rtol=rtol),
+    "verify_quotient_rule": lambda rtol: verify_quotient_rule(
+        BORDERLINE, parse("x2 + 2"), ORIGIN, G8, active_rtol=rtol),
+    "verify_max_rule": lambda rtol: verify_max_rule(
+        [parse("x1"), parse("x1 + 4e-9")], ORIGIN, G8, active_rtol=rtol),
+    "verify_min_rule": lambda rtol: verify_min_rule(
+        [parse("x1"), parse("x1 - 4e-9")], ORIGIN, G8, active_rtol=rtol),
+    "verify_dirderiv_fixpoint": lambda rtol: verify_dirderiv_fixpoint(
+        BORDERLINE, ORIGIN, G8, active_rtol=rtol),
+    "verify_taylor_invariance": lambda rtol: verify_taylor_invariance(
+        BORDERLINE, [parse("x1 + x2")], ORIGIN, G8, active_rtol=rtol),
+    "verify_chain_rule_1d": lambda rtol: verify_chain_rule_1d(
+        BORDERLINE, [parse("x1")], 0.0, active_rtol=rtol),
+    "chain_rule_1d": lambda rtol: chain_rule_1d(BORDERLINE, [parse("x1")], 0.0, active_rtol=rtol),
+}
+
+
+@pytest.mark.parametrize("entry", BORDERLINE_CALLS)
+def test_a_decimal_active_rtol_is_checked_where_the_verifier_starts(entry):
+    # a Decimal passes the number door; the tenfold rerun multiplies the
+    # checked float, so the result is the one of the float tolerance
+    want = BORDERLINE_CALLS[entry](1e-9)
+    got = BORDERLINE_CALLS[entry](Decimal("1e-9"))
+    if entry == "chain_rule_1d":
+        assert got == want
+    else:
+        assert want.metadata["borderline_active_set"]
+        assert got.to_json_dict() == want.to_json_dict()
 
 
 #: entry point -> (call, error, message) for a number that is not a finite float
