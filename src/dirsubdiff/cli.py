@@ -76,7 +76,9 @@ def _grid_for(n: int, resolution: int) -> SphereGrid | None:
 
 
 def _emit_json(payload, path: str | None) -> None:
-    """Stream ``payload`` as indent-2 JSON and a newline to ``path`` or stdout."""
+    """Stream ``payload`` as indent-2 JSON and a newline to ``path`` or
+    stdout; a directed set in it is written as its dict's text, straight
+    from its arrays (:func:`dirsubdiff.dirset.write_json`)."""
     with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fp:
         write_json(payload, fp)
         fp.write("\n")
@@ -94,7 +96,7 @@ def _write_viz(segments, args) -> None:
 def cmd_subdiff(args) -> int:
     e, x = parse(args.function), _parse_point(args.point)
     s = directed_subdiff(e, x, _grid_for(len(x), args.resolution), active_rtol=args.eps_active)
-    _emit_json(s.to_json_dict(), args.json)
+    _emit_json(s, args.json)
     if s.is_leaf:
         iv = s.interval
         print(f"interval: [{iv.lower_endpoint!r}, {iv.upper_endpoint!r}]"
@@ -174,7 +176,7 @@ def cmd_verify(args) -> int:
     rules = RULES if args.rule == "all" else (args.rule,)
     instances = (_random_instances if args.random else _explicit_instances)(args, rules)
     reports = [VERIFIERS[rule](*inst, active_rtol=args.eps_active) for rule, inst in instances]
-    _emit_json([r.to_json_dict() for r in reports], args.json)
+    _emit_json([r._document(r.lhs, r.rhs) for r in reports], args.json)
     failed = [r for r in reports if not r.passed]
     print(f"{len(reports) - len(failed)}/{len(reports)} checks passed", file=sys.stderr)
     for r in failed:

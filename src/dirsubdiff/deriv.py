@@ -53,13 +53,26 @@ from .expr import (
 _OVERFLOW = "value overflows to {!r} at the base point"
 
 
+class _Walk:
+    """The walk state of :func:`dirderiv_transform`: per context the node
+    values and the derivatives built so far, the contexts and their base
+    points.  :mod:`dirsubdiff.engine` creates one to share across the
+    transforms of several roots at one point; the first transform sets the
+    point."""
+
+    __slots__ = ("vals", "ders", "contexts", "points")
+
+    def __init__(self):
+        self.vals, self.ders, self.contexts, self.points = [{}], defaultdict(dict), [None], {}
+
+
 def dirderiv_transform(
     e: Expr,
     x,
     active_rtol: float = ACTIVE_RTOL,
     info: ActiveSetInfo | None = None,
     *,
-    _shared: dict | None = None,
+    _shared: _Walk | None = None,
 ) -> Expr:
     """Build ``g`` with ``g(u) = f'(x; u)`` for all directions ``u``.
 
@@ -73,16 +86,16 @@ def dirderiv_transform(
     and derivative is formed from those of the children and the value is
     checked finite.
 
-    ``_shared``, a dict only :mod:`dirsubdiff.engine` passes, keeps the walk
-    state across the transforms of several roots at one point: a subtree
-    they share is transformed once and is one node of their results.
+    ``_shared``, a :class:`_Walk` only :mod:`dirsubdiff.engine` passes,
+    keeps the walk state across the transforms of several roots at one
+    point: a subtree they share is transformed once and is one node of
+    their results.
     """
     active_rtol = check_tolerance("active_rtol", active_rtol)
     xs, info = checked_point(e, x), flags(info)
-    state = ([{}], defaultdict(dict), [None], {0: xs})
-    if instance(_shared, (dict, type(None)), "a shared walk state") is not None:
-        state = _shared.setdefault("walk", state)
-    vals, ders, contexts, points = state
+    state = instance(_shared, (_Walk, type(None)), "a shared walk state") or _Walk()
+    vals, ders, contexts, points = state.vals, state.ders, state.contexts, state.points
+    points.setdefault(0, xs)
     for node, ctx, sub in walk(e, vals, contexts):
         memo, dmemo = vals[ctx], ders[ctx]
         t = type(node)

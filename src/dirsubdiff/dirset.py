@@ -51,7 +51,7 @@ import struct
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 
 from .basis import orthobasis
 from .expr import _TEXT, _finite, finite_float, finite_floats, instance, int_at_least, sequence
@@ -646,12 +646,13 @@ class DirectedSet:
         return {"format": 2, "dim": self.dim, "grid": self.grid.to_json_dict(), "entries": entries}
 
     def to_json(self, indent: int | None = 2) -> str:
-        """``json.dumps(self.to_json_dict(), indent=indent)``, the indented
-        text written by :func:`write_json`."""
+        """``json.dumps(self.to_json_dict(), indent=indent)``.  With an
+        indent this is the text :func:`write_json` writes of the set itself,
+        straight from its arrays, with no dict built."""
         if indent is None:
             return json.dumps(self.to_json_dict())
         buf = io.StringIO()
-        write_json(self.to_json_dict(), buf, indent)
+        write_json(self, buf, indent)
         return buf.getvalue()
 
     @classmethod
@@ -727,32 +728,46 @@ class DirectedSet:
 # JSON output
 
 _CONTAINERS = (list, tuple, dict)
+#: the values :func:`write_json` walks into when they are not empty
+_NESTED = (*_CONTAINERS, DirectedSet)
 
 
 def write_json(obj, fp, indent: int = 2) -> None:
-    """Write exactly the text of ``json.dumps(obj, indent=indent)`` to ``fp``.
+    """Write exactly the text of ``json.dumps(obj, indent=indent,
+    default=DirectedSet.to_json_dict)`` to ``fp``.
 
     ``json.dumps`` runs CPython's C encoder only without an indent.  Here a
     container whose values are scalars or empty containers is one compact
     ``json.dumps`` call whose item separator carries the newline and the
-    indent, and only containers holding non-empty containers are walked in
-    Python.  Floats, strings, ints, ``true``/``false``/``null``, ``NaN`` and
-    ``Infinity`` and non-string keys thus come out as ``json.dumps`` writes
-    them.  The text goes to ``fp.write`` in pieces, none longer than the
-    longest container of scalars, so no whole-document string is built.
+    indent, and only containers holding non-empty containers or directed
+    sets are walked in Python.  Floats, strings, ints,
+    ``true``/``false``/``null``, ``NaN`` and ``Infinity`` and non-string
+    keys thus come out as ``json.dumps`` writes them.
+
+    A :class:`DirectedSet` may stand wherever a value may.  It is written
+    straight from its arrays, with the text of its
+    :meth:`~DirectedSet.to_json_dict` at the depth where it stands, and
+    none of its dicts is built (:func:`_write_set`).
+
+    The text goes to ``fp.write`` in pieces, each at most the text of one
+    container of scalars with the separator, key or set entry head before
+    it, so no whole-document string is built.
     """
     _write(obj, fp.write, " " * indent, 0)
 
 
 def _flat(values) -> bool:
-    """True when no value is a non-empty container (a type check first, since
-    the values are mostly floats)."""
-    if not any(issubclass(t, _CONTAINERS) for t in set(map(type, values))):
+    """True when no value is a non-empty container or a set (a type check
+    first, since the values are mostly floats)."""
+    if not any(issubclass(t, _NESTED) for t in set(map(type, values))):
         return True
-    return not any(isinstance(v, _CONTAINERS) and v for v in values)
+    return not any(isinstance(v, _NESTED) and v for v in values)
 
 
 def _write(obj, write, pad: str, depth: int) -> None:
+    if isinstance(obj, DirectedSet):
+        _write_set(obj, write, pad, depth)
+        return
     if not (isinstance(obj, _CONTAINERS) and obj):
         write(json.dumps(obj))
         return
@@ -772,6 +787,67 @@ def _write(obj, write, pad: str, depth: int) -> None:
         _write(value, write, pad, depth + 1)
         sep = "," + inner
     write(close + ("}" if is_dict else "]"))
+
+
+def _write_set(s: DirectedSet, write, pad: str, depth: int) -> None:
+    """The text of ``s.to_json_dict()`` at ``depth``, from ``s._arrays``.
+
+    A set's entries are finite floats by construction: the public
+    constructor takes them through the number door, which refuses a
+    ``bool``, text and non-finite values and converts the rest to
+    ``float``, and :meth:`DirectedSet._built` refuses non-finite ones.  For
+    a finite float, ``repr`` (and ``%r``) is the text ``json.dumps``
+    writes.  So a 2-D entry is two pieces, a support head and a lower-dict
+    template, each one ``%`` operation; an n >= 3 entry is three, a support
+    head, the ``repr`` of its lower list joined by one ``str.join`` and its
+    close.  Each entry's close is written with the next entry's head.  The
+    grid goes through :func:`_write_grid`, and a 1-D set, two values,
+    through its dict.
+    """
+    if s.dim == 1:
+        _write(s.to_json_dict(), write, pad, depth)
+        return
+    p0, p1, p2, p3, p4 = ("\n" + pad * (depth + k) for k in range(5))
+    if s.dim == 2:
+        write(f'{{{p1}"dim": 2,{p1}"grid": ')
+    else:
+        write(f'{{{p1}"format": 2,{p1}"dim": {s.dim},{p1}"grid": ')
+    _write_grid(s.grid, write, pad, depth + 1)
+    write(f',{p1}"entries": [')
+    entry = f'{{{p3}"support": %r,{p3}"lower": ' + ("" if s.dim == 2 else "[" + p4)
+    heads = chain([p2 + entry], repeat(f"{p2}}},{p2}{entry}"))
+    if s.dim == 2:
+        lower = f'{{{p4}"dim": 1,{p4}"a_neg": %r,{p4}"a_pos": %r{p3}}}'
+        for head, v, an, ap in zip(heads, s.levels[0], s.a_neg, s.a_pos):
+            write(head % v)
+            write(lower % (an, ap))
+    else:
+        sep, end = "," + p4, p3 + "]"
+        for head, v, block in zip(heads, s.levels[0], _blocks(s)):
+            write(head % v)
+            write(sep.join(map(repr, chain.from_iterable(block))))
+            write(end)
+    write(f"{p2}}}{p1}]{p0}}}")
+
+
+def _write_grid(grid: SphereGrid, write, pad: str, depth: int) -> None:
+    """The text of ``grid.to_json_dict()`` at ``depth``: its id and
+    resolution through :func:`_write`, and each direction, finite floats
+    by the grid's number door, as one ``%r`` template."""
+    p0, p1, p2, p3 = ("\n" + pad * (depth + k) for k in range(4))
+    write(f'{{{p1}"id": ')
+    _write(grid.id, write, pad, depth + 1)
+    write(f',{p1}"dim": {grid.dim},{p1}"resolution": ')
+    _write(list(grid.resolution), write, pad, depth + 1)
+    write(f',{p1}"directions": [')
+    direction = f"[{p3}" + f",{p3}".join(["%r"] * grid.dim) + f"{p2}]"
+    for head, d in zip(chain([p2 + direction], repeat(f",{p2}{direction}")), grid.directions):
+        write(head % d)
+    write(p1 + "]")
+    if grid.subgrid is not None:
+        write(f',{p1}"subgrid": ')
+        _write_grid(grid.subgrid, write, pad, depth + 1)
+    write(p0 + "}")
 
 
 # ---------------------------------------------------------------------------

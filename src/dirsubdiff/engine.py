@@ -18,7 +18,9 @@ the frames ``[l, B_l r, B_l B_r s]`` (Nesterov, Math. Program. 104, 2005).
 The sweep is column-wise: ``g`` is flattened once into a program of linear
 combinations and max/min picks, and a level runs the program of its
 narrowing once over all directions of its grid below one parent direction,
-every node holding a list of values over those directions.  The leaf level
+every node holding a list of values over those directions; the variables
+of one coordinate and affine context are one node, so a level reads each
+coordinate's column once.  The leaf level
 runs over the leaf points ``B_l B_r (-1)`` and ``B_l B_r (+1)`` in the same
 pass.  The points below a direction ``l`` lifted through ``B_l`` depend on
 the grid alone: a grid keeps them
@@ -68,7 +70,7 @@ from .dirset import (
     ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, _apply, active_columns, active_extremes,
     check_grid, check_tolerance, embed_point, flags,
 )
-from .deriv import _OVERFLOW, dirderiv_transform
+from .deriv import _OVERFLOW, _Walk, dirderiv_transform
 from .expr import (
     Affine, Const, DomainError, Expr, ExprError, LinComb, Max, Min, Var, _finite, as_point,
     finite_float, int_at_least, sequence, walk,
@@ -142,7 +144,7 @@ def directed_subdiffs(
     info = flags(info)
     active_rtol = check_tolerance("active_rtol", active_rtol)
     joint = info if len(exprs) == 1 else ActiveSetInfo()
-    shared: dict = {}
+    shared = _Walk()
     try:
         gs = [dirderiv_transform(e, xs, active_rtol, joint, _shared=shared) for e in exprs]
         if n == 1:
@@ -286,8 +288,11 @@ class _Sweep:
     ``Affine`` sees its own point, so the same node reached through two
     different substitutions gets two slots, and a node two roots share gets
     one.  An ``Affine`` node's value is its child's, so it takes its
-    child's slot.  Context 0 sees the sweep point; ``contexts[c] =
-    (parent, matrix)`` maps the parent's point to context ``c``'s.
+    child's slot, and every ``Var`` node of one context and coordinate
+    takes one slot, the first one's: a kernel then zips one column per
+    coordinate, however many ``Var`` nodes read it.  Context 0 sees the
+    sweep point; ``contexts[c] = (parent, matrix)`` maps the parent's point
+    to context ``c``'s.
 
     A level's narrowing ``act`` maps max/min slots to the child slots still
     active; a slot it does not map keeps all its children (the top level's
@@ -320,16 +325,22 @@ class _Sweep:
     @staticmethod
     def _flatten(gs):
         """One slot per pair of :func:`walk` over the roots in turn, numbered
-        in its order, an affine pair taking its child's; returns the slots,
-        the root slots and the contexts."""
+        in its order, an affine pair taking its child's and a variable the
+        slot of the first variable of its context and coordinate; returns
+        the slots, the root slots and the contexts."""
         slots: list = []
         index: list = [{}]
         contexts: list = [None]
+        coordinates: dict = {}  # (_VAR, context, index) -> its one slot
         for node, ctx, sub in (step for g in gs for step in walk(g, index, contexts)):
             slot = index[ctx]
             t = type(node)
             if t is Var:
                 rec = (_VAR, ctx, node.index)
+                if rec in coordinates:
+                    slot[node] = coordinates[rec]
+                    continue
+                coordinates[rec] = len(slots)
             elif t is Const:
                 rec = (_CONST, node.value)
             elif t is LinComb:

@@ -94,14 +94,21 @@ class VerificationReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        return self._document(self.lhs.to_json_dict(), self.rhs.to_json_dict())
+
+    def _document(self, lhs, rhs) -> dict:
+        """The report's document with ``lhs`` and ``rhs`` as its two sides:
+        their dicts for :meth:`to_json_dict`, the sets themselves for
+        :func:`dirsubdiff.dirset.write_json`, which writes a set as its
+        dict's text."""
         out = {
             "rule": self.rule,
             "pass": self.passed,
             "distance": self.distance,
             "tolerance": self.tolerance,
             "point": list(self.point),
-            "lhs": self.lhs.to_json_dict(),
-            "rhs": self.rhs.to_json_dict(),
+            "lhs": lhs,
+            "rhs": rhs,
         }
         if self.metadata:
             out["metadata"] = {

@@ -89,7 +89,7 @@ def _valid_calls() -> dict:
         "default_grid": ((2,), {}),
         "dini_fd": ((kink, point, (1.0, 0.0), d.FdSchedule()), {}),
         "dirderiv": ((kink, point, (1.0, 0.0), 1e-9), {}),
-        "dirderiv_transform": ((kink, point, 1e-9, d.ActiveSetInfo()), {"_shared": {}}),
+        "dirderiv_transform": ((kink, point, 1e-9, d.ActiveSetInfo()), {"_shared": d.deriv._Walk()}),
         "directed_subdiff": ((kink, point, grid, 1e-9, d.ActiveSetInfo()), {}),
         "directed_zero": ((2, grid), {}),
         "distance": ((s, t), {}),
@@ -209,7 +209,15 @@ def test_the_shared_walk_state_is_a_keyword_only_dict(bad):
     with pytest.raises(ValueError, match=f"^expected a shared walk state, got a {type(bad).__name__}$"):
         d.dirderiv_transform(d.parse("x1"), (0.0,), _shared=bad)
     with pytest.raises(TypeError, match="positional arguments"):
-        d.dirderiv_transform(d.parse("x1"), (0.0,), 1e-9, None, {})
+        d.dirderiv_transform(d.parse("x1"), (0.0,), 1e-9, None, d.deriv._Walk())
+
+
+@pytest.mark.parametrize("bad", [{"walk": 5}, {}], ids=["stored-walk", "empty"])
+def test_a_shared_walk_state_is_the_engines_own_type(bad):
+    # a dict passes no door: the walk state is a type the engine creates
+    d = dirsubdiff
+    with pytest.raises(ValueError, match="^expected a shared walk state, got a dict$"):
+        d.dirderiv_transform(d.parse("x1"), (0.0,), _shared=bad)
 
 
 def test_several_expressions_pass_the_sequence_door():

@@ -12,6 +12,7 @@ import pytest
 import dirsubdiff.engine as engine
 from dirsubdiff.corpus import get_rng, random_rule_pair
 from generators import random_max_affine
+from dirsubdiff.deriv import _Walk
 from dirsubdiff.dirset import ActiveSetInfo, SphereGrid
 from dirsubdiff.engine import directed_subdiff, directed_subdiffs
 from dirsubdiff.expr import (
@@ -122,7 +123,7 @@ def test_one_transform_per_root_and_one_sweep(monkeypatch):
     directed_subdiffs((f1, f2, LinComb(1.0, f1, 2.0, f2)), (0.0, 0.0), grid)
     assert calls == {"transform": 3, "sweep": 1}
     # the operands' transforms are the combination's subtrees
-    shared: dict = {}
+    shared = _Walk()
     roots = (f1, f2, LinComb(1.0, f1, 2.0, f2))
     g1, g2, g = (transform(e, (0.0, 0.0), _shared=shared) for e in roots)
     assert g.left is g1 and g.right is g2

@@ -24,13 +24,27 @@ def written(obj, indent) -> str:
 
 
 @pytest.fixture(scope="module")
-def documents():
-    circle = SphereGrid.circle(16)
-    sets = {
+def sets():
+    return {
         "1d": directed_subdiff(parse("abs(x1) - 2*max(x1, 0)"), (0.0,)),
-        "2d": directed_subdiff(parse("max(x1, x2) - abs(x1 - x2)"), (0.0, 0.0), circle),
+        "2d": directed_subdiff(parse("max(x1, x2) - abs(x1 - x2)"), (0.0, 0.0), SphereGrid.circle(16)),
         "3d": directed_subdiff(parse(KINK_3D[0]), (0.0, 0.0, 0.0), default_grid(3)),
     }
+
+
+@pytest.fixture(scope="module")
+def small_sets(sets):
+    """The sets of ``sets``, the 3-D one on a 2x4 lattice with an 8-direction
+    circle, and a 4-D set on two directions above a 1x2 lattice."""
+    small = SphereGrid.sphere(2, 4, 8)
+    grid_4d = SphereGrid(4, (2,), [(0.0, 0.0, 0.0, 1.0), (0.6, 0.0, -0.8, 0.0)], SphereGrid.sphere(1, 2, 4))
+    return {**sets, "3d": directed_subdiff(parse(KINK_3D[0]), (0.0, 0.0, 0.0), small),
+            "4d": directed_subdiff(parse("max(x1 + x2, x3 - x4) + abs(x2)"), (0.0,) * 4, grid_4d)}
+
+
+@pytest.fixture(scope="module")
+def documents(sets):
+    circle = SphereGrid.circle(16)
     docs = {name: s.to_json_dict() for name, s in sets.items()}
     f, g = parse("abs(x1) + x2"), parse("max(x1, -x2)")
     docs["verify"] = [r.to_json_dict() for r in (
@@ -79,6 +93,67 @@ def test_writer_rejects_what_json_dumps_rejects(obj):
         written(obj, 2)
 
 
+def dumped(obj, indent) -> str:
+    """``json.dumps`` of ``obj`` with every directed set in it as its dict."""
+    return json.dumps(obj, default=DirectedSet.to_json_dict, indent=indent)
+
+
+def nested(value, depth: int):
+    """``value`` at ``depth``: inside a list, a dict and a tuple in turn."""
+    for level in range(depth):
+        value = ([value], {"key": value, "after": 1}, (0.5, value))[level % 3]
+    return value
+
+
+@pytest.mark.parametrize("indent", INDENTS)
+@pytest.mark.parametrize("depth", range(4))
+@pytest.mark.parametrize("name", ["1d", "2d", "3d", "4d"])
+def test_a_set_is_written_as_its_dict_at_any_depth(small_sets, name, depth, indent):
+    obj = nested(small_sets[name], depth)
+    assert written(obj, indent) == dumped(obj, indent)
+
+
+@pytest.mark.parametrize("indent", INDENTS)
+def test_sets_in_containers_and_beside_other_values(documents, small_sets, indent):
+    s1, s2, s3 = (small_sets[name] for name in ("1d", "2d", "3d"))
+    for obj in ([s1, s2, s3], (s3, s2), {"a": s2, "b": [s1, {}, s3], 2.5: (s1,)},
+                {"odd": documents["odd"], "sets": [s3, s1]}, [documents["odd"], s2, [], s1]):
+        assert written(obj, indent) == dumped(obj, indent)
+
+
+def test_a_default_grid_set_is_written_as_its_dict(sets, documents):
+    s = sets["3d"]
+    assert written(s, 2) == json.dumps(documents["3d"], indent=2) == s.to_json()
+    assert written([s, sets["2d"]], 1) == json.dumps([documents["3d"], documents["2d"]], indent=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, False, "1.0"], ids=repr)
+def test_a_set_holds_only_finite_floats(bad):
+    # the writer's premise: for a finite float, ``%r`` is json's text
+    grid = SphereGrid.circle(8)
+    zeros = [0.0] * 8
+    for args in ((([bad] + zeros[1:],), zeros, zeros), ((zeros,), zeros[:7] + [bad], zeros)):
+        with pytest.raises(ValueError):
+            DirectedSet(grid, *args)
+    with pytest.raises(ValueError):
+        DirectedSet.leaf(0.0, bad)
+    s = DirectedSet(grid, ([1] * 8,), [2**53] * 8, [0.5] * 8)
+    with pytest.raises(ValueError, match="must be finite"):
+        s * 1e308 + s * 1e308
+    assert {type(v) for a in s._arrays for v in a} == {float}
+    assert written(s, 2) == dumped(s, 2)
+
+
+def test_a_float_subclass_is_stored_as_a_float():
+    class Shouting(float):
+        def __repr__(self):
+            return "LOUD"
+
+    s = DirectedSet.leaf(Shouting(1.5), 2.0)
+    assert type(s.a_neg[0]) is float
+    assert written([s], 2) == json.dumps([{"dim": 1, "a_neg": 1.5, "a_pos": 2.0}], indent=2)
+
+
 def test_to_json_is_the_writer_text(documents):
     s = DirectedSet.from_json_dict(documents["2d"])
     assert s.to_json() == json.dumps(documents["2d"], indent=2)
@@ -123,6 +198,47 @@ def test_cli_streams_to_stdout(monkeypatch):
     doc = json.loads("".join(fp.chunks))
     assert "".join(fp.chunks) == json.dumps(doc, indent=2) + "\n"
     assert max(map(len, fp.chunks)) <= max(map(len, _flat_texts(doc, 2)))
+
+
+@pytest.mark.parametrize("name", ["2d", "3d"])
+def test_a_set_streams_one_entry_at_a_time(sets, documents, name):
+    fp = Recorder()
+    write_json(sets[name], fp, 2)
+    assert "".join(fp.chunks) == json.dumps(documents[name], indent=2)
+    assert max(map(len, fp.chunks)) <= max(map(len, _flat_texts(documents[name], 2)))
+
+
+@pytest.mark.parametrize("argv", [
+    ("subdiff", "-f", "max(x1, x2) - abs(x1 - x2)", "-x", "0,0", "-M", "16"),
+    ("subdiff", "-f", "max(x1, x2) - abs(x1 - x2)", "-x", "0,0"),
+    ("verify", "--random", "2", "-M", "16"),
+], ids=["subdiff-2d-M16", "subdiff-2d", "verify"])
+def test_cli_streams_2d_sets_to_stdout(monkeypatch, argv):
+    fp = Recorder()
+    monkeypatch.setattr("sys.stdout", fp)
+    assert main(list(argv)) == 0
+    doc = json.loads("".join(fp.chunks))
+    assert "".join(fp.chunks) == json.dumps(doc, indent=2) + "\n"
+    assert max(map(len, fp.chunks)) <= max(map(len, _flat_texts(doc, 2)))
+
+
+def test_subdiff_builds_no_set_dict(capsys, monkeypatch):
+    calls = []
+    real = DirectedSet.to_json_dict
+    monkeypatch.setattr(DirectedSet, "to_json_dict", lambda self: calls.append(self) or real(self))
+    assert main(["subdiff", "-f", KINK_3D[0], "-x", KINK_3D[1]]) == 0
+    assert calls == []
+    assert json.loads(capsys.readouterr().out)["format"] == 2
+
+
+def test_verify_writes_the_report_dicts(capsys, monkeypatch):
+    reports = []
+    for rule, verifier in cli.VERIFIERS.items():
+        monkeypatch.setitem(cli.VERIFIERS, rule,
+                            lambda *a, _v=verifier, **k: reports.append(_v(*a, **k)) or reports[-1])
+    assert main(["verify", "--random", "2", "-M", "16", "--seed", "5"]) == 0
+    assert len(reports) == 2 * len(cli.RULES)
+    assert capsys.readouterr().out == json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
 
 
 @pytest.mark.parametrize("argv", [
