@@ -162,7 +162,15 @@ def active_extremes(cols, keep, maximize: bool) -> list:
     """The leaf pick: per entry ``j``, ``max`` (``maximize``) or ``min`` of
     ``cols[i][j]`` over the members ``i`` in ``keep[j]``, in member order;
     a lone member's value is read directly (``max([v])`` is ``v``), and an
-    entry with no active member gets NaN."""
+    entry with no active member gets NaN.
+
+    ``keep`` is a non-empty block from :func:`active_columns`, which gives
+    equal selections one tuple object.  A block that one selection covers
+    is picked as whole columns by :func:`_extremes`, which compares in the
+    same order; any other block is picked entry by entry."""
+    sel = keep[0]
+    if sel is keep[-1] and keep.count(sel) == len(keep):
+        return _extremes([cols[i] for i in sel], maximize) if sel else [math.nan] * len(keep)
     pick = max if maximize else min
     return [cols[idx[0]][j] if len(idx) == 1 else pick([cols[i][j] for i in idx]) if idx else math.nan
             for j, idx in enumerate(keep)]
@@ -952,8 +960,11 @@ def directed_zero(dim: int, grid: SphereGrid | None = None) -> DirectedSet:
 
 
 def norm(a: DirectedSet) -> float:
-    """Recursive sup norm: the largest support value or leaf entry in magnitude."""
-    return max(max(map(abs, xs)) for xs in _directed(a)._arrays)
+    """Recursive sup norm: the largest support value or leaf entry in magnitude.
+
+    Per array the larger of its maximum and its negated minimum; the final
+    ``abs`` turns the ``-0.0`` of an all-zero set into ``0.0``."""
+    return abs(max([max(max(xs), -min(xs)) for xs in _directed(a)._arrays]))
 
 
 def distance(a: DirectedSet, b: DirectedSet) -> float:

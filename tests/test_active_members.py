@@ -168,18 +168,26 @@ def _bits(v):
     return repr(v), math.copysign(1.0, v)
 
 
+def _listed_pick(cols, keep, maximize):
+    pick = max if maximize else min
+    return [pick([cols[i][j] for i in idx]) if idx else math.nan for j, idx in enumerate(keep)]
+
+
+def _leaf_columns(rng, k, n):
+    return [[rng.choice(_LEAF_VALUES) if rng.random() < 0.7 else rng.uniform(-2.0, 2.0)
+             for _ in range(n)] for _ in range(k)]
+
+
 @pytest.mark.parametrize("maximize", [True, False])
 def test_leaf_pick_is_the_listed_extreme_per_entry(maximize):
     rng = get_rng(2026)
-    pick = max if maximize else min
     sizes = set()
     for _ in range(400):
         k, n = rng.randint(1, 5), rng.randint(1, 8)
-        cols = [[rng.choice(_LEAF_VALUES) if rng.random() < 0.7 else rng.uniform(-2.0, 2.0)
-                 for _ in range(n)] for _ in range(k)]
+        cols = _leaf_columns(rng, k, n)
         keep = [tuple(i for i in range(k) if rng.random() < 0.6) for _ in range(n)]
         got = active_extremes(cols, keep, maximize)
-        want = [pick([cols[i][j] for i in idx]) if idx else math.nan for j, idx in enumerate(keep)]
+        want = _listed_pick(cols, keep, maximize)
         assert list(map(_bits, got)) == list(map(_bits, want)), (cols, keep)
         sizes.update(min(len(idx), 2) for idx in keep)
     # empty, lone and shared entries all occur
@@ -195,3 +203,64 @@ def test_leaf_pick_is_the_listed_extreme_per_entry(maximize):
 def test_leaf_pick_examples(cols, keep, maximize, want):
     # the first of equal or incomparable values is kept, as max and min do
     assert list(map(_bits, active_extremes(cols, keep, maximize))) == list(map(_bits, want))
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+def test_equal_selections_share_one_tuple_object(maximize):
+    # the leaf pick's whole-column path tests ``keep[0] is keep[-1]``: if
+    # equal selections stopped sharing one object, it would silently stop
+    # firing
+    rng = get_rng(2027)
+    pool = (0.0, -0.0, math.nan, 1.0, -1.0, 2.0, 1.0 - 5e-10)
+    repeated = 0
+    for _ in range(200):
+        k, n = rng.randint(1, 4), rng.randint(1, 60)
+        cols = [[rng.choice(pool) for _ in range(n)] for _ in range(k)]
+        active = active_columns(cols, 1e-9, maximize, None)[1]
+        assert len({id(sel) for sel in active}) == len(set(active)), cols
+        repeated += any(len(sel) > 1 and active.count(sel) > 1 for sel in active)
+    # tied selections must repeat across directions, or this checks too little
+    assert repeated > 50, repeated
+
+
+@pytest.mark.parametrize("maximize", [True, False])
+@pytest.mark.parametrize("sel", [(0,), (2,), (0, 1), (1, 2), (0, 1, 2), (2, 0), ()])
+def test_uniform_leaf_block_is_the_listed_extreme(sel, maximize):
+    # one selection object over the whole block, the shape ``active_columns``
+    # gives the 2-D sweep's tied leaves, and its near misses
+    rng = get_rng(2028)
+    other = (1,) if sel != (1,) else (0, 2)
+    for n in (1, 2, 3, 17, 360, 400):
+        cols = _leaf_columns(rng, 3, n)
+        blocks = [[sel] * n, [tuple(sel)] + [sel] * (n - 1)]  # equal, not one object
+        if n > 1:
+            blocks.append([sel] * (n - 1) + [other])  # differs only at the last entry
+        if n > 2:
+            j = rng.randrange(1, n - 1)
+            blocks.append([sel] * j + [other] + [sel] * (n - j - 1))  # only inside
+        for keep in blocks:
+            got = active_extremes(cols, keep, maximize)
+            want = _listed_pick(cols, keep, maximize)
+            assert list(map(_bits, got)) == list(map(_bits, want)), (sel, n, keep)
+
+
+class _Stream:
+    """A column that can be iterated but not indexed."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __iter__(self):
+        return iter(self.values)
+
+
+@pytest.mark.parametrize("sel", [(0,), (0, 1), (1, 0, 2), ()])
+def test_uniform_leaf_block_is_picked_as_whole_columns(sel):
+    # the columns of a uniform block are only iterated, never indexed entry
+    # by entry
+    cols = _leaf_columns(get_rng(2029), 3, 40)
+    keep = [sel] * 40
+    for maximize in (True, False):
+        got = active_extremes([_Stream(c) for c in cols], keep, maximize)
+        want = _listed_pick(cols, keep, maximize)
+        assert list(map(_bits, got)) == list(map(_bits, want))

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import re
+from itertools import cycle
 
 import pytest
 
@@ -117,6 +118,7 @@ def test_polygon_faces_use_the_active_set_rule():
 
 
 _PLANE = SphereGrid.circle(4)
+_SPACE = SphereGrid.sphere(2, 3, 5)
 _NOT_A_GRID = "a directed set's grid must be a SphereGrid or None"
 
 
@@ -331,6 +333,40 @@ def test_norm():
     assert abs(norm(s) - math.sqrt(2.0)) < 1e-15
 
 
+def _drawn(grid, draw):
+    """The set on ``grid`` (1-D when ``None``) whose entries, in layout
+    order, are successive calls of ``draw``."""
+    z = directed_zero(1 if grid is None else grid.dim, grid)
+    return DirectedSet(grid, [[draw() for _ in lv] for lv in z.levels],
+                       [draw() for _ in z.a_neg], [draw() for _ in z.a_pos])
+
+
+@pytest.mark.parametrize("grid", [None, _PLANE, _SPACE], ids=["1-D", "2-D", "3-D"])
+@pytest.mark.parametrize("signs", [[-1.0], [1.0], [-1.0, 1.0], [1.0, -1.0, -1.0]],
+                         ids=["-0", "+0", "-+", "+--"])
+def test_norm_of_signed_zero_sets_is_plus_zero(grid, signs):
+    signs = cycle(signs)
+    assert repr(norm(_drawn(grid, lambda: next(signs) * 0.0))) == "0.0"
+
+
+def _listed_norm(s):
+    return max(max(map(abs, xs)) for xs in s._arrays)
+
+
+@pytest.mark.parametrize("grid", [None, _PLANE, _SPACE], ids=["1-D", "2-D", "3-D"])
+def test_norm_is_the_largest_magnitude_bit_for_bit(grid):
+    # random sets, and sets drawn from a few values of both signs so the
+    # largest magnitude is reached by +x and -x in one array or in several
+    rng = get_rng(31)
+    dim = 1 if grid is None else grid.dim
+    pool = (0.0, -0.0, 1.5, -1.5, 2.0, -2.0, 5e-324, -5e-324)
+    for _ in range(40):
+        a = random_directed_set(rng, dim, grid)
+        b = _drawn(grid, lambda: rng.choice(pool))
+        for s in (a, -a, b, -b):
+            assert repr(norm(s)) == repr(_listed_norm(s))
+
+
 # ---------------------------------------------------------------------------
 # lattice operations
 
@@ -534,9 +570,6 @@ def _exact_floats(s) -> bool:
     arrays = s.levels + (s.a_neg, s.a_pos)
     return type(s.levels) is tuple and all(type(a) is tuple and set(map(type, a)) <= {float}
                                            for a in arrays)
-
-
-_SPACE = SphereGrid.sphere(2, 3, 5)
 
 
 @pytest.mark.parametrize("grid", [_PLANE, _SPACE], ids=["2-D", "3-D"])
