@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .expr import finite_floats, sequence
+from .expr import dot, finite_floats, sequence
 
 _UNIT_TOL = 1e-12
 
@@ -59,7 +59,7 @@ def orthobasis(direction) -> Basis:
     n = len(l)
     if n < 2:
         raise ValueError("orthobasis needs a direction in dimension >= 2")
-    nrm = math.sqrt(sum(v * v for v in l))
+    nrm = math.sqrt(dot(l, l))
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"direction must be a unit vector, |l| = {nrm!r}")
 
@@ -69,7 +69,7 @@ def orthobasis(direction) -> Basis:
     # v = l - e_n; the reflection I - 2 v v^T / <v, v> swaps e_n and l.
     v = list(l)
     v[n - 1] -= 1.0
-    vv = sum(c * c for c in v)
+    vv = dot(v, v)
     if vv < _UNIT_TOL:
         cols = tuple(
             tuple(1.0 if i == j else 0.0 for i in range(n)) for j in range(n - 1)

@@ -149,6 +149,13 @@ def dirderiv_transform(
     return ders[0][e]
 
 
+def _pair(g: Expr, d: tuple) -> tuple:
+    """``(g(-d), g(d))``, the 1-D pair the engine and the verifiers read off a
+    transform ``g`` in direction ``d``; an overflow raises :data:`_OVERFLOW`."""
+    return tuple([finite_float(g._eval(u), _OVERFLOW, DomainError)
+                  for u in (tuple([-v for v in d]), d)])
+
+
 def _coefficient(c: float) -> float:
     """A derivative coefficient of the transform, which must be finite."""
     return finite_float(c, "derivative coefficient overflows to {!r} at the base point", DomainError)

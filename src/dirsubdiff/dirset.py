@@ -54,7 +54,7 @@ from functools import cached_property
 from itertools import chain, compress, repeat
 
 from .basis import orthobasis
-from .expr import _TEXT, _finite, finite_float, finite_floats, instance, int_at_least, sequence
+from .expr import _TEXT, _finite, dot, finite_float, finite_floats, instance, int_at_least, sequence
 
 #: relative scale of the active-set tolerance: eps = ACTIVE_RTOL * (1 + |extreme|)
 ACTIVE_RTOL = 1e-9
@@ -231,7 +231,7 @@ class SphereGrid:
         for l in self.directions:
             if len(l) != self.dim:
                 raise ValueError("direction length does not match grid dimension")
-            nrm = math.sqrt(sum(v * v for v in l))
+            nrm = math.sqrt(dot(l, l))
             if abs(nrm - 1.0) > 1e-12:
                 raise ValueError(f"grid directions must be unit vectors, got |l| = {nrm!r}")
         if self.id is None:
@@ -362,7 +362,7 @@ class SphereGrid:
 def _apply(rows, cols) -> list:
     """``rows @ y`` for every point ``y`` of ``cols`` (one sequence per
     coordinate), one list per row, accumulated from 0.0 in the order of
-    ``Affine._inner_point``; an empty row (a constant substitution) gives a
+    :func:`dirsubdiff.expr.dot`; an empty row (a constant substitution) gives a
     column of zeros.  Rows of two entries, through which a 3-D grid lifts
     its circle's points, take one comprehension per row, which adds in the
     same order.  The engine's sweep and :attr:`SphereGrid.lifted_columns`
@@ -875,22 +875,17 @@ def embed_point(point, grid: SphereGrid | None = None) -> DirectedSet:
         raise ValueError("point must have at least one coordinate")
     if check_grid(grid, n) is None:
         return DirectedSet.from_interval(embed_interval(p[0], p[0]))
-    points = [finite_floats(p, _SUPPORTS)]  # as each set of a level sees it
+    # per coordinate, the point as each set of a level sees it, in walk order
+    cols = [(v,) for v in finite_floats(p, _SUPPORTS)]
     levels = []
     g = grid
     while g is not None:
-        supports, projections = [], []
-        cols = range(g.dim - 1)
-        for q in points:
-            for l, rows in zip(g.directions, g.tangent_rows):
-                supports.append(sum(lv * qv for lv, qv in zip(l, q)))
-                projections.append(
-                    tuple(sum(row[j] * qv for row, qv in zip(rows, q)) for j in cols)
-                )
-        levels.append(supports)
-        points = projections
+        levels.append(list(chain.from_iterable(zip(*_apply(g.directions, cols)))))
+        projections = [_apply(tuple(zip(*rows)), cols) for rows in g.tangent_rows]
+        cols = [list(chain.from_iterable(zip(*[proj[j] for proj in projections])))
+                for j in range(g.dim - 1)]
         g = g.subgrid
-    return DirectedSet._built(grid, levels + [[-q[0] for q in points], [q[0] for q in points]])
+    return DirectedSet._built(grid, levels + [[-v for v in cols[0]], cols[0]])
 
 
 def embed_polygon(vertices, grid: SphereGrid) -> DirectedSet:

@@ -70,10 +70,10 @@ from .dirset import (
     ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, _apply, active_columns, active_extremes,
     check_grid, check_tolerance, embed_point, flags,
 )
-from .deriv import _OVERFLOW, _Walk, dirderiv_transform
+from .deriv import _OVERFLOW, _Walk, _pair, dirderiv_transform
 from .expr import (
     Affine, Const, DomainError, Expr, ExprError, LinComb, Max, Min, Var, _finite, as_point,
-    finite_float, int_at_least, sequence, walk,
+    int_at_least, sequence, walk,
 )
 
 
@@ -148,8 +148,7 @@ def directed_subdiffs(
     try:
         gs = [dirderiv_transform(e, xs, active_rtol, joint, _shared=shared) for e in exprs]
         if n == 1:
-            sets = [DirectedSet.leaf(*(finite_float(g._eval((t,)), _OVERFLOW, DomainError)
-                                       for t in (-1.0, 1.0))) for g in gs]
+            sets = [DirectedSet.leaf(*_pair(g, (1.0,))) for g in gs]
         else:
             sweep = _Sweep(gs, active_rtol, joint, n)
             sweep.level(grid, grid.sweep_columns, (), {})

@@ -49,6 +49,14 @@ def _finite(values) -> bool:
     return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
+def dot(ws, ys, start: float = 0.0) -> float:
+    """``start + w0 * y0 + w1 * y1 + ...`` added left to right, whatever a
+    Python version's ``sum`` does: with ``dirset._apply`` the one sum of products."""
+    for w, y in zip(ws, ys):
+        start += w * y
+    return start
+
+
 _TEXT = (str, bytes, bytearray)
 #: what ``float`` reads that is not a number: text, and ``bool``
 _NON_NUMERIC = (*_TEXT, bool)
@@ -436,15 +444,6 @@ class Affine(Expr):
     def children(self):
         return (self.child,)
 
-    def _inner_point(self, xs):
-        out = []
-        for ci, row in zip(self.offset, self.matrix):
-            acc = ci
-            for w, xv in zip(row, xs):
-                acc += w * xv
-            out.append(acc)
-        return tuple(out)
-
 
 @dataclass(frozen=True, eq=False, slots=True, repr=False)
 class LinComb(Expr):
@@ -698,7 +697,8 @@ def context_point(c: int, points: dict, contexts: list, memos: list) -> tuple:
     for c in reversed(chain):
         parent, node = contexts[c]
         if type(node) is Affine:
-            points[c] = node._inner_point(points[parent])
+            xs = points[parent]
+            points[c] = tuple([dot(row, xs, ci) for ci, row in zip(node.offset, node.matrix)])
         else:
             memo = memos[parent]
             points[c] = tuple([memo[h] for h in node.inner])

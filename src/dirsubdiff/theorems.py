@@ -21,7 +21,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .deriv import dirderiv_transform
+from .deriv import _pair, dirderiv_transform
 from .dirset import (
     ACTIVE_RTOL,
     ActiveSetInfo,
@@ -51,9 +51,11 @@ from .expr import (
     Quotient,
     as_point,
     compose,
+    dot,
     evaluate,
     expression,
     finite_float,
+    finite_floats,
     int_at_least,
     sequence,
 )
@@ -366,11 +368,9 @@ def verify_chain_rule_1d(
     t0 = as_point((t0,))[0]
     values = tuple(evaluate(p, (t0,)) for p in phi)
     rates = tuple(smooth_gradient(p, (t0,))[0] for p in phi)
-    neg_rates = tuple(-r for r in rates)
 
     def compute(rtol, info):
-        transform = dirderiv_transform(g, values, rtol, info)
-        formula = DirectedSet.leaf(evaluate(transform, neg_rates), evaluate(transform, rates))
+        formula = DirectedSet.leaf(*_pair(dirderiv_transform(g, values, rtol, info), rates))
         direct = directed_subdiff(composite, (t0,), None, rtol, info)
         return direct, formula
 
@@ -382,10 +382,13 @@ def verify_chain_rule_1d(
 
 
 def _segment(x0, x1) -> tuple:
+    """A segment's endpoints ``a``, ``b`` and its direction ``b - a``, all finite."""
     a, b = as_point(x0), as_point(x1)
     if len(a) != len(b):
         raise ValueError("segment endpoints must share a dimension")
-    return a, b
+    d = tuple([bv - av for av, bv in zip(a, b)])
+    message = f"the segment from {a!r} to {b!r} is too long: x1 - x0 overflows to {{!r}}"
+    return a, b, finite_floats(d, message, DomainError)
 
 
 def segment_subdiff(
@@ -396,13 +399,10 @@ def segment_subdiff(
     active_rtol: float = ACTIVE_RTOL,
 ) -> DirectedInterval:
     """Subdifferential pair of ``t -> g(x0 + t (x1 - x0))`` at parameter ``t``."""
-    a, b = _segment(x0, x1)
+    a, _, d = _segment(x0, x1)
     t = finite_float(t, "segment parameter must be finite, got {!r}", DomainError)
-    d = tuple(bv - av for av, bv in zip(a, b))
     xt = tuple(av + t * dv for av, dv in zip(a, d))
-    transform = dirderiv_transform(g, xt, active_rtol)
-    neg_d = tuple(-dv for dv in d)
-    return DirectedInterval(evaluate(transform, neg_d), evaluate(transform, d))
+    return DirectedInterval(*_pair(dirderiv_transform(g, xt, active_rtol), d))
 
 
 def verify_taylor_invariance(
@@ -422,10 +422,9 @@ def verify_taylor_invariance(
     composite = compose(g, phi)
     phi = composite.inner
     xs = as_point(x0)
-    n = len(xs)
     values = [evaluate(p, xs) for p in phi]
     jac = [smooth_gradient(p, xs) for p in phi]
-    offsets = tuple(v - sum(jrow[j] * xs[j] for j in range(n)) for v, jrow in zip(values, jac))
+    offsets = tuple(v - dot(jrow, xs) for v, jrow in zip(values, jac))
     linearized = Affine(g, tuple(tuple(jrow) for jrow in jac), offsets)
 
     def compute(rtol, info):
@@ -480,7 +479,7 @@ def mvt_witness(
     eps = check_tolerance("eps", eps)
     refine_width = check_tolerance("refine_width", refine_width)
     scan_points = int_at_least(scan_points, 1, "scan_points")
-    a, b = _segment(x0, x1)
+    a, b, _ = _segment(x0, x1)
     if all(av == bv for av, bv in zip(a, b)):
         raise ValueError("segment endpoints coincide")
     c = evaluate(g, b) - evaluate(g, a)

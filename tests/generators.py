@@ -23,6 +23,7 @@ from dirsubdiff.expr import (
     Var,
     checked_point,
     const,
+    dot,
     powk,
     vabs,
 )
@@ -32,7 +33,7 @@ def random_unit(rng, n: int) -> tuple[float, ...]:
     rng = get_rng(rng)
     while True:
         v = [rng.gauss(0.0, 1.0) for _ in range(n)]
-        r = math.sqrt(sum(c * c for c in v))
+        r = math.sqrt(dot(v, v))
         if r > 1e-6:
             return tuple(c / r for c in v)
 

@@ -343,3 +343,27 @@ def test_type_checks_are_not_written_out_again():
     for path in sorted((REPO / "src" / "dirsubdiff").rglob("*.py")):
         visit(ast.parse(path.read_text()), (), path)
     assert found == []
+
+
+def _sums_a_product(node) -> bool:
+    """Whether ``node`` calls the builtin ``sum`` on a comprehension or
+    generator whose items hold a product."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "sum" and node.args):
+        return False
+    items = node.args[0]
+    return isinstance(items, (ast.GeneratorExp, ast.ListComp)) and any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult) for n in ast.walk(items.elt))
+
+
+def test_products_are_summed_only_by_dot_and_apply():
+    # builtin ``sum`` adds floats in an order that changed in Python 3.12,
+    # so sums of products go through ``expr.dot`` or ``dirset._apply``;
+    # counts (``sum(widths)``, ``sum(1 for ...)``) and ``expr._finite``'s
+    # finiteness test may still call it
+    found = [
+        f"{path.relative_to(REPO)}:{node.lineno}"
+        for path in sorted((REPO / "src" / "dirsubdiff").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text())) if _sums_a_product(node)
+    ]
+    assert found == []

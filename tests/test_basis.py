@@ -1,8 +1,11 @@
+import builtins
 import math
 import random
+import struct
 
 import pytest
 
+from dirsubdiff import SphereGrid, embed_point, parse, verify_taylor_invariance
 from dirsubdiff.basis import orthobasis
 
 
@@ -72,3 +75,52 @@ def test_rejects_non_unit():
         orthobasis((0.5,) * 4 + (0.1,))
     with pytest.raises(ValueError):
         orthobasis((1.0,))
+
+
+_SUM = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """Builtin ``sum`` as Python 3.12 and later add floats: Neumaier's
+    compensated summation; a call with any item that is not a float goes to
+    the original ``sum``."""
+    items = list(iterable)
+    if type(start) not in (int, float) or any(type(x) is not float for x in items):
+        return _SUM(items, start)
+    total, c = float(start), 0.0
+    for x in items:
+        t = total + x
+        c += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + c if c and math.isfinite(c) else total
+
+
+def _three_d_results():
+    """A fresh grid's bases, an embedded point and both sides of a Taylor
+    report, each as one flat list of floats."""
+    grid = SphereGrid.sphere(16, 32, 64)  # fresh: default_grid(3) is cached
+    report = verify_taylor_invariance(
+        parse("max(x1, x2) + x3 * x1"),
+        [parse("x1 * x2 + 0.1 * x3"), parse("sin(x2) + x3"), parse("x3 * x1 - x2")],
+        (0.3, -1.7, 2.9), SphereGrid.sphere(4, 8, 16))
+    return {
+        "tangent_rows": [v for rows in grid.tangent_rows for row in rows for v in row],
+        "embed_point": [v for xs in embed_point((0.3, -1.7, 2.9), grid)._arrays for v in xs],
+        "taylor lhs": [v for xs in report.lhs._arrays for v in xs],
+        "taylor rhs": [v for xs in report.rhs._arrays for v in xs],
+    }
+
+
+def test_3d_results_do_not_follow_the_builtin_sum(monkeypatch):
+    # products are summed only by ``expr.dot`` and ``dirset._apply``, so a
+    # builtin ``sum`` that adds floats otherwise (compensated, as from
+    # Python 3.12 on) leaves every bit of the 3-D bases and sets as it is
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    got = _three_d_results()
+    monkeypatch.undo()
+    want = _three_d_results()
+    bits = struct.Struct("d").pack
+    differing = {name: sum(bits(x) != bits(y) for x, y in zip(got[name], want[name]))
+                 for name in want}
+    assert differing == dict.fromkeys(want, 0)
+    assert {name: len(xs) for name, xs in got.items()} == {name: len(xs) for name, xs in want.items()}

@@ -29,6 +29,7 @@ from dirsubdiff.dirset import (
     scale,
     sup,
 )
+from dirsubdiff.expr import dot
 from references import (
     recursive_inf,
     recursive_leq,
@@ -39,7 +40,7 @@ from references import (
 
 
 def _unit(*v):
-    r = math.sqrt(sum(c * c for c in v))
+    r = math.sqrt(dot(v, v))
     return tuple(c / r for c in v)
 
 
@@ -175,8 +176,8 @@ def test_embed_point_four_dimensions():
     p = (0.5, -1.0, 2.0, 0.25)
     s = embed_point(p, GRID_4D)
     for l, support, low in zip(GRID_4D.directions, s.supports, s.lowers):
-        assert support == sum(lv * pv for lv, pv in zip(l, p))
-        proj = tuple(sum(c * pv for c, pv in zip(col, p)) for col in orthobasis(l).columns)
+        assert support == dot(l, p)
+        proj = tuple(dot(col, p) for col in orthobasis(l).columns)
         assert low == embed_point(proj, GRID_4D.subgrid)
 
 

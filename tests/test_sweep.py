@@ -19,8 +19,8 @@ from generators import random_max_affine
 from dirsubdiff.dirset import ActiveSetInfo, SphereGrid
 from dirsubdiff.engine import default_grid, directed_subdiff
 from dirsubdiff.expr import (
-    Affine, Const, DomainError, LinComb, Max, Min, Product, Quotient, Var, compose, evaluate,
-    vabs,
+    Affine, Const, DomainError, LinComb, Max, Min, Product, Quotient, Var, compose, dot,
+    evaluate, vabs,
 )
 from references import recursive_subdiff
 from dirsubdiff.parser import parse
@@ -29,7 +29,7 @@ SPHERE = SphereGrid.sphere(4, 8, 16)
 
 
 def _unit(*v):
-    r = math.sqrt(sum(c * c for c in v))
+    r = math.sqrt(dot(v, v))
     return tuple(c / r for c in v)
 
 

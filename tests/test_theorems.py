@@ -615,6 +615,14 @@ NUMBER_CALLS = {
     "mvt_witness-refine_width-bool": (
         lambda: mvt_witness(parse("abs(x1)"), (-1.0,), (2.0,), refine_width=True), ValueError,
         "expected a number, got a bool"),
+    # a segment pair that overflows is named by the base point, not by -d or d
+    "mvt_witness-pair-overflow": (
+        lambda: mvt_witness(parse("1.7e308*sin(x1)"), (-math.pi / 2,), (math.pi / 2,)),
+        DomainError, "value overflows to -inf at the base point"),
+    # two finite endpoints whose difference overflows name the segment
+    "mvt_witness-segment-overflow": (
+        lambda: mvt_witness(parse("x1"), (-1e308,), (1e308,)), DomainError,
+        "the segment from (-1e+308,) to (1e+308,) is too long: x1 - x0 overflows to (inf,)"),
 }
 
 #: values that are not numbers: float() reads the bool, and none of the others
