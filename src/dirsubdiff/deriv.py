@@ -52,18 +52,40 @@ from .expr import (
 #: the error text of a value that overflows; the engine's sweep raises it too
 _OVERFLOW = "value overflows to {!r} at the base point"
 
+# the tape's slot records: (_VAR, context, index), (_CONST, value, context),
+# (_LIN, alpha, left, beta, right) and (_MAX | _MIN, children)
+_VAR, _CONST, _LIN, _MAX, _MIN = range(5)
+
 
 class _Walk:
     """The walk state of :func:`dirderiv_transform`: per context the node
-    values and the derivatives built so far, the contexts and their base
-    points.  :mod:`dirsubdiff.engine` creates one to share across the
-    transforms of several roots at one point; the first transform sets the
-    point."""
+    values, derivatives and slots built so far, the contexts with their base
+    points and frames, and the tape, a slot record per ``(node, context)``
+    pair in walk order.  :mod:`dirsubdiff.engine` creates one to share
+    across the transforms of several roots at one point and sweeps its tape;
+    the first transform sets the point.  An affine node or a composition
+    takes its child's slot in the context it opens, whose frame ``(parent,
+    matrix)`` maps the parent's point to its own, and a max/min with one
+    active member that member's slot.  Only leaves share a slot, per context
+    and coordinate or zero constant: sharing by value would merge linear
+    records whose coefficients differ only in the sign of a zero."""
 
-    __slots__ = ("vals", "ders", "contexts", "points")
+    __slots__ = ("vals", "ders", "slots", "contexts", "points", "frames", "tape", "leaves")
 
     def __init__(self):
-        self.vals, self.ders, self.contexts, self.points = [{}], defaultdict(dict), [None], {}
+        self.vals, self.ders, self.slots = [{}], defaultdict(dict), defaultdict(dict)
+        self.contexts, self.points, self.frames, self.tape, self.leaves = [None], {}, {}, [], {}
+
+    def record(self, rec: tuple) -> int:
+        """The slot of a new record ``rec``."""
+        self.tape.append(rec)
+        return len(self.tape) - 1
+
+    def leaf(self, rec: tuple) -> int:
+        """The one slot of the leaf record ``rec``, which names its context."""
+        if rec not in self.leaves:
+            self.leaves[rec] = self.record(rec)
+        return self.leaves[rec]
 
 
 def dirderiv_transform(
@@ -84,33 +106,36 @@ def dirderiv_transform(
     non-finite base point or when a node value or a derivative coefficient
     overflows there.  Node by node in the order of :func:`walk`, each value
     and derivative is formed from those of the children and the value is
-    checked finite.
+    checked finite, and the derivative's slot record goes on the tape.
 
     ``_shared``, a :class:`_Walk` only :mod:`dirsubdiff.engine` passes,
     keeps the walk state across the transforms of several roots at one
     point: a subtree they share is transformed once and is one node of
-    their results.
+    their results and one slot of the tape.
     """
     active_rtol = check_tolerance("active_rtol", active_rtol)
     xs, info = checked_point(e, x), flags(info)
     state = instance(_shared, (_Walk, type(None)), "a shared walk state") or _Walk()
-    vals, ders, contexts, points = state.vals, state.ders, state.contexts, state.points
+    vals, ders, slots = state.vals, state.ders, state.slots
+    contexts, points, record, leaf = state.contexts, state.points, state.record, state.leaf
     points.setdefault(0, xs)
     for node, ctx, sub in walk(e, vals, contexts):
-        memo, dmemo = vals[ctx], ders[ctx]
+        memo, dmemo, smemo = vals[ctx], ders[ctx], slots[ctx]
         t = type(node)
         if t is Var:
             v = (xs if ctx == 0 else context_point(ctx, points, contexts, vals))[node.index]
-            d = node
+            d, s = node, leaf((_VAR, ctx, node.index))
         elif t is Const:
-            v, d = node.value, _ZERO
+            v, d, s = node.value, _ZERO, leaf((_CONST, 0.0, ctx))
         elif t is LinComb:
             v = node.alpha * memo[node.left] + node.beta * memo[node.right]
             d = LinComb(node.alpha, dmemo[node.left], node.beta, dmemo[node.right])
+            s = record((_LIN, d.alpha, smemo[node.left], d.beta, smemo[node.right]))
         elif t is Product:
             lv, rv = memo[node.left], memo[node.right]
             v = lv * rv
             d = LinComb(lv, dmemo[node.right], rv, dmemo[node.left])
+            s = record((_LIN, d.alpha, smemo[node.right], d.beta, smemo[node.left]))
         elif t is Quotient:
             nv, dv = memo[node.num], memo[node.den]
             if dv == 0.0:
@@ -121,21 +146,27 @@ def dirderiv_transform(
             v = nv / dv
             d = LinComb(_coefficient(1.0 / dv), dmemo[node.num],
                         _coefficient(-nv / square), dmemo[node.den])
+            s = record((_LIN, d.alpha, smemo[node.num], d.beta, smemo[node.den]))
         elif t is SmoothUnary:
             cv = memo[node.child]
             value, slope, _ = primitive(node.kind, cv)
             v = value(cv, node.exponent)
             d = LinComb(_coefficient(slope(cv, node.exponent)), dmemo[node.child], 0.0, _ZERO)
+            zero = leaf((_CONST, 0.0, ctx))
+            s = record((_LIN, d.alpha, smemo[node.child], d.beta, zero))
         elif t is Max or t is Min:
             (v,), (active,) = active_columns(
                 [(memo[c],) for c in node.children], active_rtol, t is Max, info)
             if len(active) == 1:
-                d = dmemo[node.children[active[0]]]
+                d, s = dmemo[node.children[active[0]]], smemo[node.children[active[0]]]
             else:
                 d = t(tuple([dmemo[node.children[i]] for i in active]))
+                s = record((_MAX if t is Max else _MIN,
+                            tuple([smemo[node.children[i]] for i in active])))
         elif t is Affine:
             v = vals[sub][node.child]
             d = Affine(ders[sub][node.child], node.matrix, (0.0,) * len(node.offset))
+            s, state.frames[sub] = slots[sub][node.child], (ctx, d.matrix)
         else:
             # the inner components are smooth, so their transforms are
             # linear in u: the Jacobian rows are their gradients
@@ -144,8 +175,10 @@ def dirderiv_transform(
                          for h in node.inner)
             v = vals[sub][node.outer]
             d = Affine(ders[sub][node.outer], rows, (0.0,) * len(node.inner))
+            s, state.frames[sub] = slots[sub][node.outer], (ctx, d.matrix)
         memo[node] = finite_float(v, _OVERFLOW, DomainError)
         dmemo[node] = d
+        smemo[node] = s
     return ders[0][e]
 
 

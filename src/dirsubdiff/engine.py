@@ -15,12 +15,12 @@ and reads every level of the set off ``g`` by forward sweeps:
 
 These are the lexicographic directional derivatives of ``f`` at ``x`` along
 the frames ``[l, B_l r, B_l B_r s]`` (Nesterov, Math. Program. 104, 2005).
-The sweep is column-wise: ``g`` is flattened once into a program of linear
-combinations and max/min picks, and a level runs the program of its
-narrowing once over all directions of its grid below one parent direction,
-every node holding a list of values over those directions; the variables
-of one coordinate and affine context are one node, so a level reads each
-coordinate's column once.  The leaf level
+The sweep is column-wise: the walk that builds ``g`` also writes it as a
+tape of linear combinations and max/min picks, and a level runs the
+program of its narrowing once over all directions of its grid below one
+parent direction, every slot holding a list of values over those
+directions; the variables of one coordinate and affine context are one
+slot, so a level reads each coordinate's column once.  The leaf level
 runs over the leaf points ``B_l B_r (-1)`` and ``B_l B_r (+1)`` in the same
 pass.  The points below a direction ``l`` lifted through ``B_l`` depend on
 the grid alone: a grid keeps them
@@ -51,8 +51,8 @@ exact error.
 
 Several expressions at one point take one pass (:func:`directed_subdiffs`):
 their transforms share the walk, so the operands inside a combination are
-one subtree of the combination's transform, and the sweep runs the program
-of the union of their slots, filling each root's levels.  A max/min
+one subtree of the combination's transform and one slot of their tape, and
+the sweep runs one program over it, filling each root's levels.  A max/min
 narrows on its own member values only, so every root's set is the one a
 separate call reads.
 
@@ -70,11 +70,8 @@ from .dirset import (
     ACTIVE_RTOL, ActiveSetInfo, DirectedSet, SphereGrid, _apply, active_columns, active_extremes,
     check_grid, check_tolerance, embed_point, flags,
 )
-from .deriv import _OVERFLOW, _Walk, _pair, dirderiv_transform
-from .expr import (
-    Affine, Const, DomainError, Expr, ExprError, LinComb, Max, Min, Var, _finite, as_point,
-    int_at_least, sequence, walk,
-)
+from .deriv import _CONST, _LIN, _MAX, _MIN, _OVERFLOW, _VAR, _Walk, _pair, dirderiv_transform
+from .expr import DomainError, Expr, ExprError, _finite, as_point, int_at_least, sequence
 
 
 class KinkError(ValueError):
@@ -150,7 +147,8 @@ def directed_subdiffs(
         if n == 1:
             sets = [DirectedSet.leaf(*_pair(g, (1.0,))) for g in gs]
         else:
-            sweep = _Sweep(gs, active_rtol, joint, n)
+            roots = [shared.slots[0][e] for e in exprs]
+            sweep = _Sweep(shared.tape, roots, shared.frames, active_rtol, joint, n)
             sweep.level(grid, grid.sweep_columns, (), {})
             sets = [DirectedSet._built(grid, arrays) for arrays in sweep.arrays]
     except ExprError:
@@ -166,13 +164,11 @@ def directed_subdiffs(
 # ---------------------------------------------------------------------------
 # the lexicographic sweep
 
-# slot records: (_VAR, context, index), (_CONST, value),
-# (_LIN, alpha, left, beta, right), (_MAX | _MIN, children); an affine node
-# has no record, its slot is its child's; a program emits (_LIN, slot,
-# pairs, k) for ``a * x + k`` (one pair) or ``a * x + b * y`` (two pairs,
-# ``k`` None), which only :func:`_fuse` reads, and runs (_KERNEL, slot,
-# kernel, inputs) for a fused linear chain
-_VAR, _CONST, _LIN, _MAX, _MIN, _KERNEL = range(6)
+# a program is the tape's records with their slots second, its linear ones
+# emitted as (_LIN, slot, pairs, k) for ``a * x + k`` (one pair) or
+# ``a * x + b * y`` (two pairs, ``k`` None) and run fused, as (_KERNEL,
+# slot, kernel, inputs) (see :func:`_fuse`)
+_KERNEL = _MIN + 1
 
 #: the deepest nesting of linear operations one kernel evaluates; a deeper
 #: chain is cut into kernels that read each other's columns, which keeps
@@ -280,18 +276,16 @@ def _compile(src: str, n_inputs: int, n_consts: int):
 
 class _Sweep:
     """Reads the levels of the directed subdifferentials of several
-    transforms ``gs`` at one point off one sweep.
+    transforms at one point off one sweep.
 
-    The roots are flattened into one table of slots, one per ``(node,
-    context)`` pair of :func:`dirsubdiff.expr.walk`: a node under an
-    ``Affine`` sees its own point, so the same node reached through two
-    different substitutions gets two slots, and a node two roots share gets
-    one.  An ``Affine`` node's value is its child's, so it takes its
-    child's slot, and every ``Var`` node of one context and coordinate
-    takes one slot, the first one's: a kernel then zips one column per
-    coordinate, however many ``Var`` nodes read it.  Context 0 sees the
-    sweep point; ``contexts[c] = (parent, matrix)`` maps the parent's point
-    to context ``c``'s.
+    The transforms wrote one tape (:class:`dirsubdiff.deriv._Walk`): a
+    slot record per ``(node, context)`` pair of their shared walk, so the
+    same node reached through two different substitutions has two slots,
+    and a node two roots share has one.  ``roots`` are the roots' slots.
+    Context 0 sees the sweep point; ``contexts[c] = (parent, matrix)`` maps
+    the parent's point to context ``c``'s.  Contexts opened under members
+    inactive at the base point are on the tape too: their points are
+    lifted and never read.
 
     A level's narrowing ``act`` maps max/min slots to the child slots still
     active; a slot it does not map keeps all its children (the top level's
@@ -314,47 +308,11 @@ class _Sweep:
     narrowings at directions past the failing one.
     """
 
-    def __init__(self, gs, rtol: float, info: ActiveSetInfo | None, dim: int):
-        self.rtol = rtol
-        self.info = info
-        self.slots, self.roots, self.contexts = self._flatten(gs)
+    def __init__(self, tape, roots, contexts, rtol: float, info: ActiveSetInfo | None, dim: int):
+        self.tape, self.roots, self.contexts = tape, roots, sorted(contexts.items())
+        self.rtol, self.info = rtol, info
         self.programs: dict = {}
-        self.arrays = [[[] for _ in range(dim + 1)] for _ in gs]
-
-    @staticmethod
-    def _flatten(gs):
-        """One slot per pair of :func:`walk` over the roots in turn, numbered
-        in its order, an affine pair taking its child's and a variable the
-        slot of the first variable of its context and coordinate; returns
-        the slots, the root slots and the contexts."""
-        slots: list = []
-        index: list = [{}]
-        contexts: list = [None]
-        coordinates: dict = {}  # (_VAR, context, index) -> its one slot
-        for node, ctx, sub in (step for g in gs for step in walk(g, index, contexts)):
-            slot = index[ctx]
-            t = type(node)
-            if t is Var:
-                rec = (_VAR, ctx, node.index)
-                if rec in coordinates:
-                    slot[node] = coordinates[rec]
-                    continue
-                coordinates[rec] = len(slots)
-            elif t is Const:
-                rec = (_CONST, node.value)
-            elif t is LinComb:
-                rec = (_LIN, node.alpha, slot[node.left], node.beta, slot[node.right])
-            elif t is Max or t is Min:
-                rec = (_MAX if t is Max else _MIN, tuple([slot[c] for c in node.children]))
-            elif t is Affine:
-                slot[node] = index[sub][node.child]
-                continue
-            else:  # pragma: no cover - the transform emits no other kinds
-                raise TypeError(f"unexpected {t.__name__} node in a transform")
-            slot[node] = len(slots)
-            slots.append(rec)
-        roots = tuple([index[0][g] for g in gs])
-        return slots, roots, [None] + [(c, node.matrix) for c, node in contexts[1:]]
+        self.arrays = [[[] for _ in range(dim + 1)] for _ in roots]
 
     def _program(self, act):
         """Instructions evaluating the roots under ``act``, each in ``_eval``
@@ -373,7 +331,6 @@ class _Sweep:
         hit = self.programs.get(key)
         if hit is not None:
             return hit
-        slots = self.slots
         resolved: dict = {}
         consts: dict = {}
         program = []
@@ -382,7 +339,7 @@ class _Sweep:
             s, ready = stack.pop()
             if s in resolved:
                 continue
-            rec = slots[s]
+            rec = self.tape[s]
             op = rec[0]
             if op == _LIN:
                 kids = (rec[2], rec[4])
@@ -428,9 +385,9 @@ class _Sweep:
         ``cols`` as they are."""
         for rows in reversed(frames[:-1]):
             cols = _apply(rows, cols)
-        pts = [cols]
-        for parent, rows in self.contexts[1:]:
-            pts.append(_apply(rows, pts[parent]))
+        pts = {0: cols}
+        for c, (parent, rows) in self.contexts:
+            pts[c] = _apply(rows, pts[parent])
         return pts
 
     def level(self, grid: SphereGrid, cols, frames: tuple, act, depth: int = 0) -> None:
@@ -497,7 +454,7 @@ class _Sweep:
         """
         rtol, info = self.rtol, self.info
         width = 3 * n if leaf else n
-        val = [None] * len(self.slots)
+        val = [None] * len(self.tape)
         acts: dict = {}
         bad, bad_value = n, None
         for ins in program:

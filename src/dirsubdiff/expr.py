@@ -16,9 +16,9 @@ operators are overloaded, so expressions compose naturally:
 ``abs`` is sugar: ``vabs(e)`` builds ``max(e, -e)`` and there is no separate
 absolute-value node.
 
-Evaluation, the derivative transform and the engine's flattening all run on
-:func:`walk`, one iterative post-order over the ``(node, context)`` pairs of
-a tree, so neither a long chain nor a deep nesting takes Python frames.
+Evaluation and the derivative transform, which writes the engine's tape,
+run on :func:`walk`: one iterative post-order over the ``(node, context)``
+pairs of a tree, so no long chain or deep nesting takes Python frames.
 """
 
 from __future__ import annotations

@@ -59,10 +59,10 @@ _UNARY_CALLS = ("abs", *SMOOTH_KINDS)
 #: of 1000, called from a shallow stack, it runs out of stack at 165 nested
 #: calls (six frames per call), 198 parentheses and 495 unary signs.  A cap
 #: of 100 leaves about 400 frames for the caller.  ``+``/``*`` chains are
-#: read iteratively and not capped.  Evaluation, the derivative transform
-#: and the engine walk expressions on their own stack
-#: (:func:`dirsubdiff.expr.walk`), so no expression, parsed or built in
-#: Python, takes a frame per node there.
+#: read iteratively and not capped.  Evaluation and the derivative
+#: transform walk expressions on their own stack (:func:`dirsubdiff.expr.walk`),
+#: and the engine runs the transform's tape, so no expression, parsed or
+#: built in Python, takes a frame per node there.
 MAX_NESTING = 100
 
 
@@ -97,6 +97,14 @@ def _tokenize(text: str):
         raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", n))
     return tokens
+
+
+def _node(at: int, kind, *args) -> Expr:
+    """``kind(*args)``, whose refusal of a token's value is a :class:`ParseError` at ``at``."""
+    try:
+        return kind(*args)
+    except ValueError as exc:
+        raise ParseError(str(exc), at) from None
 
 
 class _Parser:
@@ -172,14 +180,14 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, at = self.take()
         if kind == "num":
-            return Const(float(text))
+            return _node(at, Const, float(text))
         if kind == "name":
             var_match = _VARIABLE.match(text)
             if var_match:
                 index = int(var_match.group(1))
                 if index < 1:
                     raise ParseError("variables are numbered from x1", at)
-                return Var(index - 1)
+                return _node(at, Var, index - 1)
             next_kind, next_text, _ = self.peek()
             if not (next_kind == "op" and next_text == "("):
                 raise ParseError(f"unknown identifier {text!r}", at)
@@ -193,14 +201,14 @@ class _Parser:
 
     def call(self, name: str, at: int) -> Expr:
         self.expect_op("(")
-        args = [self.expr()]
+        starts, args = [], []
         while True:
+            starts.append(self.peek()[2])
+            args.append(self.expr())
             kind, text, _ = self.peek()
-            if kind == "op" and text == ",":
-                self.take()
-                args.append(self.expr())
-            else:
+            if not (kind == "op" and text == ","):
                 break
+            self.take()
         self.expect_op(")")
 
         if name in ("max", "min"):
@@ -213,7 +221,7 @@ class _Parser:
             base, expo = args
             if not isinstance(expo, Const) or expo.value != int(expo.value) or expo.value < 2:
                 raise ParseError("pow exponent must be an integer literal >= 2", at)
-            return SmoothUnary("pow", base, int(expo.value))
+            return _node(starts[1], SmoothUnary, "pow", base, int(expo.value))
         if name in _UNARY_CALLS:
             if len(args) != 1:
                 raise ParseError(f"{name} takes exactly one argument", at)

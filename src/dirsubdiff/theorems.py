@@ -399,9 +399,10 @@ def segment_subdiff(
     active_rtol: float = ACTIVE_RTOL,
 ) -> DirectedInterval:
     """Subdifferential pair of ``t -> g(x0 + t (x1 - x0))`` at parameter ``t``."""
-    a, _, d = _segment(x0, x1)
+    a, b, d = _segment(x0, x1)
     t = finite_float(t, "segment parameter must be finite, got {!r}", DomainError)
-    xt = tuple(av + t * dv for av, dv in zip(a, d))
+    message = f"the point at t = {t!r} on the segment from {a!r} to {b!r} overflows to {{!r}}"
+    xt = finite_floats([av + t * dv for av, dv in zip(a, d)], message, DomainError)
     return DirectedInterval(*_pair(dirderiv_transform(g, xt, active_rtol), d))
 
 

@@ -367,3 +367,20 @@ def test_products_are_summed_only_by_dot_and_apply():
         for node in ast.walk(ast.parse(path.read_text())) if _sums_a_product(node)
     ]
     assert found == []
+
+
+def test_the_engine_reads_no_expression_node():
+    # the sweep runs the tape the transform writes, so the engine neither
+    # walks an expression nor tells its node kinds apart; ``Expr`` stays
+    # for annotations
+    expr = dirsubdiff.expr
+    kinds = {name for name, value in vars(expr).items()
+             if isinstance(value, type) and issubclass(value, expr.Expr) and value is not expr.Expr}
+    imported = set()
+    for node in ast.walk(ast.parse((REPO / "src" / "dirsubdiff" / "engine.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module in ("expr", "dirsubdiff.expr"):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update("expr" for alias in node.names if alias.name.endswith("expr"))
+    assert {"Var", "Affine", "Max", "SmoothCompose"} <= kinds
+    assert imported & (kinds | {"walk", "expr"}) == set()

@@ -7,6 +7,8 @@ one root.  Each joint set must be the separate call's set bit for bit, the
 an error must be the one the separate calls raise first, in root order.
 """
 
+import sys
+
 import pytest
 
 import dirsubdiff.engine as engine
@@ -17,6 +19,7 @@ from dirsubdiff.dirset import ActiveSetInfo, SphereGrid
 from dirsubdiff.engine import directed_subdiff, directed_subdiffs
 from dirsubdiff.expr import (
     Affine, ArityError, DomainError, LinComb, Max, Min, Product, Quotient, compose, evaluate,
+    walk,
 )
 from dirsubdiff.parser import parse
 from dirsubdiff.theorems import verify_sum_rule
@@ -104,7 +107,7 @@ def test_errors_come_in_root_order():
 
 
 def test_one_transform_per_root_and_one_sweep(monkeypatch):
-    calls = {"transform": 0, "sweep": 0}
+    calls = {"transform": 0, "sweep": 0, "walk": 0}
     transform, sweep = engine.dirderiv_transform, engine._Sweep
 
     def counting_transform(*args, **kwargs):
@@ -116,12 +119,24 @@ def test_one_transform_per_root_and_one_sweep(monkeypatch):
             calls["sweep"] += 1
             super().__init__(*args)
 
+    def counting_walk(*args, **kwargs):
+        calls["walk"] += 1
+        return walk(*args, **kwargs)
+
     monkeypatch.setattr(engine, "dirderiv_transform", counting_transform)
     monkeypatch.setattr(engine, "_Sweep", CountingSweep)
+    # the transform's walk is the only walk over a root: the sweep runs the
+    # tape it writes
+    for module in [m for name, m in sys.modules.items() if name.startswith("dirsubdiff")]:
+        if getattr(module, "walk", None) is walk:
+            monkeypatch.setattr(module, "walk", counting_walk)
     f1, f2 = parse("max(x1, x2)"), parse("abs(x1 - x2)")
     grid = SphereGrid.circle(16)
     directed_subdiffs((f1, f2, LinComb(1.0, f1, 2.0, f2)), (0.0, 0.0), grid)
-    assert calls == {"transform": 3, "sweep": 1}
+    assert calls == {"transform": 3, "sweep": 1, "walk": 3}
+    calls.update(transform=0, sweep=0, walk=0)
+    directed_subdiffs((parse("max(x1, x2, x3)"), parse("abs(x1 - x3) + x2")), (0.0,) * 3, SPHERE)
+    assert calls == {"transform": 2, "sweep": 1, "walk": 2}
     # the operands' transforms are the combination's subtrees
     shared = _Walk()
     roots = (f1, f2, LinComb(1.0, f1, 2.0, f2))

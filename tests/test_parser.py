@@ -138,6 +138,10 @@ def test_nesting_up_to_the_cap_parses():
     ("pow(x1)", "pow takes exactly two arguments", 0),
     ("pow(x1, 2, 3)", "pow takes exactly two arguments", 0),
     ("1 + sin(x1, x2)", "sin takes exactly one argument", 4),
+    # a value its node refuses is named at its token
+    ("1e400*x1", "constant must be finite, got inf", 0),
+    ("x1 + x99999999999999999999", "variable index must be >= 0, an integer below 2**63", 5),
+    ("pow(x1, 1e20)", "pow exponent must be >= 2, an integer below 2**63", 8),
     # only text is parsed
     (b"x1", "expected expression text, got a bytes", 0),
     (None, "expected expression text, got a NoneType", 0),

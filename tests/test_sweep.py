@@ -12,6 +12,7 @@ import struct
 
 import pytest
 
+import dirsubdiff.deriv as deriv
 import dirsubdiff.dirset as dirset
 import dirsubdiff.engine as engine
 from dirsubdiff.corpus import get_rng, random_rule_pair
@@ -317,8 +318,8 @@ def test_every_level_runs_kernels(monkeypatch):
     for call in runs:
         ran.clear()
         call()
-        assert engine._KERNEL in ran and engine._LIN not in ran
-        assert ran <= {engine._KERNEL, engine._VAR, engine._CONST, engine._MAX, engine._MIN}
+        assert engine._KERNEL in ran and deriv._LIN not in ran
+        assert ran <= {engine._KERNEL, deriv._VAR, deriv._CONST, deriv._MAX, deriv._MIN}
         misses = engine._compile.cache_info().misses
         call()
         assert engine._compile.cache_info().misses == misses
@@ -338,10 +339,10 @@ def test_kernels_share_one_compile_per_shape():
     engine._compile.cache_clear()
     for a, b, c, k in coefficients:
         # slot 2 = a * u + b * v, slot 3 = c * slot 2 + k, read by the root alone
-        program = [(engine._VAR, 0, 0, 0), (engine._VAR, 1, 0, 1),
-                   (engine._LIN, 2, ((a, 0), (b, 1)), None), (engine._LIN, 3, ((c, 2),), k)]
+        program = [(deriv._VAR, 0, 0, 0), (deriv._VAR, 1, 0, 1),
+                   (deriv._LIN, 2, ((a, 0), (b, 1)), None), (deriv._LIN, 3, ((c, 2),), k)]
         fused = engine._fuse(program, [3])
-        assert [ins[0] for ins in fused] == [engine._VAR, engine._VAR, engine._KERNEL]
+        assert [ins[0] for ins in fused] == [deriv._VAR, deriv._VAR, engine._KERNEL]
         _, _, kernel, inputs = fused[2]
         assert inputs == (0, 1)
         inner = [a * x + b * y for x, y in zip(u, v)]
@@ -393,7 +394,7 @@ def test_identity_coefficients_select_their_own_shapes():
     sources = []
     for a, k in [(2.0, 3.0), (1.0, 3.0), (2.0, -0.0), (1.0, -0.0),
                  (-1.0, 0.0), (0.0, -3.0), (-0.0, 1e-300)]:
-        engine._fuse([(engine._VAR, 0, 0, 0), (engine._LIN, 1, ((a, 0),), k)], [1])
+        engine._fuse([(deriv._VAR, 0, 0, 0), (deriv._LIN, 1, ((a, 0),), k)], [1])
         sources.append(engine._render(((a, 0),), k, {}, []))
     assert sources[:4] == ["k0 * v0 + k1", "v0 + k0", "k0 * v0", "v0"]
     assert set(sources[4:]) == {sources[0]}
@@ -418,8 +419,8 @@ def test_kernels_without_identities_keep_the_bits(a, k):
         forms = [(((a, 0),), k), (((a, 2),), k)]
         inner = [a * x + k for x in u]
         want = [a * w + k for w in inner]
-    program = [(engine._VAR, 0, 0, 0), (engine._VAR, 1, 0, 1)]
-    program += [(engine._LIN, s, pairs, c) for s, (pairs, c) in zip((2, 3), forms)]
+    program = [(deriv._VAR, 0, 0, 0), (deriv._VAR, 1, 0, 1)]
+    program += [(deriv._LIN, s, pairs, c) for s, (pairs, c) in zip((2, 3), forms)]
     fused = engine._fuse(program, [3])
     _, _, kernel, inputs = fused[-1]
     assert _bits(kernel(*[(u, v)[i] for i in inputs])) == _bits(want)
@@ -455,6 +456,23 @@ def test_constant_operands_keep_signed_zeros(case, x2, dim):
     assert math.copysign(1.0, s.levels[0][0]) == math.copysign(1.0, x2)
     if x2 < 0.0:
         assert "-0.0" in s.to_json()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_linear_records_equal_but_for_a_signed_zero_keep_their_slots(dim):
+    # the two inner sums have records that differ only in -0.0 against 0.0
+    # coefficients, which compare equal: a tape that shared them by value
+    # would read -0.0 where their sum is 0.0
+    def terms(c):
+        e = LinComb(c, Var(0), c, Var(1))
+        return LinComb(1.0, e, c, Var(2)) if dim == 3 else e
+
+    e = LinComb(1.0, terms(-0.0), 1.0, terms(0.0))
+    grid = SphereGrid.circle(8) if dim == 2 else SphereGrid.sphere(2, 4, 8)
+    x = (0.3, 0.5, 0.7)[:dim]
+    want = recursive_subdiff(e, x, grid)
+    assert "-0.0" not in want.to_json()
+    assert_agree(e, x, grid)
 
 
 # The lifted leaf points a grid keeps (``SphereGrid.lifted_columns``): they

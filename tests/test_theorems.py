@@ -548,6 +548,9 @@ NUMBER_CALLS = {
                  "basis does not belong to the given direction"),
     "segment_subdiff": (lambda: segment_subdiff(parse("abs(x1)"), (-1.0,), (2.0,), 10**400),
                         DomainError, "segment parameter must be finite, got inf"),
+    "segment_subdiff-point": (lambda: segment_subdiff(parse("x1"), (1e307,), (9e307,), 1e10),
+                              DomainError, "the point at t = 10000000000.0 on the segment from "
+                              "(1e+307,) to (9e+307,) overflows to (inf,)"),
     "dini_fd": (lambda: dini_fd(KINK, ORIGIN, (0.0, 10**400)), DomainError,
                 "point coordinates must be finite, got (0.0, inf)"),
     # text is not a sequence of numbers, though it iterates and each character converts
